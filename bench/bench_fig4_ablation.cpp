@@ -22,7 +22,7 @@ int main() {
   bool m_monotone = true, n_monotone = true;
   for (auto backbone : {core::BackboneKind::kTgat, core::BackboneKind::kGraphMixer}) {
     // The 2-hop TGAT grid is quadratic in n; its sweep keeps the paper\'s m
-    // axis but restricts n (EXPERIMENTS.md records the reduction).
+    // axis but restricts n to {5, 10} (paper: 5-20).
     const std::vector<std::int64_t> ns =
         backbone == core::BackboneKind::kTgat ? std::vector<std::int64_t>{5, 10}
                                               : std::vector<std::int64_t>{5, 10, 15, 20};

@@ -7,11 +7,17 @@
 // dW backward — the replica of the pre-backend 4-wide-unrolled kernels
 // vs the packed cache-blocked backend, printed as a table.
 //
-// --smoke: no timing; cross-checks the packed backend (all transpose
-// variants, fused bias/GELU epilogues, the batched permute_021 view, and
-// the zero-chunk skip) against a naive double-precision reference on
-// tiny, odd, tile-unaligned shapes. Exits non-zero on any mismatch —
-// wired into ctest so kernel regressions surface in CI.
+// --smoke: cross-checks the packed backend (all transpose variants, fused
+// bias/GELU epilogues, the batched permute_021 view, and the zero-chunk
+// skip) against a naive double-precision reference on tiny, odd,
+// tile-unaligned shapes. Exits non-zero on any mismatch — wired into
+// ctest so kernel regressions surface in CI.
+//
+// Both modes then time the train-taser sampler trunk (GFLOP/s of its
+// channel-MLP GEMMs, and GELU forward/backward in Melem/s against a
+// scalar libm replica) and record every rate in the --json report. These
+// rates are recorded, never gated.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "common.h"
+#include "tensor/gelu_kernel.h"
 #include "tensor/gemm_kernels.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -86,21 +93,134 @@ void old_gemm_at_b_acc(const float* A, const float* B, float* C, i64 m, i64 k, i
   }
 }
 
-void fill_uniform(std::vector<float>& v, Rng& rng) {
-  for (auto& x : v) x = rng.next_uniform(-1.f, 1.f);
+// Replica of the pre-kernel GELU: one libm tanhf call per element. Kept
+// here as the benchmark baseline only.
+float gelu_libm(float x) {
+  const float t = std::tanh(0.7978845608028654f * (x + 0.044715f * x * x * x));
+  return 0.5f * x * (1.f + t);
+}
+
+float gelu_grad_libm(float x) {
+  const float c = 0.7978845608028654f;
+  const float t = std::tanh(c * (x + 0.044715f * x * x * x));
+  return 0.5f * (1.f + t) + 0.5f * x * (1.f - t * t) * c * (1.f + 3.f * 0.044715f * x * x);
+}
+
+void fill_uniform(std::vector<float>& v, Rng& rng, float lo = -1.f, float hi = 1.f) {
+  for (auto& x : v) x = rng.next_uniform(lo, hi);
+}
+
+/// Best of 3 repetitions of `iters` calls, after one warm-up call, in
+/// units per second; `fn` processes `units` per call.
+template <typename Fn>
+double best_rate(double units, int iters, Fn fn) {
+  fn();
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    WallTimer t;
+    for (int it = 0; it < iters; ++it) fn();
+    best = std::max(best, units * iters / t.seconds());
+  }
+  return best;
+}
+
+// ---- train-taser sampler trunk: recorded rates ------------------------------
+
+/// The channel MLP of the train-taser sampler's Mixer trunk at its hop-2
+/// AS call: 128 roots × 3 (src, dst, negative) × n=5 targets, m=10
+/// candidates each, encoder width 16 (edge) + 16 (time) + 16 (freq) + 10
+/// (identity) = 58, hidden 4 × 58.
+void time_taser_trunk(Rng& rng) {
+  const i64 rows = 128 * 3 * 5 * 10, c = 58, hidden = 4 * c;
+  std::vector<float> x(static_cast<std::size_t>(rows * c)),
+      w1(static_cast<std::size_t>(c * hidden)), b1(static_cast<std::size_t>(hidden)),
+      w2(static_cast<std::size_t>(hidden * c)), u(static_cast<std::size_t>(rows * hidden)),
+      h(u.size()), g(u.size()), out(u.size()), dw(w1.size()), y(x.size());
+  fill_uniform(x, rng);
+  fill_uniform(w1, rng, -0.3f, 0.3f);
+  fill_uniform(b1, rng);
+  fill_uniform(w2, rng, -0.3f, 0.3f);
+  fill_uniform(g, rng);
+
+  Table gemms({"train-taser trunk GEMM", "GFLOP/s"});
+  auto gemm_row = [&](const std::string& key, const std::string& label, double flops,
+                      auto fn) {
+    const double gflops = best_rate(flops, 3, fn) / 1e9;
+    gemms.add_row({label, Table::fmt(gflops, 2)});
+    taser::bench::report_metric("gemm." + key + ".gflops", gflops);
+  };
+  gemm_row("taser_fc1", "fc1+bias+gelu [" + std::to_string(rows) + "x58 · 58x232]",
+           2.0 * rows * c * hidden, [&] {
+             gemm::Epilogue ep;
+             ep.bias = b1.data();
+             ep.gelu = true;
+             ep.preact = u.data();
+             ep.beta_zero = true;
+             gemm::gemm_acc(gemm::row_major(x.data(), c), gemm::row_major(w1.data(), hidden),
+                            h.data(), rows, c, hidden, ep);
+           });
+  gemm_row("taser_fc2", "fc2 [" + std::to_string(rows) + "x232 · 232x58]",
+           2.0 * rows * hidden * c, [&] {
+             gemm::Epilogue fresh;
+             fresh.beta_zero = true;
+             gemm::gemm_acc(gemm::row_major(h.data(), hidden), gemm::row_major(w2.data(), c),
+                            y.data(), rows, hidden, c, fresh);
+           });
+  gemm_row("taser_fc1_dw", "fc1 dW [58x" + std::to_string(rows) + " · " +
+                               std::to_string(rows) + "x232]",
+           2.0 * c * rows * hidden, [&] {
+             gemm::gemm_acc(gemm::transposed(x.data(), c), gemm::row_major(g.data(), hidden),
+                            dw.data(), c, rows, hidden);
+           });
+  gemms.print();
+  std::printf("\n");
+
+  // GELU over the fc1 output on one thread, called as the library calls
+  // it: the forward per kNR-wide tile row (the GEMM epilogue), the
+  // backward g ⊙ gelu'(u) per kChunk range (the fused linear backward).
+  const i64 n = rows * hidden;
+  fill_uniform(u, rng, -4.f, 4.f);
+  const double fwd_libm = best_rate(n, 3, [&] {
+    for (std::size_t i = 0; i < u.size(); ++i) out[i] = gelu_libm(u[i]);
+  });
+  const double fwd = best_rate(n, 3, [&] {
+    for (i64 j = 0; j < n; j += gemm::kNR)
+      taser::tensor::kernels::gelu(u.data() + j, out.data() + j, std::min(gemm::kNR, n - j));
+  });
+  const double bwd_libm = best_rate(n, 3, [&] {
+    for (std::size_t i = 0; i < u.size(); ++i) out[i] = g[i] * gelu_grad_libm(u[i]);
+  });
+  const double bwd = best_rate(n, 3, [&] {
+    for (i64 lo = 0; lo < n; lo += taser::tensor::kernels::kChunk)
+      taser::tensor::kernels::gelu_grad(g.data() + lo, u.data() + lo, out.data() + lo,
+                                        std::min(taser::tensor::kernels::kChunk, n - lo));
+  });
+  Table gelu({"GELU over fc1 output (" + std::to_string(n) + " elem, 1 thread)",
+              "libm Melem/s", "kernel Melem/s", "speedup"});
+  gelu.add_row({"forward (epilogue)", Table::fmt(fwd_libm / 1e6, 1), Table::fmt(fwd / 1e6, 1),
+                Table::fmt(fwd / fwd_libm, 2)});
+  gelu.add_row({"backward g*gelu'(u)", Table::fmt(bwd_libm / 1e6, 1),
+                Table::fmt(bwd / 1e6, 1), Table::fmt(bwd / bwd_libm, 2)});
+  gelu.print();
+  taser::bench::report_metric("gelu.fwd.melem_s", fwd / 1e6);
+  taser::bench::report_metric("gelu.fwd_libm.melem_s", fwd_libm / 1e6);
+  taser::bench::report_metric("gelu.bwd.melem_s", bwd / 1e6);
+  taser::bench::report_metric("gelu.bwd_libm.melem_s", bwd_libm / 1e6);
 }
 
 // ---- perf sweep -------------------------------------------------------------
 
 struct ShapeResult {
+  std::string key;  ///< metric name part in the --json report
   std::string label;
   double old_gflops = 0, new_gflops = 0;
 };
 
 template <typename OldFn, typename NewFn>
-ShapeResult measure(const std::string& label, double flops_per_iter, OldFn old_fn,
-                    NewFn new_fn) {
+ShapeResult measure(const std::string& key, const std::string& label, double flops_per_iter,
+                    OldFn old_fn, NewFn new_fn) {
   ShapeResult r;
+  r.key = key;
   r.label = label;
   const int iters = flops_per_iter > 1e9 ? 2 : 15;
   const int reps = 3;  // best-of-reps: shields the gate from scheduler noise
@@ -138,28 +258,28 @@ int run_sweep() {
   std::vector<ShapeResult> results;
   std::vector<float> A, B, C, P;
 
-  auto dense = [&](const std::string& label, i64 mm, i64 kk, i64 nn, bool trunk) {
+  auto dense = [&](const std::string& key, const std::string& label, i64 mm, i64 kk,
+                   i64 nn) {
     A.assign(static_cast<std::size_t>(mm * kk), 0.f);
     B.assign(static_cast<std::size_t>(kk * nn), 0.f);
     C.assign(static_cast<std::size_t>(mm * nn), 0.f);
     fill_uniform(A, rng);
     fill_uniform(B, rng);
     auto r = measure(
-        label, 2.0 * mm * kk * nn,
+        key, label, 2.0 * mm * kk * nn,
         [&] { old_gemm_acc(A.data(), B.data(), C.data(), mm, kk, nn); },
         [&] {
           gemm::gemm_acc(gemm::row_major(A.data(), kk), gemm::row_major(B.data(), nn),
                          C.data(), mm, kk, nn);
         });
-    (void)trunk;
     results.push_back(r);
     return r;
   };
 
-  auto r1 = dense("trunk channel fc1 [" + std::to_string(rows) + "x96 · 96x384]", rows,
-                  c, ch_hidden, true);
-  auto r2 = dense("trunk channel fc2 [" + std::to_string(rows) + "x384 · 384x96]", rows,
-                  ch_hidden, c, true);
+  auto r1 = dense("trunk_fc1", "trunk channel fc1 [" + std::to_string(rows) + "x96 · 96x384]",
+                  rows, c, ch_hidden);
+  auto r2 = dense("trunk_fc2", "trunk channel fc2 [" + std::to_string(rows) + "x384 · 384x96]",
+                  rows, ch_hidden, c);
 
   // Token mixing: x [T, m, c] consumed through the permute_021 view.
   // The old path materialized the [T, c, m] transpose first; that copy is
@@ -172,7 +292,7 @@ int run_sweep() {
     C.assign(static_cast<std::size_t>(T * c * tok_hidden), 0.f);
     P.assign(static_cast<std::size_t>(T * c * m), 0.f);  // old path's transpose
     auto r = measure(
-        "token-mix fc1 (permute_021 · [32x16]) x" + std::to_string(T),
+        "token_mix_fc1", "token-mix fc1 (permute_021 · [32x16]) x" + std::to_string(T),
         2.0 * T * c * m * tok_hidden,
         [&] {
           for (i64 b = 0; b < T; ++b) {
@@ -191,7 +311,7 @@ int run_sweep() {
     results.push_back(r);
   }
 
-  dense("edge head [" + std::to_string(rows) + "x96 · 96x1]", rows, c, 1, false);
+  dense("edge_head", "edge head [" + std::to_string(rows) + "x96 · 96x1]", rows, c, 1);
 
   // dW = Xᵀ·g — the big-k backward shape (k = rows), streamed regime.
   {
@@ -201,8 +321,8 @@ int run_sweep() {
     fill_uniform(A, rng);
     fill_uniform(B, rng);
     auto r = measure(
-        "dW backward [96x" + std::to_string(rows) + " · " + std::to_string(rows) +
-            "x384]",
+        "dw_backward",
+        "dW backward [96x" + std::to_string(rows) + " · " + std::to_string(rows) + "x384]",
         2.0 * c * rows * ch_hidden,
         [&] { old_gemm_at_b_acc(A.data(), B.data(), C.data(), c, rows, ch_hidden); },
         [&] {
@@ -214,10 +334,15 @@ int run_sweep() {
   }
 
   Table table({"shape", "old GFLOP/s", "new GFLOP/s", "speedup"});
-  for (const auto& r : results)
+  for (const auto& r : results) {
     table.add_row({r.label, Table::fmt(r.old_gflops, 2), Table::fmt(r.new_gflops, 2),
                    Table::fmt(r.new_gflops / r.old_gflops, 2)});
+    taser::bench::report_metric("gemm." + r.key + ".gflops", r.new_gflops);
+    taser::bench::report_metric("gemm." + r.key + ".old_gflops", r.old_gflops);
+  }
   table.print();
+  std::printf("\n");
+  time_taser_trunk(rng);
 
   const double trunk_speedup =
       std::min(r1.new_gflops / r1.old_gflops, r2.new_gflops / r2.old_gflops);
@@ -370,7 +495,8 @@ int run_smoke() {
                            {5, 515, 40}, {5, 3000, 200}};
   for (const auto& s : shapes) smoke_shape(s[0], s[1], s[2], rng);
   smoke_batched(rng);
-  std::printf("%s\n", g_failures == 0 ? "smoke: ALL PASS" : "smoke: FAILURES");
+  std::printf("%s\n\n", g_failures == 0 ? "smoke: ALL PASS" : "smoke: FAILURES");
+  time_taser_trunk(rng);
   taser::bench::report_metric("smoke.failures", g_failures);
   taser::bench::print_shape("packed backend matches naive reference", g_failures == 0);
   return g_failures == 0 ? 0 : 1;

@@ -1,9 +1,10 @@
 // Table I — accuracy (MRR %) of Baseline / +Ada.Mini-Batch /
 // +Ada.Neighbor / TASER for both backbones on the five datasets.
 //
-// Reduced configuration (see EXPERIMENTS.md): ~2.5-4k-edge synthetic
-// stand-ins, hidden 32, n=5, m=15, single seed, short training — the
-// paper uses full datasets, hidden 100, n=10, m=25, 5 seeds, 200 epochs.
+// Reduced configuration (bench::reduced_trainer_config): ~2.5-4k-edge
+// synthetic stand-ins, hidden 32, n=5, m=10, single seed, 8 (TGAT) / 12
+// (GraphMixer) epochs — the paper uses full datasets, hidden 100, n=10,
+// m=25, 5 seeds, 200 epochs.
 // The claim under test is the *ordering*: each adaptive component helps,
 // and TASER (both) is at or near the top.
 #include <cmath>
@@ -38,8 +39,7 @@ int main() {
     std::vector<std::vector<double>> mrr(5);
     auto presets = bench::training_presets();
     // The 2-hop TGAT fan-out is ~6x the GraphMixer cost per edge; its
-    // column uses 0.6x-edge datasets to fit the bench budget
-    // (EXPERIMENTS.md records the reduction).
+    // column uses 0.6x-edge datasets to fit the bench budget.
     if (backbone == core::BackboneKind::kTgat)
       for (auto& p : presets)
         p.num_edges = static_cast<std::int64_t>(static_cast<double>(p.num_edges) * 0.6);

@@ -38,7 +38,7 @@ int main() {
   }
   table.print();
   std::printf("\n(feature dims reduced to 16 for the training benches; paper dims "
-              "172/100/266/413+130 — see EXPERIMENTS.md)\n");
+              "172/100/266/413+130; edges scaled to ~2.5-4k per dataset)\n");
   bench::print_shape(
       "five datasets with bipartite+unipartite mix, heavy repeats and planted noise",
       bipartite_seen);

@@ -6,8 +6,8 @@
 // *modeled device* time clearly separated where relevant, and (b) a
 // final "paper-shape:" line stating whether the qualitative claim the
 // paper makes for that table/figure held in this run. Reduced
-// configurations (edge counts, dims, epochs) are all centralised here
-// and recorded in EXPERIMENTS.md.
+// configurations (edge counts, dims, epochs) are all centralised here;
+// each declaration below states its reduction against the paper.
 
 #include <string>
 #include <vector>
@@ -35,8 +35,8 @@ std::vector<graph::SyntheticConfig> sampling_presets();
 std::vector<graph::SyntheticConfig> runtime_presets();
 
 /// The reduced trainer configuration shared by all accuracy benches:
-/// hidden/time dims 32/16, n=5, m=15, lr 5e-3 (paper: 100/100, n=10,
-/// m=25, lr 1e-4 — see EXPERIMENTS.md).
+/// batch 128, hidden/time dims 32/16, n=5, m=10, lr 5e-3 (paper: batch
+/// 600, 100/100, n=10, m=25, lr 1e-4).
 core::TrainerConfig reduced_trainer_config(core::BackboneKind backbone);
 
 /// Trains `epochs` epochs and returns the final test MRR.

@@ -44,7 +44,8 @@ const char* to_string(PrefetchMode mode);
 /// Full experiment configuration. Paper defaults (§IV-A): batch 600,
 /// n = 10, m = 25, hidden/time/encoding dims 100, lr 1e-4, γ = 0.1,
 /// α = 2, β = 1; TGAT samples uniformly, GraphMixer most-recent.
-/// Benches shrink dims/batches and record the reduction in EXPERIMENTS.md.
+/// Benches shrink dims/batches; bench/common.h (reduced_trainer_config)
+/// and bench/suite/README.md state each reduction.
 struct TrainerConfig {
   BackboneKind backbone = BackboneKind::kTgat;
   FinderKind finder = FinderKind::kGpu;

@@ -59,8 +59,8 @@ Dataset generate_synthetic(const SyntheticConfig& config, SyntheticMeta* meta = 
 
 /// Paper dataset presets (Table II), uniformly scaled by `scale` in node
 /// and edge counts so that training benches fit the host budget.
-/// `feat_dim_override` > 0 replaces the paper's feature dims (used by the
-/// reduced-configuration benches; recorded in EXPERIMENTS.md).
+/// `feat_dim_override` > 0 replaces the paper's feature dims (the
+/// reduced-configuration benches use 16 or 64; bench/common.h).
 SyntheticConfig wikipedia_like(double scale = 1.0, std::int64_t feat_dim_override = 0);
 SyntheticConfig reddit_like(double scale = 1.0, std::int64_t feat_dim_override = 0);
 SyntheticConfig flights_like(double scale = 1.0, std::int64_t feat_dim_override = 0);

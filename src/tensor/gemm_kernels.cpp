@@ -3,8 +3,9 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
+
+#include "tensor/gelu_kernel.h"
 
 namespace taser::tensor::gemm {
 
@@ -87,9 +88,9 @@ void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
 }
 
 /// Reduction done: fold the register tile into C (+ epilogue). The four
-/// flags are compile-time so every variant's inner loop is branch-free;
-/// the common plain/beta-zero stores vectorize. BZ skips the read of a
-/// freshly-zeroed C (identical value, half the C traffic).
+/// flags are compile-time so every variant's store loop is branch-free
+/// and vectorizes; GELU then runs over the stored tile row. BZ skips the
+/// read of a freshly-zeroed C (identical value, half the C traffic).
 template <bool BZ, bool BI, bool GE, bool PR>
 void write_tile_impl(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
                      std::int64_t mr, std::int64_t nr, const float acc[kMR * kNR],
@@ -98,18 +99,14 @@ void write_tile_impl(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
     float* c_row = C + (i0 + r) * n + j0;
     const float* a_row = acc + r * kNR;
     float* p_row = PR ? preact + (i0 + r) * n + j0 : nullptr;
-    if constexpr (!BI && !GE && !PR) {
 #pragma omp simd
-      for (std::int64_t j = 0; j < nr; ++j)
-        c_row[j] = BZ ? a_row[j] : c_row[j] + a_row[j];
-    } else {
-      for (std::int64_t j = 0; j < nr; ++j) {
-        float u = BZ ? a_row[j] : c_row[j] + a_row[j];
-        if constexpr (BI) u += bias[j0 + j];
-        if constexpr (PR) p_row[j] = u;
-        c_row[j] = GE ? gelu_scalar(u) : u;
-      }
+    for (std::int64_t j = 0; j < nr; ++j) {
+      float u = BZ ? a_row[j] : c_row[j] + a_row[j];
+      if constexpr (BI) u += bias[j0 + j];
+      if constexpr (PR) p_row[j] = u;
+      c_row[j] = u;
     }
+    if constexpr (GE) kernels::gelu(c_row, c_row, nr);
   }
 }
 
@@ -262,8 +259,9 @@ void run_direct(const MatView& A, const MatView& B, float* C, std::int64_t m,
       float u = ep.beta_zero ? acc : c_row[j] + acc;
       if (ep.bias) u += ep.bias[j];
       if (ep.preact) ep.preact[i * n + j] = u;
-      c_row[j] = ep.gelu ? gelu_scalar(u) : u;
+      c_row[j] = u;
     }
+    if (ep.gelu) kernels::gelu(c_row, c_row, n);
   }
 }
 
@@ -278,8 +276,9 @@ void epilogue_pass(float* C, std::int64_t m, std::int64_t n, const Epilogue& ep)
       float u = c_row[j];
       if (ep.bias) u += ep.bias[j];
       if (p_row) p_row[j] = u;
-      c_row[j] = ep.gelu ? gelu_scalar(u) : u;
+      c_row[j] = u;
     }
+    if (ep.gelu) kernels::gelu(c_row, c_row, n);
   }
 }
 

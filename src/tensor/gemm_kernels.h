@@ -24,6 +24,10 @@ namespace taser::tensor::gemm {
 //  - Kernels never open a nested OpenMP region: when invoked from inside
 //    an active parallel region (e.g. bmm's batch loop) they run serially
 //    on the calling thread.
+//  - The GELU epilogue stores u, then runs kernels::gelu
+//    (tensor/gelu_kernel.h) over the stored tile row: the same array
+//    kernel, in its own TU, that tensor::gelu runs. Fused ≡ unfused holds
+//    by construction, whatever ISA this TU is compiled for.
 
 /// Register tile: kMR x kNR accumulators (6x16 = 12 YMM under AVX2).
 inline constexpr std::int64_t kMR = 6;
@@ -77,11 +81,5 @@ void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
 void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
                       MatView B, float* C, std::int64_t c_stride, std::int64_t m,
                       std::int64_t k, std::int64_t n, const Epilogue& ep = {});
-
-/// The tanh-approximation GELU used by the fused epilogue — bit-identical
-/// to tensor::gelu's elementwise formula.
-float gelu_scalar(float x);
-/// d gelu(x) / dx, matching tensor::gelu's backward formula.
-float gelu_grad_scalar(float x);
 
 }  // namespace taser::tensor::gemm

@@ -2,7 +2,7 @@
 
 #include "tensor/broadcast.h"
 #include "tensor/counters.h"
-#include "tensor/gemm_kernels.h"
+#include "tensor/gelu_kernel.h"
 #include "tensor/ops.h"
 
 namespace taser::tensor {
@@ -71,28 +71,7 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Dfdy dfdy) {
   return out;
 }
 
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
 }  // namespace
-
-namespace gemm {
-// Defined here — NOT in gemm_kernels.cpp — so the fused epilogue and the
-// standalone gelu op run the exact same machine code regardless of the
-// wider ISA the GEMM TU may be compiled for: linear_gelu must stay
-// bit-identical to gelu(linear(...)).
-float gelu_scalar(float x) {
-  const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
-  return 0.5f * x * (1.f + t);
-}
-
-float gelu_grad_scalar(float x) {
-  const float u = kGeluC * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(u);
-  const float sech2 = 1.f - t * t;
-  const float du = kGeluC * (1.f + 3.f * 0.044715f * x * x);
-  return 0.5f * (1.f + t) + 0.5f * x * sech2 * du;
-}
-}  // namespace gemm
 
 Tensor add(const Tensor& a, const Tensor& b) {
   return binary_op(
@@ -145,11 +124,32 @@ Tensor leaky_relu(const Tensor& a, float negative_slope) {
 }
 
 Tensor gelu(const Tensor& a) {
-  // Shares the scalar kernels with the fused GEMM epilogue (linear_gelu):
-  // the two paths are bit-identical by construction.
-  return unary_op(
-      a, [](float x) { return gemm::gelu_scalar(x); },
-      [](float x, float) { return gemm::gelu_grad_scalar(x); });
+  // The array kernels of the fused GEMM epilogue and the fused linear
+  // backward (linear_gelu): the paths are bit-identical by construction.
+  OpCounters::add_flops(static_cast<std::uint64_t>(a.numel()));
+  Tensor out = make_result(a.shape(), {a});
+  const float* av = a.data();
+  float* ov = out.data();
+  kernels::for_chunks(a.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    kernels::gelu(av + lo, ov + lo, hi - lo);
+  });
+
+  if (out.requires_grad()) {
+    ImplPtr ia = a.impl();
+    out.node().backward_fn = [ia](TensorImpl& self) {
+      if (!ia->requires_grad) return;
+      ia->ensure_grad();
+      const float* g = self.grad.data();
+      const float* x = ia->data.data();
+      float* gi = ia->grad.data();
+      kernels::for_chunks(self.numel(), [&](std::int64_t lo, std::int64_t hi) {
+        float gx[kernels::kChunk];
+        kernels::gelu_grad(g + lo, x + lo, gx, hi - lo);
+        for (std::int64_t i = lo; i < hi; ++i) gi[i] += gx[i - lo];
+      });
+    };
+  }
+  return out;
 }
 
 Tensor sigmoid(const Tensor& a) {

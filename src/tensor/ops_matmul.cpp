@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "tensor/counters.h"
+#include "tensor/gelu_kernel.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 
@@ -36,6 +37,18 @@ void bias_grad_acc(const float* g, float* gb, std::int64_t rows, std::int64_t n)
       for (std::int64_t j = j0; j < j1; ++j) gb[j] += g_row[j];
     }
   }
+}
+
+/// g_u = g ⊙ gelu'(u) into a fresh buffer: the fused equivalent of the
+/// gelu node's backward, one streaming pass instead of a tape node.
+std::unique_ptr<float[]> gelu_grad_buffer(const float* g, const float* u,
+                                          std::int64_t total) {
+  std::unique_ptr<float[]> gu(new float[static_cast<std::size_t>(total)]);
+  float* out = gu.get();
+  kernels::for_chunks(total, [&](std::int64_t lo, std::int64_t hi) {
+    kernels::gelu_grad(g + lo, u + lo, out + lo, hi - lo);
+  });
+  return gu;
 }
 
 /// Shared forward/backward for linear and linear_gelu: one gemm with the
@@ -80,15 +93,7 @@ Tensor linear_impl(const Tensor& x, const Tensor& w, const Tensor& b,
       const float* g = self.grad.data();
       std::unique_ptr<float[]> gu_buf;
       if (fuse_gelu) {
-        // g_u = g ⊙ gelu'(u): the fused equivalent of the gelu node's
-        // backward, one streaming pass instead of a tape node.
-        const std::int64_t total = rows * outdim;
-        gu_buf.reset(new float[static_cast<std::size_t>(total)]);
-        const float* u = preact.get();
-        const bool par = !omp_in_parallel() && total > (1 << 14);
-#pragma omp parallel for schedule(static) if (par)
-        for (std::int64_t i = 0; i < total; ++i)
-          gu_buf[static_cast<std::size_t>(i)] = g[i] * gemm::gelu_grad_scalar(u[i]);
+        gu_buf = gelu_grad_buffer(g, preact.get(), rows * outdim);
         g = gu_buf.get();
       }
       if (ix->requires_grad) {
@@ -158,13 +163,7 @@ Tensor linear_021_impl(const Tensor& x, const Tensor& w, const Tensor& b,
       const float* g = self.grad.data();
       std::unique_ptr<float[]> gu_buf;
       if (fuse_gelu) {
-        const std::int64_t total = nb * c * outdim;
-        gu_buf.reset(new float[static_cast<std::size_t>(total)]);
-        const float* u = preact.get();
-        const bool par = !omp_in_parallel() && total > (1 << 14);
-#pragma omp parallel for schedule(static) if (par)
-        for (std::int64_t i = 0; i < total; ++i)
-          gu_buf[static_cast<std::size_t>(i)] = g[i] * gemm::gelu_grad_scalar(u[i]);
+        gu_buf = gelu_grad_buffer(g, preact.get(), nb * c * outdim);
         g = gu_buf.get();
       }
       if (ix->requires_grad) {
