@@ -8,8 +8,9 @@
 //
 // Part 2 — build/train overlap: batches/sec of a producer-consumer loop
 // where the consumer "trains" for a simulated device latency (the CPU is
-// idle while the real system's GPU runs propagation), with the
-// double-buffered prefetch pipeline on vs off, across train:build ratios.
+// idle while the real system's GPU runs propagation), with the pipeline
+// at depth 1 (double-buffered prefetch) vs depth 0 (inline builds),
+// across train:build ratios.
 //
 // Part 3 — stale-θ overlap on the *adaptive* path: same producer-consumer
 // shape, but every batch's construction depends on the sampler θ, which
@@ -94,7 +95,7 @@ int run_multibuilder_sweep(const graph::Dataset& data,
       for (int a = 0; a < attempts; ++a) {
         core::BuilderPool pool(data, finder, features, device, nullptr, bc, kDepth + 1);
         pool.begin_epoch();
-        core::BatchPipeline pipeline(pool, hops, /*async=*/true, kDepth, Ps[pi]);
+        core::BatchPipeline pipeline(pool, hops, kDepth, Ps[pi]);
         pipeline.set_build_hook([&](std::uint64_t) {
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(build_ms));
@@ -225,13 +226,16 @@ int main(int argc, char** argv) {
       const bool async = mode == 1;
       core::BuilderConfig bc;
       bc.n = n;
-      core::BatchBuilder builder(data, finder, features, device, nullptr, bc);
-      core::BatchPipeline pipeline(builder, hops, async);
+      core::BuilderPool pool(data, finder, features, device, nullptr, bc, 2);
+      pool.begin_epoch();
+      core::BatchPipeline pipeline(pool, hops, /*depth=*/async ? 1 : 0, /*workers=*/1);
       util::Rng master(11);
       const int batches = 20;
-      // Warm the arena before timing.
-      pipeline.submit(roots, master.split());
-      (void)pipeline.next();
+      // Warm both slot arenas before timing.
+      for (std::size_t k = 0; k < pool.num_slots(); ++k) {
+        pipeline.submit(roots, master.split());
+        (void)pipeline.next();
+      }
       util::WallTimer t;
       pipeline.submit(roots, master.split());
       for (int k = 0; k < batches; ++k) {
@@ -309,8 +313,9 @@ int main(int argc, char** argv) {
       core::BuilderConfig bc;
       bc.n = n;
       bc.m = m;
-      core::BatchBuilder builder(data, finder, features, device, &sampler, bc);
-      core::BatchPipeline pipeline(builder, hops, /*async=*/stale);
+      core::BuilderPool pool(data, finder, features, device, &sampler, bc, 2);
+      pool.begin_epoch();
+      core::BatchPipeline pipeline(pool, hops, /*depth=*/stale ? 1 : 0, /*workers=*/1);
       util::Rng master(17);
       const int batches = 8;
       std::deque<core::AdaptiveSampler*> inflight;
@@ -329,8 +334,10 @@ int main(int argc, char** argv) {
         inflight.pop_front();
       };
       sampler.set_training(true);
-      submit();  // arena warm-up batch
-      consume();
+      for (std::size_t k = 0; k < pool.num_slots(); ++k) {  // slot arena warm-up
+        submit();
+        consume();
+      }
       util::WallTimer t;
       submit();
       for (int k = 0; k < batches; ++k) {
@@ -402,17 +409,20 @@ int main(int argc, char** argv) {
       double rates[4] = {0, 0, 0, 0};
       for (int mode = 0; mode < 4; ++mode) {
         const int K = depths[mode];
-        const bool async = K > 0;
-        core::BatchBuilder builder(data, finder, features, device, &sampler, bc);
-        core::BatchPipeline pipeline(builder, hops, async,
-                                     static_cast<std::size_t>(std::max(K, 1)));
+        core::BuilderPool builders(data, finder, features, device, &sampler, bc,
+                                   static_cast<std::size_t>(K) + 1);
+        builders.begin_epoch();
+        core::BatchPipeline pipeline(builders, hops, static_cast<std::size_t>(K),
+                                     /*workers=*/1);
         core::SamplerSnapshotPool pool(static_cast<std::size_t>(K) + 1, [&] {
           util::Rng snap_rng(41);
           return std::make_unique<core::AdaptiveSampler>(
               ec, core::DecoderKind::kLinear, 16, snap_rng);
         });
         util::Rng master(37);
-        const int warmup3b = 4, batches = 24;
+        // Warm-up covers every (slot, shape) pair the timed batches use:
+        // batch j builds on slot j mod (K+1) with shape j mod 4.
+        const int warmup3b = 4 * (K + 1), batches = 24;
         std::deque<core::AdaptiveSampler*> inflight;
         int submitted = 0, consumed = 0;
         auto submit = [&]() {
@@ -429,7 +439,6 @@ int main(int argc, char** argv) {
           ++consumed;
         };
         sampler.set_training(true);
-        // Warm-up cycle covering both shapes.
         for (int k = 0; k < warmup3b; ++k) {
           submit();
           consume();
@@ -438,9 +447,8 @@ int main(int argc, char** argv) {
         util::WallTimer t;
         for (int it = 0; it < batches; ++it) {
           // Trainer-shaped schedule: batch j may be submitted once step
-          // j - K has completed (sync submits after the θ update below).
-          while (async && submitted < batches && submitted <= it + K) submit();
-          if (!async && submitted == it) submit();
+          // j - K has completed (at K = 0, after the θ update below).
+          while (submitted < batches && submitted <= it + K) submit();
           consume();
           const double jitter = it % 2 == 0 ? 0.4 : 1.6;
           std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(

@@ -29,30 +29,19 @@ const BuildObs& build_obs() {
 }
 }  // namespace
 
-BatchPipeline::BatchPipeline(BatchBuilder& builder, int num_hops, bool async,
-                             std::size_t depth)
-    : builder_(&builder), num_hops_(num_hops), async_(async), ring_(depth + 1) {
-  if (async_) workers_.emplace_back([this] { worker_loop(); });
-}
-
-BatchPipeline::BatchPipeline(BuilderPool& pool, int num_hops, bool async,
-                             std::size_t depth, int workers, int builder_threads)
-    : pool_(&pool), num_hops_(num_hops), async_(async), ring_(depth + 1),
-      builder_threads_(builder_threads) {
-  TASER_CHECK_MSG(!pool.parallel() || pool.num_slots() >= ring_.size(),
+BatchPipeline::BatchPipeline(BuilderPool& pool, int num_hops, std::size_t depth,
+                             int workers)
+    : pool_(pool), num_hops_(num_hops), ring_(depth + 1) {
+  TASER_CHECK_MSG(pool.num_slots() >= ring_.size(),
                   "BuilderPool has " << pool.num_slots() << " slots but the ring needs "
                       << ring_.size()
                       << " — every in-flight batch needs its own build context");
+  if (depth == 0) return;  // next() builds inline on the caller's thread
   // More workers than ring slots can never run concurrently (in-flight ≤
-  // capacity), and serial-only pools support exactly one.
-  num_workers_requested_ = std::clamp(workers, 1,
-                                      std::min(static_cast<int>(ring_.size()),
-                                               pool.max_workers()));
-  if (async_) {
-    workers_.reserve(static_cast<std::size_t>(num_workers_requested_));
-    for (int w = 0; w < num_workers_requested_; ++w)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
+  // capacity).
+  const int n = std::clamp(workers, 1, static_cast<int>(ring_.size()));
+  workers_.reserve(static_cast<std::size_t>(n));
+  for (int w = 0; w < n; ++w) workers_.emplace_back([this, n] { worker_loop(n); });
 }
 
 BatchPipeline::~BatchPipeline() {
@@ -75,36 +64,39 @@ void BatchPipeline::set_build_hook(std::function<void(std::uint64_t)> hook) {
   hook_ = std::move(hook);
 }
 
-BatchPipeline::Prepared BatchPipeline::run(Job job, std::uint64_t seq) {
-  if (hook_) hook_(seq);
-  BatchBuilder& builder = pool_ ? pool_->builder_for(seq) : *builder_;
-  Prepared prep;
-  tensor::ThreadOpCounterSnapshot snap;
-  obs::TraceSpan batch_span(build_obs().batch, seq);
-  util::WallTimer timer;
-  prep.built = builder.build(job.roots, num_hops_, prep.phases, job.rng,
-                             job.sampler_snapshot);
-  prep.build_wall = timer.seconds();
-  prep.sampler_flops = snap.flops();
-  prep.sampler_launches = snap.launches();
-  build_obs().batches.add(1);
-  build_obs().build_ms.observe(prep.build_wall * 1e3);
-  return prep;
+BatchPipeline::Result BatchPipeline::build(Job job, std::uint64_t seq) {
+  pool_.begin_build(seq, num_hops_);
+  Result r;
+  try {
+    if (hook_) hook_(seq);
+    tensor::ThreadOpCounterSnapshot snap;
+    obs::TraceSpan batch_span(build_obs().batch, seq);
+    util::WallTimer timer;
+    r.prep.built = pool_.builder_for(seq).build(job.roots, num_hops_, r.prep.phases,
+                                                job.rng, job.sampler_snapshot);
+    r.prep.build_wall = timer.seconds();
+    r.prep.sampler_flops = snap.flops();
+    r.prep.sampler_launches = snap.launches();
+    build_obs().batches.add(1);
+    build_obs().build_ms.observe(r.prep.build_wall * 1e3);
+  } catch (...) {
+    r.err = std::current_exception();
+  }
+  // Valid even after a throwing build: partial deltas keep the shared
+  // ledger consistent.
+  r.side = pool_.end_build(seq);
+  return r;
 }
 
-void BatchPipeline::worker_loop() {
+void BatchPipeline::worker_loop(int workers) {
   // The main thread's model compute runs full-size OpenMP teams
   // concurrently with our builds. Split the remaining half of the host
   // team across the active builders: propagation is the critical path
   // and keeps its full team (at the cost of oversubscription while
   // builds overlap), while the builds — usually the shorter stage —
-  // yield. An explicit builder_threads overrides the heuristic.
-  // (Per-thread ICV: affects only this worker's parallel regions;
+  // yield. (Per-thread ICV: affects only this worker's parallel regions;
   // results are thread-count independent.)
-  omp_set_num_threads(
-      builder_threads_ > 0
-          ? builder_threads_
-          : std::max(1, omp_get_max_threads() / (2 * num_workers_requested_)));
+  omp_set_num_threads(std::max(1, omp_get_max_threads() / (2 * workers)));
   for (;;) {
     Job job;
     std::uint64_t seq;
@@ -120,22 +112,11 @@ void BatchPipeline::worker_loop() {
       seq = claimed_++;
       job = std::move(ring_[seq % ring_.size()].job);
     }
-    if (pool_) pool_->begin_build(seq, num_hops_);
-    Prepared prep;
-    std::exception_ptr err = nullptr;
-    try {
-      prep = run(std::move(job), seq);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    BuilderPool::SideState side;
-    if (pool_) side = pool_->end_build(seq);
+    Result result = build(std::move(job), seq);
     {
       std::lock_guard<std::mutex> lock(mu_);
       Slot& slot = ring_[seq % ring_.size()];
-      slot.prep = std::move(prep);
-      slot.err = err;
-      slot.side = side;
+      slot.result = std::move(result);
       slot.ready = true;
       ++built_;
     }
@@ -153,61 +134,44 @@ void BatchPipeline::submit(graph::TargetBatch roots, util::Rng rng,
                         "submitting deeper");
     Slot& slot = ring_[submitted_ % ring_.size()];
     slot.job = Job{std::move(roots), rng, sampler_snapshot};
-    slot.err = nullptr;
     slot.ready = false;
     ++submitted_;
   }
-  if (async_) job_ready_.notify_one();
+  job_ready_.notify_one();
 }
 
 BatchPipeline::Prepared BatchPipeline::next() {
-  if (!async_) {
-    Job job;
-    std::uint64_t seq;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      TASER_CHECK_MSG(submitted_ > consumed_,
-                      "BatchPipeline::next() with nothing submitted");
-      seq = consumed_;
-      job = std::move(ring_[seq % ring_.size()].job);
-      ++consumed_;
-      ++claimed_;
-      ++built_;  // inline build: the counters stay in lockstep
-    }
-    // Same slot rotation and positioning as the async path, so sync runs
-    // are bit-identical to async ones by construction.
-    if (pool_) pool_->begin_build(seq, num_hops_);
-    Prepared prep;
-    try {
-      prep = run(std::move(job), seq);
-    } catch (...) {
-      if (pool_) pool_->fold(pool_->end_build(seq));
-      throw;
-    }
-    if (pool_) pool_->fold(pool_->end_build(seq));
-    return prep;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   TASER_CHECK_MSG(submitted_ > consumed_, "BatchPipeline::next() with nothing submitted");
-  // Builds may complete out of order under P > 1 workers; batch
-  // consumed_ is ready exactly when its own slot is.
-  Slot& slot = ring_[consumed_ % ring_.size()];
-  {
-    obs::TraceSpan wait_span(build_obs().wait, consumed_);
-    result_ready_.wait(lock, [&slot] { return slot.ready; });
+  const std::uint64_t seq = consumed_;
+  Slot& slot = ring_[seq % ring_.size()];
+  Result result;
+  if (workers_.empty()) {
+    // Depth 0: the caller builds, on the same slot context a worker
+    // would use, so inline runs are bit-identical to worker ones.
+    Job job = std::move(slot.job);
+    ++claimed_;
+    ++built_;
+    ++consumed_;
+    lock.unlock();
+    result = build(std::move(job), seq);
+  } else {
+    // Builds may complete out of order under P > 1 workers; batch seq is
+    // ready exactly when its own slot is.
+    {
+      obs::TraceSpan wait_span(build_obs().wait, seq);
+      result_ready_.wait(lock, [&slot] { return slot.ready; });
+    }
+    result = std::move(slot.result);
+    slot.ready = false;
+    ++consumed_;
+    lock.unlock();
   }
-  Prepared prep = std::move(slot.prep);
-  std::exception_ptr err = slot.err;
-  BuilderPool::SideState side = slot.side;
-  slot.err = nullptr;
-  slot.ready = false;
-  ++consumed_;
-  lock.unlock();
   // Consumption-order fold, even for a failed build: its partial deltas
   // keep the shared ledger consistent.
-  if (pool_) pool_->fold(side);
-  if (err) std::rethrow_exception(err);
-  return prep;
+  pool_.fold(result.side);
+  if (result.err) std::rethrow_exception(result.err);
+  return std::move(result.prep);
 }
 
 std::size_t BatchPipeline::pending() const {

@@ -13,29 +13,29 @@
 
 namespace taser::core {
 
-/// Depth-K ring of prefetch slots with P builder workers: up to
-/// `depth() + 1` batches may be in flight (submitted but not yet
-/// consumed) while up to `workers()` background threads build them
-/// concurrently and the caller trains on the oldest (the CPU is
+/// Depth-K ring of prefetch slots with P builder workers over a
+/// BuilderPool: up to `depth() + 1` batches may be in flight (submitted
+/// but not yet consumed) while up to `workers()` background threads build
+/// them concurrently and the caller trains on the oldest (the CPU is
 /// otherwise idle while the real system's GPU runs propagation — the
 /// overlap GNNFlow-style samplers exploit). depth = 1, one worker is the
 /// classic double buffer; deeper rings absorb bursty builds, and extra
 /// workers convert ring depth into build throughput when construction is
-/// the bottleneck.
+/// the bottleneck. depth = 0 starts no worker: next() builds inline on
+/// the caller's thread, the synchronous pipeline.
 ///
 /// Determinism contract (multi-builder model):
 ///  - *Claim order is submission order.* Workers claim queued batches
 ///    strictly in submission order (a single monotone claim counter);
 ///    only build *completion* may reorder. next() hands batches out FIFO
 ///    regardless of completion order.
-///  - *Builds share no mutable state.* Batch j builds on ring-slot
-///    context j mod capacity() — its own BatchBuilder + workspace and,
-///    in pool mode, its own finder replica and device ledger
-///    (BuilderPool). Each submit() carries its own forked Rng, and slot
-///    finders/devices are repositioned per sequence number
+///  - *Builds share no mutable state.* Batch j builds on the pool's slot
+///    context j mod num_slots() — its own BatchBuilder, workspace, finder
+///    replica and device ledger. Each submit() carries its own forked
+///    Rng, and slot finders/devices are repositioned per sequence number
 ///    (NeighborFinder::begin_build), so a build's output is a pure
-///    function of (seq, job) — bit-identical at any worker count, any
-///    depth, sync or async.
+///    function of (seq, job) — bit-identical at any worker count and any
+///    depth, inline or on a worker.
 ///  - *Side-state merges in consumption order.* What a serial run would
 ///    accumulate on shared objects (device sim-time ledger, launch
 ///    count, cache hit/miss stats) is captured per build as a delta and
@@ -43,7 +43,7 @@ namespace taser::core {
 ///    fixed-order reduction independent of worker timing.
 ///  - Callers must NOT overlap a build with anything that mutates
 ///    builder-visible state (sampler parameter updates, re-ordered batch
-///    selection). Adaptive runs satisfy that via sync degradation or the
+///    selection). Adaptive runs satisfy that at depth 0 or through the
 ///    stale-θ snapshot hand-off: `sampler_snapshot` on submit() is the
 ///    only sampler the build reads, and it must stay alive and unmutated
 ///    until that batch's next() returns.
@@ -61,8 +61,8 @@ namespace taser::core {
 /// snapshots the unwinding caller is about to release, and must never
 /// reach a builder.
 ///
-/// Phase accounting: the worker measures its own NF/AS/FS wall and
-/// simulated time into the Prepared record, plus the sampler's tensor
+/// Phase accounting: the building thread measures its own NF/AS/FS wall
+/// and simulated time into the Prepared record, plus the sampler's tensor
 /// work via thread-local op counters (the global counters would mix in
 /// the main thread's concurrent propagation work).
 class BatchPipeline {
@@ -75,35 +75,24 @@ class BatchPipeline {
     double build_wall = 0;              ///< total build() wall seconds
   };
 
-  /// Single-builder mode (legacy): every build runs on `builder`, one
-  /// worker, no side-state management — callers own all shared state.
-  /// async=false degrades to a synchronous pipeline with identical
-  /// numerics: submit() enqueues into the ring, next() builds inline.
-  /// `depth` bounds how far submission may run ahead of consumption
-  /// (in-flight ≤ depth + 1); 1 reproduces the old double buffer.
-  BatchPipeline(BatchBuilder& builder, int num_hops, bool async, std::size_t depth = 1);
-
-  /// Multi-builder mode: builds run on `pool`'s per-slot contexts with up
-  /// to `workers` concurrent builder threads (clamped to [1,
-  /// min(capacity, pool.max_workers())]); side-state deltas fold in
-  /// consumption order. `builder_threads` sets each worker's OpenMP team
-  /// size; 0 = auto: max(1, host_team / (2 * workers)) — the
-  /// generalisation of the old "the one worker takes half the host team"
-  /// heuristic. The pool must outlive the pipeline and have ≥
-  /// `depth + 1` slots (or be serial-only).
-  BatchPipeline(BuilderPool& pool, int num_hops, bool async, std::size_t depth,
-                int workers, int builder_threads = 0);
+  /// Builds run on `pool`'s per-slot contexts; side-state deltas fold in
+  /// consumption order. depth 0 starts no worker thread: next() builds
+  /// inline on the caller. depth ≥ 1 starts min(workers, depth + 1)
+  /// workers (at least one), each with an OpenMP team of
+  /// max(1, host_team / (2 * workers)): propagation on the caller keeps
+  /// its full team and the builders split the other half. The pool must
+  /// outlive the pipeline and have ≥ depth + 1 slots.
+  BatchPipeline(BuilderPool& pool, int num_hops, std::size_t depth, int workers);
   ~BatchPipeline();
 
   BatchPipeline(const BatchPipeline&) = delete;
   BatchPipeline& operator=(const BatchPipeline&) = delete;
 
-  bool async() const { return async_; }
   /// Ring depth K: max batches the caller may run ahead of consumption.
   std::size_t depth() const { return ring_.size() - 1; }
   /// Ring slots = depth() + 1 (max in-flight batches).
   std::size_t capacity() const { return ring_.size(); }
-  /// Builder worker threads running (0 in sync mode).
+  /// Builder worker threads running (0 at depth 0).
   int workers() const { return static_cast<int>(workers_.size()); }
 
   /// Enqueues the next batch in submission order. `rng` is the per-batch
@@ -116,9 +105,9 @@ class BatchPipeline {
               AdaptiveSampler* sampler_snapshot = nullptr);
 
   /// Returns the oldest submitted batch, blocking until a worker has
-  /// built it (async) or building it inline (sync), then folds its
-  /// side-state deltas (pool mode). Rethrows a failed build's exception
-  /// exactly once; later batches build and serve normally.
+  /// built it (or building it inline at depth 0), then folds its
+  /// side-state deltas. Rethrows a failed build's exception exactly once;
+  /// later batches build and serve normally.
   Prepared next();
 
   /// Batches submitted but not yet consumed.
@@ -146,6 +135,13 @@ class BatchPipeline {
     util::Rng rng;
     AdaptiveSampler* sampler_snapshot = nullptr;  ///< stale-θ hand-off (may be null)
   };
+  /// What one build leaves for next(): the batch, or the exception it
+  /// threw, plus its side-state deltas (valid either way).
+  struct Result {
+    Prepared prep;
+    std::exception_ptr err;
+    BuilderPool::SideState side;
+  };
   /// One ring slot. Batch j's slot is ring_[j % capacity()]: it holds a
   /// queued job iff claimed_ ≤ j < submitted_, and a result iff `ready`
   /// (builds complete out of order under P > 1, so readiness is
@@ -154,21 +150,16 @@ class BatchPipeline {
   /// also what keeps one build per slot context at a time.
   struct Slot {
     Job job;
-    Prepared prep;
-    std::exception_ptr err;
-    BuilderPool::SideState side;
+    Result result;
     bool ready = false;
   };
 
-  Prepared run(Job job, std::uint64_t seq);
-  void worker_loop();
+  /// Builds batch `seq` on its pool slot, on the calling thread.
+  Result build(Job job, std::uint64_t seq);
+  void worker_loop(int workers);
 
-  BuilderPool* pool_ = nullptr;      ///< multi-builder mode
-  BatchBuilder* builder_ = nullptr;  ///< single-builder (legacy) mode
+  BuilderPool& pool_;
   int num_hops_;
-  bool async_;
-  int num_workers_requested_ = 1;
-  int builder_threads_ = 0;
   std::function<void(std::uint64_t)> hook_;
 
   mutable std::mutex mu_;

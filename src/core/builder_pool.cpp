@@ -10,30 +10,18 @@ BuilderPool::BuilderPool(const graph::Dataset& data, sampling::NeighborFinder& f
                          std::size_t num_slots)
     : main_device_(device), shared_features_(features) {
   TASER_CHECK(num_slots >= 1);
-  // Probe replicability once: a finder that cannot be cloned pins the
-  // pool to the serial single-builder path.
   slots_.reserve(num_slots);
-  bool cloneable = true;
-  for (std::size_t s = 0; s < num_slots && cloneable; ++s) {
+  for (std::size_t s = 0; s < num_slots; ++s) {
     Slot slot;
     slot.device = std::make_unique<gpusim::Device>(device.spec());
     slot.device->reseed(device.rng_seed());
     slot.finder = finder.clone_for(slot.device.get());
-    if (!slot.finder) {
-      cloneable = false;
-      break;
-    }
+    TASER_CHECK_MSG(slot.finder, "finder " << finder.name() << " cannot be replicated");
     slot.features = std::make_unique<cache::SlotFeatureSource>(features, data,
                                                                *slot.device);
     slot.builder = std::make_unique<BatchBuilder>(data, *slot.finder, *slot.features,
                                                   *slot.device, sampler, config);
     slots_.push_back(std::move(slot));
-  }
-  parallel_ = cloneable;
-  if (!parallel_) {
-    slots_.clear();
-    shared_builder_ = std::make_unique<BatchBuilder>(data, finder, features, device,
-                                                     sampler, config);
   }
 }
 
@@ -51,12 +39,10 @@ void BuilderPool::begin_epoch() {
 }
 
 BatchBuilder& BuilderPool::builder_for(std::uint64_t seq) {
-  if (!parallel_) return *shared_builder_;
   return *slots_[seq % slots_.size()].builder;
 }
 
 void BuilderPool::begin_build(std::uint64_t seq, int num_hops) {
-  if (!parallel_) return;  // shared context: nothing to position or delta
   Slot& slot = slots_[seq % slots_.size()];
   slot.finder->begin_build(seq, num_hops);
   slot.sim_before = slot.device->elapsed();
@@ -65,7 +51,6 @@ void BuilderPool::begin_build(std::uint64_t seq, int num_hops) {
 
 BuilderPool::SideState BuilderPool::end_build(std::uint64_t seq) {
   SideState side;
-  if (!parallel_) return side;
   Slot& slot = slots_[seq % slots_.size()];
   side.sim_delta = {slot.device->elapsed().seconds - slot.sim_before.seconds};
   side.launches = slot.device->launch_count() - slot.launches_before;
@@ -76,7 +61,6 @@ BuilderPool::SideState BuilderPool::end_build(std::uint64_t seq) {
 }
 
 void BuilderPool::fold(const SideState& side) {
-  if (!parallel_) return;
   main_device_.account(side.sim_delta);
   main_device_.set_launch_count(main_device_.launch_count() + side.launches);
   if (side.cache_hits != 0 || side.cache_misses != 0) {

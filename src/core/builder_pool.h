@@ -34,13 +34,8 @@ namespace taser::core {
 /// hit/miss stats — is captured per build as a delta (end_build) and
 /// folded into the shared objects in batch-consumption order (fold), so
 /// shared state after batch k is a function of k alone, independent of
-/// worker timing.
-///
-/// Finders with hidden sequential state (clone_for returns nullptr, e.g.
-/// the original Python-model finder's single RNG) degrade the pool to one
-/// shared builder over the shared device/features — exactly the pre-pool
-/// single-worker behavior; max_workers() reports 1 and the deltas are
-/// no-ops because builds account on the shared objects directly.
+/// worker timing. The finder must replicate (clone_for non-null); every
+/// training finder does.
 class BuilderPool {
  public:
   BuilderPool(const graph::Dataset& data, sampling::NeighborFinder& finder,
@@ -52,11 +47,7 @@ class BuilderPool {
   BuilderPool(const BuilderPool&) = delete;
   BuilderPool& operator=(const BuilderPool&) = delete;
 
-  /// True when the finder could be replicated (per-slot contexts exist).
-  bool parallel() const { return parallel_; }
-  std::size_t num_slots() const { return parallel_ ? slots_.size() : 1; }
-  /// Max concurrent builds this pool supports (1 for serial-only finders).
-  int max_workers() const { return static_cast<int>(num_slots()); }
+  std::size_t num_slots() const { return slots_.size(); }
 
   /// Epoch boundary, called before the epoch's first build: synchronises
   /// every slot device's launch counter to the shared ledger's current
@@ -103,9 +94,6 @@ class BuilderPool {
   gpusim::Device& main_device_;
   cache::FeatureSource& shared_features_;
   std::vector<Slot> slots_;
-  /// Serial-only fallback: one builder over the shared context.
-  std::unique_ptr<BatchBuilder> shared_builder_;
-  bool parallel_ = false;
 };
 
 }  // namespace taser::core

@@ -18,9 +18,9 @@ namespace taser::core {
 /// Staleness contract (depth-K stale-θ prefetch): all calls happen on the
 /// trainer thread, so sample/update interleaving is a pure ordering
 /// question. The synchronous path samples batch k *after* batch k-1's
-/// updates; the stale path samples batch k at submit time — up to
-/// `staleness` steps before its own — i.e. re-weighted only by logits
-/// through batch k-1-staleness. Every ordering is deterministic (the
+/// updates; the stale path samples batch k at submit time — up to K =
+/// `prefetch_depth` steps before its own — i.e. re-weighted only by
+/// logits through batch k-1-K. Every ordering is deterministic (the
 /// trainer submits in batch order at every depth) — `num_updates()`
 /// tells each story for accounting.
 class MiniBatchSelector {

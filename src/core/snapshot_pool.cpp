@@ -21,7 +21,7 @@ AdaptiveSampler* SamplerSnapshotPool::acquire(const AdaptiveSampler& live) {
                   "snapshot slot " << next_ % slots_.size() << " recycled while still "
                   "pinned by an in-flight batch — the prefetch ring ran deeper than the "
                   "pool (" << slots_.size() << " slots); grow the pool (it must hold "
-                  "staleness+1 slots) or release each batch's snapshot after its "
+                  "prefetch_depth+1 slots) or release each batch's snapshot after its "
                   "gradient fold-back");
   ++next_;
   ++acquires_;

@@ -24,10 +24,10 @@ namespace taser::core {
 ///    can touch the snapshot's parameters again.
 ///  - Recycling a still-pinned slot is a hard error (TASER_CHECK): it
 ///    means the ring ran further ahead than the pool depth and a build or
-///    backward could observe torn parameters. Sizing rule: the trainer
-///    pins at most `staleness + 1` snapshots at once (submit of batch j
-///    through fold-back of batch j - staleness), so a pool of
-///    `staleness + 1` slots never trips this.
+///    backward could observe torn parameters. Sizing rule: at ring depth
+///    K (`prefetch_depth`) the trainer pins at most K + 1 snapshots at
+///    once (submit of batch j through fold-back of batch j - K), so a
+///    pool of K + 1 slots never trips this.
 ///  - Debug builds additionally poison a released slot's parameters with
 ///    quiet NaNs until its next acquire, so any late read through a stale
 ///    snapshot pointer surfaces as NaNs instead of silently reading the

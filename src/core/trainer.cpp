@@ -49,48 +49,14 @@ const char* to_string(FinderKind kind) {
   return "?";
 }
 
-const char* to_string(PrefetchMode mode) {
-  switch (mode) {
-    case PrefetchMode::kOff:
-      return "off";
-    case PrefetchMode::kSyncOnly:
-      return "sync-only";
-    case PrefetchMode::kStaleTheta:
-      return "stale-theta";
-  }
-  return "?";
-}
-
 void TrainerConfig::validate() const {
-  TASER_CHECK_MSG(prefetch_depth >= 1,
-                  "prefetch_depth must be >= 1 (got " << prefetch_depth << ")");
-  TASER_CHECK_MSG(staleness >= -1,
-                  "staleness must be -1 (auto) or >= 0 (got " << staleness << ")");
-  if (prefetch_mode == PrefetchMode::kStaleTheta) {
-    TASER_CHECK_MSG(staleness <= prefetch_depth,
-                    "staleness " << staleness << " exceeds prefetch_depth "
-                        << prefetch_depth
-                        << " — a build cannot run further ahead than the ring is deep");
-  } else {
-    // Silently ignoring an explicit staleness request would hand the user
-    // a synchronous run while they believe they opted into bounded
-    // staleness; reject the contradiction instead.
-    TASER_CHECK_MSG(staleness <= 0,
-                    "staleness " << staleness << " requires prefetch_mode=stale-theta; "
-                        << to_string(prefetch_mode)
-                        << " would silently ignore it (leave staleness at -1/0 or "
-                           "switch modes)");
-  }
+  TASER_CHECK_MSG(prefetch_depth >= 0,
+                  "prefetch_depth must be >= 0 (got " << prefetch_depth << ")");
   TASER_CHECK_MSG(builder_workers >= 1,
                   "builder_workers must be >= 1 (got " << builder_workers << ")");
-  TASER_CHECK_MSG(builder_threads >= 0,
-                  "builder_threads must be >= 0 (0 = auto; got " << builder_threads
-                      << ")");
-}
-
-int TrainerConfig::resolved_staleness() const {
-  if (staleness >= 0) return staleness;
-  return prefetch_mode == PrefetchMode::kStaleTheta ? prefetch_depth : 0;
+  TASER_CHECK_MSG(batch_size >= 1, "batch_size must be >= 1 (got " << batch_size << ")");
+  TASER_CHECK_MSG(eval_negatives >= 1,
+                  "eval_negatives must be >= 1 (got " << eval_negatives << ")");
 }
 
 Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
@@ -155,10 +121,10 @@ Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
     auto sampler_params = sampler_->parameters();
     opt_sampler_ = std::make_unique<nn::Adam>(sampler_params, config_.sampler_lr);
     if (config_.prefetch_mode == PrefetchMode::kStaleTheta) {
-      // staleness+1 pooled snapshot instances — the most that can be
-      // pinned at once (K+1 at the default staleness=K). Init values are
-      // irrelevant: every acquire overwrites them with the live θ.
-      const auto slots = static_cast<std::size_t>(config_.resolved_staleness()) + 1;
+      // K+1 pooled snapshot instances — the most that can be pinned at
+      // once. Init values are irrelevant: every acquire overwrites them
+      // with the live θ.
+      const auto slots = static_cast<std::size_t>(config_.prefetch_depth) + 1;
       snapshot_pool_ = std::make_unique<SamplerSnapshotPool>(slots, [&] {
         util::Rng snap_rng(config_.seed ^ 0x57a1e7ULL);
         return std::make_unique<AdaptiveSampler>(ec, config_.decoder,
@@ -183,10 +149,8 @@ Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
                                             sampler_.get(), bc);
   // Per-ring-slot build contexts for the training pipeline: one slot per
   // in-flight batch (depth + 1). Training builds route through the pool
-  // in every prefetch mode — the sync path rotates through the same slot
-  // contexts so sync and async epochs are bit-identical by construction.
-  // Finders that cannot be replicated degrade the pool to one shared
-  // builder over the shared device (pre-pool behavior, one worker).
+  // at every lookahead — inline builds rotate through the same slot
+  // contexts as worker builds, so both are bit-identical by construction.
   pool_ = std::make_unique<BuilderPool>(
       data_, *finder_, *features_, device_, sampler_.get(), bc,
       static_cast<std::size_t>(config_.prefetch_depth) + 1);
@@ -242,30 +206,23 @@ EpochStats Trainer::train_epoch() {
   // the steps it overlaps: the adaptive selector re-weights the next
   // batch from this batch's logits, and the adaptive sampler's θ update
   // changes the very policy the next build samples from. kSyncOnly
-  // therefore degrades to the synchronous path for adaptive runs.
+  // therefore builds adaptive runs synchronously (lookahead 0).
   // kStaleTheta instead overlaps them by snapshotting θ (and sampling
-  // the selector) at submit time: the trainer runs up to `staleness`
-  // submissions ahead of the last completed step, so a build observes
-  // parameters at most `staleness` updates old; the sample-loss gradient
-  // each batch produces lands on its snapshot and is folded back into
-  // the live θ in consumption (= submission) order before the optimizer
-  // step (stale-gradient descent) — that fold-back order is the whole
-  // determinism argument at depth K. staleness=0 defers submission until
-  // after the step — same machinery, zero staleness, bit-identical to
-  // sync.
+  // the selector) at submit time: the trainer runs up to K submissions
+  // ahead of the last completed step, so a build observes parameters at
+  // most K updates old; the sample-loss gradient each batch produces
+  // lands on its snapshot and is folded back into the live θ in
+  // consumption (= submission) order before the optimizer step
+  // (stale-gradient descent) — that fold-back order is the whole
+  // determinism argument at depth K. K=0 submits each batch after the
+  // previous step — same machinery, zero staleness, bit-identical to
+  // sync. The lookahead is also the pipeline's ring depth: at 0 it
+  // builds inline on this thread.
   const bool adaptive_feedback = selector_ != nullptr || sampler_ != nullptr;
   const bool stale =
       config_.prefetch_mode == PrefetchMode::kStaleTheta && adaptive_feedback;
-  const bool async = config_.prefetch_mode == PrefetchMode::kStaleTheta ||
-                     (config_.prefetch_mode == PrefetchMode::kSyncOnly &&
-                      !adaptive_feedback);
-  // How far submission runs ahead of consumption. Non-adaptive async
-  // builds depend on no trained state, so they may use the full ring
-  // depth with zero accuracy cost; stale mode is capped by the staleness
-  // contract; sync modes submit one batch at a time.
   const int lookahead =
-      !async ? 0
-             : (stale ? config_.resolved_staleness() : config_.prefetch_depth);
+      adaptive_feedback && !stale ? 0 : config_.prefetch_depth;
   // Per-batch metadata travelling alongside the pipeline's ring, in the
   // same submission order (one struct so the entries cannot
   // desynchronize).
@@ -279,17 +236,16 @@ EpochStats Trainer::train_epoch() {
   // discarded) before the leases below release — and, in debug builds,
   // NaN-poison — the snapshots those builds may still be reading.
   std::deque<PendingBatch> pending;
-  BatchPipeline pipeline(*pool_, model_->num_hops(), async,
-                         static_cast<std::size_t>(config_.prefetch_depth),
-                         config_.builder_workers, config_.builder_threads);
+  BatchPipeline pipeline(*pool_, model_->num_hops(), static_cast<std::size_t>(lookahead),
+                         config_.builder_workers);
   std::int64_t prefetched = 0, stale_builds = 0;
   std::int64_t theta_updates = 0;
   std::vector<std::int64_t> staleness_hist(
-      static_cast<std::size_t>(stale ? config_.resolved_staleness() : 0) + 1, 0);
+      static_cast<std::size_t>(stale ? lookahead : 0) + 1, 0);
 
   // Submission draws from rng_ (root negatives, then the per-batch fork)
-  // in batch order in every mode — the deterministic RNG hand-off that
-  // keeps prefetch-on and prefetch-off runs bit-identical. Stale mode
+  // in batch order at every lookahead — the deterministic RNG hand-off
+  // that keeps prefetching and inline runs bit-identical. Stale mode
   // additionally freezes θ here, into the next round-robin slot of the
   // snapshot pool (a batch's snapshot stays pinned by its in-flight
   // autograd graph until its gradients are folded back at consumption).
@@ -320,7 +276,7 @@ EpochStats Trainer::train_epoch() {
   std::int64_t next_submit = 0;
   for (std::int64_t it = 0; it < iters; ++it) {
     // Top up the ring before consuming batch `it`: batch j may be
-    // submitted once step j - staleness has completed, i.e. j ≤ it +
+    // submitted once step j - lookahead has completed, i.e. j ≤ it +
     // lookahead here. With lookahead 0 this submits exactly batch `it`,
     // sequenced after step it-1 — the synchronous order.
     while (next_submit < iters && next_submit <= it + lookahead)
@@ -333,8 +289,7 @@ EpochStats Trainer::train_epoch() {
     const std::vector<std::int64_t>& edge_ids = batch.edge_ids;
     AdaptiveSampler* used_snapshot = batch.lease.get();
     // Observed staleness of this build: θ updates applied between its
-    // submission and now. Bounded by `lookahead` iterations, hence by
-    // the staleness cap.
+    // submission and now, bounded by `lookahead` iterations.
     const auto observed = static_cast<std::size_t>(theta_updates - batch.theta_at_submit);
     TASER_CHECK(observed < staleness_hist.size());
     ++staleness_hist[observed];
@@ -348,7 +303,7 @@ EpochStats Trainer::train_epoch() {
                device_.model().nn_time(prep.sampler_flops, prep.sampler_launches).seconds);
 
     util::WallTimer pp_timer;
-    // Thread-local snapshot: in stale-θ mode the prefetch worker issues
+    // Thread-local snapshot: in stale-θ mode a prefetch worker issues
     // the next batch's sampler forward concurrently, and its flops must
     // not bleed into this batch's propagation accounting (they arrive
     // separately via prep.sampler_flops).

@@ -22,24 +22,24 @@ namespace taser::core {
 enum class BackboneKind { kTgat, kGraphMixer };
 enum class FinderKind { kOrig, kTgl, kGpu };
 
-/// How batch k+1's construction relates to batch k's training step.
-///  - kOff: every batch is built inline — the fully synchronous baseline.
-///  - kSyncOnly: overlap build and train when construction is independent
-///    of the step (non-adaptive runs); degrade to the synchronous path as
-///    soon as `ada_batch` / `ada_neighbor` feed training results back
-///    into construction.
-///  - kStaleTheta: overlap adaptive runs too, by building batch k+j
-///    (j ≤ `staleness`) from a snapshot of the sampler parameters θ and
-///    the selector scores taken at submit time — up to `staleness` steps
-///    old. The policy a build samples from lags the live policy by a
-///    bounded number of updates, the stale-synchronous pipelining of
-///    decoupled sampler/trainer and parameter-server designs (TGN, NLB,
-///    SSP).
-enum class PrefetchMode { kOff, kSyncOnly, kStaleTheta };
+/// How adaptive runs overlap batch construction with training. Builds of
+/// non-adaptive runs read no trained state, so they always run
+/// `prefetch_depth` batches ahead; the mode decides only what happens
+/// once `ada_batch` / `ada_neighbor` feed training results back into
+/// construction.
+///  - kSyncOnly: adaptive runs build synchronously (lookahead 0): batch
+///    k+1 is built after step k, inline on the caller.
+///  - kStaleTheta: adaptive runs overlap too, by building batch k+j
+///    (j ≤ `prefetch_depth`) from a snapshot of the sampler parameters θ
+///    and the selector scores taken at submit time — up to
+///    `prefetch_depth` steps old. The policy a build samples from lags
+///    the live policy by a bounded number of updates, the
+///    stale-synchronous pipelining of decoupled sampler/trainer and
+///    parameter-server designs (TGN, NLB, SSP).
+enum class PrefetchMode { kSyncOnly, kStaleTheta };
 
 const char* to_string(BackboneKind kind);
 const char* to_string(FinderKind kind);
-const char* to_string(PrefetchMode mode);
 
 /// Full experiment configuration. Paper defaults (§IV-A): batch 600,
 /// n = 10, m = 25, hidden/time/encoding dims 100, lr 1e-4, γ = 0.1,
@@ -54,55 +54,30 @@ struct TrainerConfig {
   bool ada_batch = false;     ///< temporal adaptive mini-batch selection (§III-A)
   bool ada_neighbor = false;  ///< temporal adaptive neighbor sampling (§III-B)
 
-  /// Overlap batch construction with model compute: later batches are
-  /// built on a background thread while batch k trains (a depth-K
-  /// prefetch ring). kSyncOnly keeps non-adaptive overlap bit-identical
-  /// to the serial path and degrades to synchronous building when
-  /// ada_batch / ada_neighbor is on; kStaleTheta overlaps adaptive runs
-  /// against bounded-staleness parameter snapshots (see PrefetchMode).
+  /// How adaptive runs overlap construction with training (see
+  /// PrefetchMode).
   PrefetchMode prefetch_mode = PrefetchMode::kSyncOnly;
-  /// Prefetch ring depth K: how many batches construction may run ahead
-  /// of consumption (in-flight ≤ K+1; the sampler snapshot pool holds
-  /// staleness+1 frozen-θ instances — K+1 at the default staleness=K).
-  /// 1 ≡ the classic double buffer. Deeper
-  /// rings absorb bursty build times instead of stalling on every slow
-  /// build, at the cost of builds observing parameters up to `staleness`
-  /// updates old (kStaleTheta; non-adaptive builds depend on no trained
-  /// state, so depth is accuracy-free there).
+  /// Prefetch ring depth K, the one setting that decides how training
+  /// builds overlap: batch k+j (j ≤ K) may be built while batch k trains
+  /// (in-flight ≤ K+1). 0 builds every batch inline on the caller after
+  /// the previous step — the synchronous path; 1 ≡ the classic double
+  /// buffer; deeper rings absorb bursty build times. Under kStaleTheta
+  /// K is also the staleness bound: an adaptive build observes θ at most
+  /// K updates old (the snapshot pool holds K+1 frozen-θ instances).
+  /// Adaptive runs under kSyncOnly use lookahead 0 whatever K is.
   int prefetch_depth = 1;
-  /// kStaleTheta only: maximum parameter age (in θ updates) a build may
-  /// observe, in [0, prefetch_depth]. -1 (default) = auto: resolves to
-  /// prefetch_depth under kStaleTheta and 0 otherwise. 0 is the
-  /// conformance anchor: the snapshot machinery runs (worker build,
-  /// frozen-θ hand-off, deferred gradient fold-back) but submission
-  /// waits for the step, so the run must be bit-identical to the
-  /// synchronous path — asserted by test_pipeline. Explicitly setting
-  /// staleness > 0 with kOff/kSyncOnly is a validate() error (those
-  /// modes would silently ignore it).
-  int staleness = -1;
   /// Concurrent builder workers P over the prefetch ring. Each ring slot
   /// has its own build context (BuilderPool), workers claim batches in
   /// submission order, and side-state folds in consumption order, so any
-  /// P is bit-identical to P = 1 at every (depth, staleness) — P only
-  /// converts ring depth into build throughput when construction is the
-  /// bottleneck. Clamped to min(prefetch_depth + 1, pool.max_workers());
-  /// finders that cannot be replicated (orig-cpu) run one worker
-  /// regardless.
+  /// P is bit-identical to P = 1 at every depth — P only converts ring
+  /// depth into build throughput when construction is the bottleneck.
+  /// Clamped to prefetch_depth + 1; unused at lookahead 0.
   int builder_workers = 1;
-  /// OpenMP team size inside each builder worker's parallel regions.
-  /// 0 = auto: max(1, host_team / (2 * workers)) — the generalisation of
-  /// the old "the one worker takes half the host team" halving heuristic.
-  /// Thread-count independent results either way.
-  int builder_threads = 0;
 
-  /// Rejects contradictory prefetch configurations (throws
-  /// std::runtime_error): prefetch_depth < 1, staleness > prefetch_depth,
-  /// staleness > 0 outside kStaleTheta, builder_workers < 1, or
-  /// builder_threads < 0. Trainer calls this on construction.
+  /// Rejects out-of-range settings (throws std::runtime_error):
+  /// prefetch_depth < 0, builder_workers < 1, batch_size < 1 or
+  /// eval_negatives < 1. Trainer calls this on construction.
   void validate() const;
-  /// The staleness bound actually in force after resolving the -1 auto
-  /// default (see `staleness`).
-  int resolved_staleness() const;
 
   std::int64_t batch_size = 600;
   std::int64_t n_neighbors = 10;   ///< n
@@ -158,17 +133,17 @@ struct EpochStats {
   double mean_loss = 0;
   std::int64_t iterations = 0;
   /// Batches whose construction overlapped the previous batch's training
-  /// (0 when the prefetch pipeline ran synchronously).
+  /// (0 at lookahead 0).
   std::int64_t prefetched_batches = 0;
   /// Staleness accounting (kStaleTheta): batches built from a sampler-θ
   /// snapshot at least one update older than the live parameters at
-  /// consumption time. 0 in sync modes and with staleness=0. Always
-  /// equals the sum of staleness_hist[1:].
+  /// consumption time. 0 under kSyncOnly and at depth 0. Always equals
+  /// the sum of staleness_hist[1:].
   std::int64_t stale_builds = 0;
   /// Per-depth staleness histogram: staleness_hist[s] counts batches
   /// whose build observed a θ exactly s updates stale at consumption
-  /// time. Sized resolved_staleness()+1 in stale mode (batch j observes
-  /// min(j, staleness) when every step updates θ), size 1 otherwise;
+  /// time. Sized prefetch_depth+1 for adaptive kStaleTheta runs (batch j
+  /// observes min(j, K) when every step updates θ), size 1 otherwise;
   /// sums to `iterations` either way.
   std::vector<std::int64_t> staleness_hist;
 
@@ -212,8 +187,6 @@ class Trainer {
   /// Tests assert pinned() == 0 after an epoch — including one that
   /// unwound through an exception (SnapshotLease).
   SamplerSnapshotPool* snapshot_pool() { return snapshot_pool_.get(); }
-  /// Per-ring-slot build contexts the training pipeline runs on.
-  BuilderPool* builder_pool() { return pool_.get(); }
   sampling::NeighborFinder& finder() { return *finder_; }
   int num_hops() const { return model_->num_hops(); }
   std::int64_t epochs_run() const { return epochs_run_; }
@@ -233,17 +206,17 @@ class Trainer {
   std::unique_ptr<models::TgnnModel> model_;
   std::unique_ptr<models::EdgePredictor> predictor_;
   std::unique_ptr<AdaptiveSampler> sampler_;
-  /// Frozen-θ snapshot pool for stale-θ prefetch: staleness+1 instances
-  /// cycled in submission order — a batch's snapshot stays pinned from
-  /// submit until its sample-loss gradient has been folded back, and at
-  /// most staleness+1 batches are in that window at once. Only allocated
-  /// in kStaleTheta mode with ada_neighbor.
+  /// Frozen-θ snapshot pool for stale-θ prefetch: prefetch_depth+1
+  /// instances cycled in submission order — a batch's snapshot stays
+  /// pinned from submit until its sample-loss gradient has been folded
+  /// back, and at most prefetch_depth+1 batches are in that window at
+  /// once. Only allocated in kStaleTheta mode with ada_neighbor.
   std::unique_ptr<SamplerSnapshotPool> snapshot_pool_;
   std::unique_ptr<MiniBatchSelector> selector_;
   std::unique_ptr<BatchBuilder> builder_;
   /// Per-ring-slot build contexts for train_epoch's pipeline (training
-  /// builds always go through the pool; evaluation uses builder_ on the
-  /// shared device directly).
+  /// builds always go through the pool, inline or on workers; evaluation
+  /// uses builder_ on the shared finder and device directly).
   std::unique_ptr<BuilderPool> pool_;
   std::unique_ptr<nn::Adam> opt_model_;
   std::unique_ptr<nn::Adam> opt_sampler_;

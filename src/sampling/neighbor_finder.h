@@ -99,10 +99,9 @@ class NeighborFinder {
 
   /// Returns an independent replica sampling from the same graph, with
   /// any device interaction routed to `device` (per-slot simulated-time
-  /// ledger). Returns nullptr when the finder cannot be replicated
-  /// without changing its sampling stream (hidden sequential state, e.g.
-  /// the original finder's single Rng); the pool then degrades to one
-  /// shared builder.
+  /// ledger). Every training finder (orig, TGL, GPU) replicates; the
+  /// default nullptr marks a finder BuilderPool cannot train with (the
+  /// serving-side dynamic finder).
   virtual std::unique_ptr<NeighborFinder> clone_for(gpusim::Device* device) {
     (void)device;
     return nullptr;

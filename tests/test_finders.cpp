@@ -197,6 +197,81 @@ TEST(TglFinder, AllowsEarlierHop2TargetsWithinVisiblePrefix) {
                 hop2.times[static_cast<std::size_t>(i)]);
 }
 
+// ---- kOrig per-build streams -----------------------------------------------
+// Training builds reseed the original finder per batch from (seed, epoch,
+// seq), which is what lets BuilderPool replicate it like the others.
+
+constexpr FinderPolicy kAllPolicies[] = {FinderPolicy::kUniform, FinderPolicy::kMostRecent,
+                                         FinderPolicy::kInverseTimespan};
+
+void expect_same_draws(const SampledNeighbors& a, const SampledNeighbors& b) {
+  EXPECT_EQ(a.nbr, b.nbr);
+  EXPECT_EQ(a.ts, b.ts);
+  EXPECT_EQ(a.eid, b.eid);
+  EXPECT_EQ(a.count, b.count);
+}
+
+TEST(OrigFinder, FreshReplicaDrawsWhatTheSerialInstanceDraws) {
+  FinderFixture fx;
+  const auto batch = fx.chrono_batch(3000, 60);
+  const int kHops = 2;
+  for (auto policy : kAllPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    OrigNeighborFinder serial(*fx.graph, 9, &fx.device);
+    serial.begin_epoch();
+    for (std::uint64_t seq = 0; seq < 4; ++seq) {
+      // `serial` has already built seqs 0..seq-1; the replica is new.
+      gpusim::Device replica_device;
+      auto replica = serial.clone_for(&replica_device);
+      ASSERT_NE(replica, nullptr);
+      serial.begin_build(seq, kHops);
+      replica->begin_build(seq, kHops);
+      for (int hop = 0; hop < kHops; ++hop)
+        expect_same_draws(serial.sample(batch, 6, policy),
+                          replica->sample(batch, 6, policy));
+      EXPECT_GT(replica_device.elapsed().seconds, 0.0)
+          << "replica must account interpreter overhead on its own device";
+    }
+  }
+}
+
+TEST(OrigFinder, BeginEpochChangesTheBuildStream) {
+  FinderFixture fx;
+  const auto batch = fx.chrono_batch(3000, 60);
+  for (auto policy : kAllPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    OrigNeighborFinder finder(*fx.graph, 9);
+    finder.begin_build(2, 2);
+    const auto first = finder.sample(batch, 6, policy);
+    finder.begin_build(2, 2);
+    expect_same_draws(first, finder.sample(batch, 6, policy));  // same (epoch, seq)
+    finder.begin_epoch();
+    finder.begin_build(2, 2);
+    const auto next_epoch = finder.sample(batch, 6, policy);
+    if (policy == FinderPolicy::kMostRecent) {
+      expect_same_draws(first, next_epoch);  // draws nothing
+    } else {
+      EXPECT_NE(first.eid, next_epoch.eid);
+    }
+  }
+}
+
+TEST(OrigFinder, WithoutBeginBuildKeepsTheConstructorStream) {
+  // Evaluation and the serving equivalence test sample without
+  // begin_build: epochs must not move that stream.
+  FinderFixture fx;
+  const auto batch = fx.chrono_batch(3000, 60);
+  for (auto policy : kAllPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    OrigNeighborFinder fresh(*fx.graph, 9);
+    OrigNeighborFinder epoched(*fx.graph, 9);
+    epoched.begin_epoch();
+    epoched.begin_epoch();
+    for (int call = 0; call < 2; ++call)
+      expect_same_draws(fresh.sample(batch, 6, policy), epoched.sample(batch, 6, policy));
+  }
+}
+
 TEST(GpuFinder, SupportsArbitraryBatchOrder) {
   FinderFixture fx;
   GpuNeighborFinder finder(*fx.graph, fx.device);

@@ -1,12 +1,12 @@
 // Batch-construction pipeline: depth-K ring prefetch vs serial
-// bit-identity, deterministic RNG hand-off, the workspace arena's
-// zero-allocation steady state, thread-count invariance, the stale-θ
-// prefetch regression suite (staleness=0 ≡ sync conformance anchor,
-// repeat-level reproducibility, step-0 equivalence), the DepthK
-// conformance suite (depth-1 ≡ legacy double buffer, depth-invariance,
-// deterministic staleness histograms), and the snapshot-pool lifetime
-// contract (pinned-slot recycling is a hard error; released slots are
-// poisoned).
+// bit-identity (depth 0 builds inline on the caller), deterministic RNG
+// hand-off, the workspace arena's zero-allocation steady state,
+// thread-count invariance, the stale-θ prefetch regression suite (depth 0
+// ≡ sync conformance anchor, repeat-level reproducibility, step-0
+// equivalence), the DepthK suite (deterministic staleness histograms),
+// the multi-builder suite (P ≡ 1 for every finder), and the
+// snapshot-pool lifetime contract (pinned-slot recycling is a hard
+// error; released slots are poisoned).
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -33,6 +33,7 @@
 using namespace taser;
 using namespace taser::core;
 using testutil::OmpThreadGuard;
+using testutil::PoolStack;
 using testutil::Stack;
 using testutil::batch_roots;
 using testutil::expect_built_eq;
@@ -54,7 +55,7 @@ graph::Dataset small_data() {
 void run_pipeline_vs_serial(bool adaptive) {
   graph::Dataset data = small_data();
   Stack serial(data, adaptive);
-  Stack piped(data, adaptive);
+  PoolStack piped(data, adaptive, 2);
 
   const int kBatches = 5;
   const int kHops = 2;
@@ -69,10 +70,10 @@ void run_pipeline_vs_serial(bool adaptive) {
                                         scratch, batch_rng));
   }
 
-  // Async pipeline, double-buffered: identical fork order at submit time.
+  // Depth-1 pipeline, double-buffered: identical fork order at submit time.
   util::Rng master_b(99);
-  BatchPipeline pipeline(*piped.builder, kHops, /*async=*/true);
-  EXPECT_TRUE(pipeline.async());
+  BatchPipeline pipeline(*piped.pool, kHops, /*depth=*/1, /*workers=*/1);
+  EXPECT_EQ(pipeline.workers(), 1);
   pipeline.submit(batch_roots(data, 1800, 12), master_b.split());
   for (int k = 0; k < kBatches; ++k) {
     if (k + 1 < kBatches)
@@ -92,20 +93,37 @@ TEST(Pipeline, PrefetchBitIdenticalToSerialAdaptive) {
 }
 
 TEST(Pipeline, SyncModeAlsoMatchesSerial) {
+  // Depth 0 is the synchronous pipeline: no worker thread, and next()
+  // builds on the caller's thread — bit-identical to serial builds.
   graph::Dataset data = small_data();
   Stack serial(data, /*adaptive=*/true);
-  Stack piped(data, /*adaptive=*/true);
+  PoolStack piped(data, /*adaptive=*/true, 1);
 
+  const int kBatches = 3;
   util::Rng master_a(7);
   util::PhaseAccumulator scratch;
-  util::Rng r0 = master_a.split();
-  auto ref = serial.builder->build(batch_roots(data, 2000, 10), 1, scratch, r0);
+  std::vector<BatchBuilder::Built> ref;
+  for (int k = 0; k < kBatches; ++k) {
+    util::Rng batch_rng = master_a.split();
+    ref.push_back(serial.builder->build(batch_roots(data, 2000 + 20 * k, 10), 1, scratch,
+                                        batch_rng));
+  }
 
   util::Rng master_b(7);
-  BatchPipeline pipeline(*piped.builder, 1, /*async=*/false);
-  EXPECT_FALSE(pipeline.async());
-  pipeline.submit(batch_roots(data, 2000, 10), master_b.split());
-  expect_built_eq(ref, pipeline.next().built);
+  BatchPipeline pipeline(*piped.pool, 1, /*depth=*/0, /*workers=*/4);
+  EXPECT_EQ(pipeline.workers(), 0);
+  EXPECT_EQ(pipeline.capacity(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_caller_builds{0};
+  pipeline.set_build_hook([&](std::uint64_t) {
+    if (std::this_thread::get_id() != caller) ++off_caller_builds;
+  });
+  for (int k = 0; k < kBatches; ++k) {
+    pipeline.submit(batch_roots(data, 2000 + 20 * k, 10), master_b.split());
+    expect_built_eq(ref[static_cast<std::size_t>(k)], pipeline.next().built);
+  }
+  EXPECT_EQ(off_caller_builds.load(), 0);
+  EXPECT_EQ(pipeline.built_count(), static_cast<std::uint64_t>(kBatches));
 }
 
 TEST(Pipeline, WorkspaceZeroAllocSteadyState) {
@@ -127,6 +145,8 @@ TEST(Pipeline, WorkspaceZeroAllocSteadyState) {
 }
 
 TEST(Pipeline, TrainerPrefetchOnOffBitIdentical) {
+  // A non-adaptive run at depth 0 (inline builds) ≡ the same run at the
+  // default depth 1.
   graph::SyntheticConfig cfg;
   cfg.num_src = 50;
   cfg.num_dst = 25;
@@ -148,7 +168,7 @@ TEST(Pipeline, TrainerPrefetchOnOffBitIdentical) {
   tc.max_iters_per_epoch = 4;
 
   TrainerConfig tc_serial = tc;
-  tc_serial.prefetch_mode = core::PrefetchMode::kOff;
+  tc_serial.prefetch_depth = 0;
 
   Trainer fast(data, tc);
   Trainer slow(data, tc_serial);
@@ -206,14 +226,13 @@ TEST(Pipeline, ThreadCountInvariantBitIdentical) {
   // Three team sizes are compared: a 1-thread and a 4-thread serial build
   // (both forced on this thread — omp_set_num_threads only affects the
   // calling thread's ICV, so this is the genuine 1-vs-4 comparison in
-  // every OMP_NUM_THREADS environment), plus the async pipeline, whose
+  // every OMP_NUM_THREADS environment), plus the depth-K pipeline, whose
   // worker thread picks its own (env-derived, halved) team size.
   graph::Dataset data = small_data();
   for (bool adaptive : {false, true}) {
     OmpThreadGuard guard;
     Stack one(data, adaptive);
     Stack four(data, adaptive);
-    Stack piped(data, adaptive);
 
     const int kBatches = 3;
     util::PhaseAccumulator scratch;
@@ -235,9 +254,9 @@ TEST(Pipeline, ThreadCountInvariantBitIdentical) {
       expect_built_eq(ref[static_cast<std::size_t>(k)],
                       wide[static_cast<std::size_t>(k)]);
 
+    PoolStack piped(data, adaptive, kBatches);
     util::Rng master_b(31);
-    BatchPipeline pipeline(*piped.builder, 2, /*async=*/true,
-                           /*depth=*/kBatches - 1);
+    BatchPipeline pipeline(*piped.pool, 2, /*depth=*/kBatches - 1, /*workers=*/1);
     for (int k = 0; k < kBatches; ++k)
       pipeline.submit(batch_roots(data, 1500 + 50 * k, 40), master_b.split());
     for (int k = 0; k < kBatches; ++k)
@@ -275,8 +294,9 @@ TEST(StaleTheta, SnapshotBuildBitIdenticalToLiveSampler) {
   // through the pipeline Job must reproduce the live sampler's builds
   // bit-for-bit (no update happened in between).
   graph::Dataset data = small_data();
+  const int kBatches = 3;
   Stack serial(data, /*adaptive=*/true);
-  Stack piped(data, /*adaptive=*/true);
+  PoolStack piped(data, /*adaptive=*/true, kBatches);
 
   // Deliberately different init: only copy_parameters_from may make the
   // snapshot agree with the live sampler.
@@ -290,7 +310,6 @@ TEST(StaleTheta, SnapshotBuildBitIdenticalToLiveSampler) {
   snapshot.copy_parameters_from(*piped.sampler);
   snapshot.set_training(true);
 
-  const int kBatches = 3;
   util::Rng master_a(77);
   util::PhaseAccumulator scratch;
   std::vector<BatchBuilder::Built> ref;
@@ -301,7 +320,7 @@ TEST(StaleTheta, SnapshotBuildBitIdenticalToLiveSampler) {
   }
 
   util::Rng master_b(77);
-  BatchPipeline pipeline(*piped.builder, 2, /*async=*/true, /*depth=*/kBatches - 1);
+  BatchPipeline pipeline(*piped.pool, 2, /*depth=*/kBatches - 1, /*workers=*/1);
   for (int k = 0; k < kBatches; ++k)
     pipeline.submit(batch_roots(data, 1900 + 30 * k, 12), master_b.split(), &snapshot);
   for (int k = 0; k < kBatches; ++k)
@@ -309,16 +328,16 @@ TEST(StaleTheta, SnapshotBuildBitIdenticalToLiveSampler) {
 }
 
 TEST(StaleTheta, ZeroStalenessBitIdenticalToSync) {
-  // The conformance anchor: staleness=0 runs the full snapshot machinery
-  // (worker builds, frozen-θ hand-off, deferred gradient fold-back) with
+  // The conformance anchor: kStaleTheta at depth 0 runs the snapshot
+  // machinery (frozen-θ hand-off, deferred gradient fold-back) with
   // submission sequenced after the step — the run must be bit-identical
-  // to the fully synchronous path, at trainer level, across epochs.
+  // to kSyncOnly, at trainer level, across epochs.
   graph::Dataset data = stale_suite_data(29);
   TrainerConfig tc_sync = stale_suite_config();
-  tc_sync.prefetch_mode = PrefetchMode::kOff;
+  tc_sync.prefetch_mode = PrefetchMode::kSyncOnly;
   TrainerConfig tc_anchor = stale_suite_config();
   tc_anchor.prefetch_mode = PrefetchMode::kStaleTheta;
-  tc_anchor.staleness = 0;
+  tc_anchor.prefetch_depth = 0;
 
   Trainer sync(data, tc_sync);
   Trainer anchor(data, tc_anchor);
@@ -328,17 +347,23 @@ TEST(StaleTheta, ZeroStalenessBitIdenticalToSync) {
     EXPECT_EQ(ss.mean_loss, sa.mean_loss) << "epoch " << e;
     EXPECT_EQ(sa.stale_builds, 0);
     EXPECT_EQ(sa.prefetched_batches, 0);
+    ASSERT_EQ(sa.staleness_hist.size(), 1u);
+    EXPECT_EQ(sa.staleness_hist[0], sa.iterations);
   }
+  ASSERT_NE(anchor.snapshot_pool(), nullptr);
+  EXPECT_EQ(anchor.snapshot_pool()->acquires(),
+            static_cast<std::uint64_t>(2 * tc_anchor.max_iters_per_epoch))
+      << "depth 0 must still run the snapshot hand-off";
   EXPECT_EQ(sync.evaluate_val_mrr(), anchor.evaluate_val_mrr());
 }
 
 TEST(StaleTheta, ReproducibleAcrossRepeats) {
-  // With the fixed staleness schedule (one step), two identically-seeded
-  // stale-θ runs are bit-identical — and the overlap actually happens.
+  // With the fixed staleness schedule (one step at the default depth 1),
+  // two identically-seeded stale-θ runs are bit-identical — and the
+  // overlap actually happens.
   graph::Dataset data = stale_suite_data(31);
   TrainerConfig tc = stale_suite_config();
   tc.prefetch_mode = PrefetchMode::kStaleTheta;
-  tc.staleness = 1;
 
   Trainer a(data, tc);
   Trainer b(data, tc);
@@ -361,57 +386,6 @@ TEST(StaleTheta, ReproducibleAcrossRepeats) {
 
 // ---- depth-K ring conformance suite ----------------------------------------
 
-TEST(DepthK, ZeroStalenessBitIdenticalToSyncThroughDeepRing) {
-  // The staleness=0 anchor must hold through the *full* depth-K ring
-  // machinery: a deep ring (K=4) with staleness pinned to 0 runs the
-  // worker, the snapshot pool, and the deferred fold-back, yet submission
-  // waits for each step — bit-identical to the synchronous path.
-  graph::Dataset data = stale_suite_data(41);
-  TrainerConfig tc_sync = stale_suite_config();
-  tc_sync.prefetch_mode = PrefetchMode::kOff;
-  TrainerConfig tc_ring = stale_suite_config();
-  tc_ring.prefetch_mode = PrefetchMode::kStaleTheta;
-  tc_ring.prefetch_depth = 4;
-  tc_ring.staleness = 0;
-
-  Trainer sync(data, tc_sync);
-  Trainer ring(data, tc_ring);
-  for (int e = 0; e < 2; ++e) {
-    const auto ss = sync.train_epoch();
-    const auto sr = ring.train_epoch();
-    EXPECT_EQ(ss.mean_loss, sr.mean_loss) << "epoch " << e;
-    EXPECT_EQ(sr.stale_builds, 0);
-    ASSERT_EQ(sr.staleness_hist.size(), 1u);
-    EXPECT_EQ(sr.staleness_hist[0], sr.iterations);
-  }
-  EXPECT_EQ(sync.evaluate_val_mrr(), ring.evaluate_val_mrr());
-}
-
-TEST(DepthK, DepthOneMatchesLegacyDoubleBufferAtAnyRingDepth) {
-  // staleness=1 defines the semantics (the pre-PR kStaleTheta contract);
-  // prefetch_depth only sizes the ring. A depth-4 ring capped at
-  // staleness=1 must therefore be bit-identical to the depth-1 double
-  // buffer — ring capacity alone may never change numerics.
-  graph::Dataset data = stale_suite_data(31);
-  TrainerConfig tc1 = stale_suite_config();
-  tc1.prefetch_mode = PrefetchMode::kStaleTheta;
-  tc1.prefetch_depth = 1;
-  tc1.staleness = 1;
-  TrainerConfig tc4 = tc1;
-  tc4.prefetch_depth = 4;
-
-  Trainer legacy(data, tc1);
-  Trainer deep(data, tc4);
-  for (int e = 0; e < 2; ++e) {
-    const auto s1 = legacy.train_epoch();
-    const auto s4 = deep.train_epoch();
-    EXPECT_EQ(s1.mean_loss, s4.mean_loss) << "epoch " << e;
-    EXPECT_EQ(s1.stale_builds, s4.stale_builds);
-    EXPECT_EQ(s1.staleness_hist, s4.staleness_hist);
-  }
-  EXPECT_EQ(legacy.evaluate_val_mrr(), deep.evaluate_val_mrr());
-}
-
 TEST(DepthK, ReproducibleWithDeterministicHistogramAtDepth2And4) {
   // Deeper rings stay bit-reproducible across identically-seeded repeats,
   // and the staleness schedule itself is deterministic: batch j observes
@@ -423,9 +397,7 @@ TEST(DepthK, ReproducibleWithDeterministicHistogramAtDepth2And4) {
     TrainerConfig tc = stale_suite_config();
     tc.prefetch_mode = PrefetchMode::kStaleTheta;
     tc.prefetch_depth = K;
-    tc.staleness = -1;  // auto: resolves to K
     tc.max_iters_per_epoch = 6;
-    ASSERT_EQ(tc.resolved_staleness(), K);
 
     Trainer a(data, tc);
     Trainer b(data, tc);
@@ -513,9 +485,9 @@ TEST(SnapshotPool, RingOverCapacitySubmitIsHardError) {
   // The pipeline side of the same lifetime argument: the ring refuses to
   // accept more in-flight batches than it has slots.
   graph::Dataset data = small_data();
-  Stack st(data, /*adaptive=*/false);
+  PoolStack st(data, /*adaptive=*/false, 2);
   util::Rng master(13);
-  BatchPipeline pipeline(*st.builder, 1, /*async=*/false, /*depth=*/1);
+  BatchPipeline pipeline(*st.pool, 1, /*depth=*/1, /*workers=*/1);
   EXPECT_EQ(pipeline.capacity(), 2u);
   EXPECT_EQ(pipeline.depth(), 1u);
   pipeline.submit(batch_roots(data, 2000, 6), master.split());
@@ -553,11 +525,9 @@ TEST(MultiBuilder, PoolPipelineBitIdenticalToSerialAnyWorkerCount) {
 
   for (int P : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "P=" << P << " builder workers");
-    testutil::PoolStack piped(data, /*adaptive=*/false, kDepth + 1);
-    ASSERT_TRUE(piped.pool->parallel());
+    PoolStack piped(data, /*adaptive=*/false, kDepth + 1);
     util::Rng master_b(99);
-    BatchPipeline pipeline(*piped.pool, kHops, /*async=*/true, kDepth, P,
-                           testutil::tsan_safe_threads(0));
+    BatchPipeline pipeline(*piped.pool, kHops, kDepth, P);
     EXPECT_EQ(pipeline.workers(), std::min(P, kDepth + 1));
     int submitted = 0;
     for (int k = 0; k < kBatches; ++k) {
@@ -593,7 +563,7 @@ TEST(MultiBuilder, AdaptiveSnapshotBuildsBitIdenticalAnyWorkerCount) {
 
   for (int P : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "P=" << P << " builder workers");
-    testutil::PoolStack piped(data, /*adaptive=*/true, kDepth + 1);
+    PoolStack piped(data, /*adaptive=*/true, kDepth + 1);
     // One frozen copy per ring slot, like the trainer's snapshot pool:
     // concurrent builds never share a sampler instance.
     EncoderConfig ec;
@@ -611,8 +581,7 @@ TEST(MultiBuilder, AdaptiveSnapshotBuildsBitIdenticalAnyWorkerCount) {
     }
 
     util::Rng master_b(77);
-    BatchPipeline pipeline(*piped.pool, kHops, /*async=*/true, kDepth, P,
-                           testutil::tsan_safe_threads(0));
+    BatchPipeline pipeline(*piped.pool, kHops, kDepth, P);
     int submitted = 0;
     for (int k = 0; k < kBatches; ++k) {
       while (submitted < kBatches && submitted <= k + kDepth) {
@@ -640,7 +609,6 @@ TEST(MultiBuilder, TrainerBitIdenticalAcrossWorkerCounts) {
   tc.seed = 5;
   tc.max_iters_per_epoch = 4;
   tc.prefetch_depth = 3;
-  tc.builder_threads = testutil::tsan_safe_threads(0);
 
   Trainer ref(data, tc);  // builder_workers = 1
   std::vector<double> ref_losses;
@@ -652,7 +620,6 @@ TEST(MultiBuilder, TrainerBitIdenticalAcrossWorkerCounts) {
     TrainerConfig tp = tc;
     tp.builder_workers = P;
     Trainer t(data, tp);
-    ASSERT_TRUE(t.builder_pool()->parallel());
     for (int e = 0; e < 2; ++e) {
       const auto s = t.train_epoch();
       EXPECT_EQ(s.mean_loss, ref_losses[static_cast<std::size_t>(e)]) << "epoch " << e;
@@ -669,9 +636,7 @@ TEST(MultiBuilder, StaleThetaTrainerBitIdenticalAcrossWorkerCounts) {
   TrainerConfig tc = stale_suite_config();
   tc.prefetch_mode = PrefetchMode::kStaleTheta;
   tc.prefetch_depth = 2;
-  tc.staleness = -1;  // auto: resolves to 2
   tc.max_iters_per_epoch = 5;
-  tc.builder_threads = testutil::tsan_safe_threads(0);
 
   Trainer ref(data, tc);
   std::vector<EpochStats> ref_stats;
@@ -711,7 +676,6 @@ TEST(MultiBuilder, CachedPathStatsDeterministicAcrossWorkerCounts) {
   tc.seed = 5;
   tc.max_iters_per_epoch = 4;
   tc.prefetch_depth = 3;
-  tc.builder_threads = testutil::tsan_safe_threads(0);
 
   auto run = [&](int P) {
     TrainerConfig tp = tc;
@@ -740,13 +704,14 @@ TEST(MultiBuilder, CachedPathStatsDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(MultiBuilder, TglFinderBitIdenticalAcrossWorkerCounts) {
-  // The TGL finder's per-slot replicas reposition their batch counter and
-  // chronological snapshot per sequence number; P must not change results.
-  graph::Dataset data = testutil::small_trainer_data(53);
+/// P ∈ {2, 4} builder workers over a depth-3 ring must reproduce the
+/// P = 1 run of `finder` bit-for-bit: losses over 2 epochs and val MRR.
+void expect_finder_worker_count_invariant(FinderKind finder, BackboneKind backbone,
+                                          std::uint64_t data_seed) {
+  graph::Dataset data = testutil::small_trainer_data(data_seed);
   TrainerConfig tc;
-  tc.backbone = BackboneKind::kGraphMixer;
-  tc.finder = FinderKind::kTgl;
+  tc.backbone = backbone;
+  tc.finder = finder;
   tc.batch_size = 96;
   tc.n_neighbors = 4;
   tc.hidden_dim = 12;
@@ -754,89 +719,46 @@ TEST(MultiBuilder, TglFinderBitIdenticalAcrossWorkerCounts) {
   tc.max_eval_edges = 60;
   tc.seed = 5;
   tc.max_iters_per_epoch = 4;
-  tc.prefetch_depth = 2;
-  tc.builder_threads = testutil::tsan_safe_threads(0);
+  tc.prefetch_depth = 3;
 
-  Trainer ref(data, tc);
-  ASSERT_TRUE(ref.builder_pool()->parallel());
+  Trainer ref(data, tc);  // builder_workers = 1
   std::vector<double> ref_losses;
   for (int e = 0; e < 2; ++e) ref_losses.push_back(ref.train_epoch().mean_loss);
   const double ref_mrr = ref.evaluate_val_mrr();
 
-  TrainerConfig tp = tc;
-  tp.builder_workers = 3;
-  Trainer t(data, tp);
-  for (int e = 0; e < 2; ++e)
-    EXPECT_EQ(t.train_epoch().mean_loss, ref_losses[static_cast<std::size_t>(e)])
-        << "epoch " << e;
-  EXPECT_EQ(t.evaluate_val_mrr(), ref_mrr);
+  for (int P : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "P=" << P << " builder workers");
+    TrainerConfig tp = tc;
+    tp.builder_workers = P;
+    Trainer t(data, tp);
+    for (int e = 0; e < 2; ++e)
+      EXPECT_EQ(t.train_epoch().mean_loss, ref_losses[static_cast<std::size_t>(e)])
+          << "epoch " << e;
+    EXPECT_EQ(t.evaluate_val_mrr(), ref_mrr);
+  }
 }
 
-TEST(MultiBuilder, SerialOnlyFinderDegradesToOneWorker) {
-  // The original finder's hidden sequential RNG cannot be replicated:
-  // the pool must degrade to the shared single-builder path (max one
-  // worker) and still run — with any requested P — identically to P=1.
-  graph::Dataset data = testutil::small_trainer_data(59);
-  TrainerConfig tc;
-  tc.backbone = BackboneKind::kTgat;
-  tc.finder = FinderKind::kOrig;
-  tc.batch_size = 96;
-  tc.n_neighbors = 4;
-  tc.hidden_dim = 12;
-  tc.time_dim = 8;
-  tc.max_eval_edges = 60;
-  tc.seed = 5;
-  tc.max_iters_per_epoch = 3;
-
-  Trainer ref(data, tc);
-  EXPECT_FALSE(ref.builder_pool()->parallel());
-  EXPECT_EQ(ref.builder_pool()->max_workers(), 1);
-  const double ref_loss = ref.train_epoch().mean_loss;
-
-  TrainerConfig tp = tc;
-  tp.builder_workers = 4;
-  Trainer t(data, tp);
-  EXPECT_EQ(t.train_epoch().mean_loss, ref_loss);
+TEST(MultiBuilder, TglFinderBitIdenticalAcrossWorkerCounts) {
+  // The TGL finder's per-slot replicas reposition their batch counter and
+  // chronological snapshot per sequence number; P must not change results.
+  expect_finder_worker_count_invariant(FinderKind::kTgl, BackboneKind::kGraphMixer, 53);
 }
 
-TEST(MultiBuilder, ExplicitBuilderThreadsMatchAuto) {
-  // builder_threads only sizes each worker's OpenMP team — it must never
-  // change numerics (thread-count invariance inside a builder worker).
-  graph::Dataset data = testutil::small_trainer_data(61);
-  TrainerConfig tc;
-  tc.backbone = BackboneKind::kTgat;
-  tc.finder = FinderKind::kGpu;
-  tc.batch_size = 96;
-  tc.n_neighbors = 4;
-  tc.hidden_dim = 12;
-  tc.time_dim = 8;
-  tc.max_eval_edges = 60;
-  tc.seed = 5;
-  tc.max_iters_per_epoch = 3;
-  tc.prefetch_depth = 2;
-  tc.builder_workers = 2;
-
-  TrainerConfig ta = tc;
-  ta.builder_threads = 0;  // auto heuristic
-  TrainerConfig tb = tc;
-  tb.builder_threads = testutil::tsan_safe_threads(2);
-  if (tb.builder_threads == 0) tb.builder_threads = 1;
-
-  Trainer a(data, ta);
-  Trainer b(data, tb);
-  EXPECT_EQ(a.train_epoch().mean_loss, b.train_epoch().mean_loss);
-  EXPECT_EQ(a.evaluate_val_mrr(), b.evaluate_val_mrr());
+TEST(MultiBuilder, OrigFinderBitIdenticalAcrossWorkerCounts) {
+  // The original finder's replicas reseed their sequential Rng per build
+  // from (seed, epoch, seq), so it replicates like the others.
+  expect_finder_worker_count_invariant(FinderKind::kOrig, BackboneKind::kTgat, 59);
 }
 
 // ---- pipeline lifecycle: teardown + error paths ----------------------------
 
 TEST(PipelineLifecycle, BuildErrorRethrownOnceLaterBatchesServe) {
   // A faulted build surfaces exactly once, at its own next(); batches
-  // after it build and serve bit-identically to the no-fault reference.
+  // after it build and serve bit-identically to the no-fault reference —
+  // on workers and inline at depth 0 alike.
   graph::Dataset data = small_data();
   const int kBatches = 4;
   const int kHops = 2;
-  const int kDepth = 3;
 
   Stack serial(data, /*adaptive=*/false);
   util::Rng master_a(41);
@@ -848,21 +770,26 @@ TEST(PipelineLifecycle, BuildErrorRethrownOnceLaterBatchesServe) {
                                         scratch, batch_rng));
   }
 
-  testutil::PoolStack piped(data, /*adaptive=*/false, kDepth + 1);
-  util::Rng master_b(41);
-  BatchPipeline pipeline(*piped.pool, kHops, /*async=*/true, kDepth, 2,
-                         testutil::tsan_safe_threads(0));
-  pipeline.set_build_hook([](std::uint64_t seq) {
-    if (seq == 1) throw std::runtime_error("injected build fault (seq 1)");
-  });
-  for (int k = 0; k < kBatches; ++k)
-    pipeline.submit(batch_roots(data, 1400 + 30 * k, 10), master_b.split());
-
-  expect_built_eq(ref[0], pipeline.next().built);
-  EXPECT_THROW(pipeline.next(), std::runtime_error);
-  expect_built_eq(ref[2], pipeline.next().built);
-  expect_built_eq(ref[3], pipeline.next().built);
-  EXPECT_EQ(pipeline.pending(), 0u);
+  for (int depth : {0, 3}) {
+    SCOPED_TRACE(testing::Message() << "depth " << depth);
+    PoolStack piped(data, /*adaptive=*/false, static_cast<std::size_t>(depth) + 1);
+    util::Rng master_b(41);
+    BatchPipeline pipeline(*piped.pool, kHops, static_cast<std::size_t>(depth), 2);
+    pipeline.set_build_hook([](std::uint64_t seq) {
+      if (seq == 1) throw std::runtime_error("injected build fault (seq 1)");
+    });
+    int submitted = 0;
+    for (int k = 0; k < kBatches; ++k) {
+      for (; submitted < kBatches && submitted <= k + depth; ++submitted)
+        pipeline.submit(batch_roots(data, 1400 + 30 * submitted, 10), master_b.split());
+      if (k == 1) {
+        EXPECT_THROW(pipeline.next(), std::runtime_error);
+      } else {
+        expect_built_eq(ref[static_cast<std::size_t>(k)], pipeline.next().built);
+      }
+    }
+    EXPECT_EQ(pipeline.pending(), 0u);
+  }
 }
 
 TEST(PipelineLifecycle, TwoConsecutiveFaultedBuildsEachRethrowOnce) {
@@ -881,10 +808,9 @@ TEST(PipelineLifecycle, TwoConsecutiveFaultedBuildsEachRethrowOnce) {
                                         scratch, batch_rng));
   }
 
-  testutil::PoolStack piped(data, /*adaptive=*/false, kDepth + 1);
+  PoolStack piped(data, /*adaptive=*/false, kDepth + 1);
   util::Rng master_b(43);
-  BatchPipeline pipeline(*piped.pool, kHops, /*async=*/true, kDepth, 2,
-                         testutil::tsan_safe_threads(0));
+  BatchPipeline pipeline(*piped.pool, kHops, kDepth, 2);
   pipeline.set_build_hook([](std::uint64_t seq) {
     if (seq == 1 || seq == 2)
       throw std::runtime_error("injected build fault (seq " + std::to_string(seq) + ")");
@@ -903,10 +829,9 @@ TEST(PipelineLifecycle, DestructionWithStoredErrorPendingIsClean) {
   // A stored error nobody consumed must not block or corrupt teardown
   // (the ASan job additionally proves the exception_ptr does not leak).
   graph::Dataset data = small_data();
-  testutil::PoolStack piped(data, /*adaptive=*/false, 3);
+  PoolStack piped(data, /*adaptive=*/false, 3);
   util::Rng master(47);
-  BatchPipeline pipeline(*piped.pool, 2, /*async=*/true, 2, 2,
-                         testutil::tsan_safe_threads(0));
+  BatchPipeline pipeline(*piped.pool, 2, /*depth=*/2, /*workers=*/2);
   pipeline.set_build_hook([](std::uint64_t seq) {
     if (seq == 0) throw std::runtime_error("injected build fault (seq 0)");
   });
@@ -924,7 +849,7 @@ TEST(PipelineLifecycle, StopDiscardsQueuedUnbuiltJobs) {
   // discard the queued-but-unclaimed jobs — the worker exits after the
   // in-progress build instead of draining the whole ring.
   graph::Dataset data = small_data();
-  testutil::PoolStack piped(data, /*adaptive=*/false, 4);
+  PoolStack piped(data, /*adaptive=*/false, 4);
 
   std::atomic<int> hook_calls{0};
   std::mutex m;
@@ -932,8 +857,7 @@ TEST(PipelineLifecycle, StopDiscardsQueuedUnbuiltJobs) {
   bool release = false;
   {
     // One worker: build 0 blocks in the hook; builds 1-3 stay queued.
-    BatchPipeline pipeline(*piped.pool, 2, /*async=*/true, /*depth=*/3, 1,
-                           testutil::tsan_safe_threads(0));
+    BatchPipeline pipeline(*piped.pool, 2, /*depth=*/3, /*workers=*/1);
     pipeline.set_build_hook([&](std::uint64_t) {
       ++hook_calls;
       std::unique_lock<std::mutex> lk(m);
@@ -972,11 +896,9 @@ TEST(PipelineLifecycle, SnapshotPinsReleasedOnFailedEpochUnwind) {
     SCOPED_TRACE(testing::Message() << "P=" << P << " builder workers");
     TrainerConfig tc = stale_suite_config();
     tc.prefetch_mode = PrefetchMode::kStaleTheta;
-    tc.prefetch_depth = 2;
-    tc.staleness = -1;  // auto: 2 → up to 3 snapshots pinned at once
+    tc.prefetch_depth = 2;  // up to 3 snapshots pinned at once
     tc.max_iters_per_epoch = 4;
     tc.builder_workers = P;
-    tc.builder_threads = testutil::tsan_safe_threads(0);
 
     Trainer t(data, tc);
     ASSERT_NE(t.snapshot_pool(), nullptr);
@@ -1003,11 +925,9 @@ TEST(StaleTheta, FirstBatchMatchesSync) {
   // a "first batch" — submitted after all prior updates).
   graph::Dataset data = stale_suite_data(37);
   TrainerConfig tc_sync = stale_suite_config();
-  tc_sync.prefetch_mode = PrefetchMode::kOff;
   tc_sync.max_iters_per_epoch = 1;
   TrainerConfig tc_stale = tc_sync;
   tc_stale.prefetch_mode = PrefetchMode::kStaleTheta;
-  tc_stale.staleness = 1;
 
   Trainer sync(data, tc_sync);
   Trainer stale(data, tc_stale);

@@ -1,6 +1,7 @@
-// Randomized depth-K prefetch-ring stress: seeded fuzz over (ring depth,
-// staleness, builder-worker count P, train:build timing, OpenMP team
-// size, ada_batch/ada_neighbor on/off), asserting that every schedule
+// Randomized depth-K prefetch-ring stress: seeded fuzz over (ring depth
+// K ∈ [0, 4] — 0 builds inline, and K is the stale-θ bound —,
+// builder-worker count P, train:build timing, OpenMP team size,
+// ada_batch/ada_neighbor on/off), asserting that every schedule
 // completes (no deadlock), that results come back in submission order
 // bit-identical to an inline reference built from the same frozen θ,
 // that the snapshot pool's pin/release accounting closes, and that the
@@ -38,11 +39,12 @@ using testutil::expect_built_eq;
 using testutil::small_trainer_data;
 
 TEST(PipelineStress, RandomizedRingScheduleMatchesInlineReference) {
-  // Raw-pipeline fuzz: random ring depths, random (capacity-respecting)
-  // submit/consume interleavings, bursty per-batch root counts, random
-  // consumer "train" latencies, and a θ perturbation after every consume
-  // — the pipelined build must stay bit-identical to an inline reference
-  // built at submit time from the same frozen θ, in submission order.
+  // Raw-pipeline fuzz: random ring depths (0 = inline builds), random
+  // (capacity-respecting) submit/consume interleavings, bursty per-batch
+  // root counts, random consumer "train" latencies, and a θ perturbation
+  // after every consume — the pipelined build must stay bit-identical to
+  // an inline reference built at submit time from the same frozen θ, in
+  // submission order.
   graph::Dataset data = small_trainer_data(17);
   std::mt19937 fuzz(20260730);
   const int kRounds = 6;
@@ -53,7 +55,7 @@ TEST(PipelineStress, RandomizedRingScheduleMatchesInlineReference) {
   ec.m = 9;
 
   for (int round = 0; round < kRounds; ++round) {
-    const std::size_t depth = 1 + fuzz() % 4;            // ring depth K ∈ [1, 4]
+    const std::size_t depth = fuzz() % 5;                // ring depth K ∈ [0, 4]
     const bool adaptive = round == 0 || fuzz() % 4 != 0;  // mostly adaptive
     const int threads = 1 << (fuzz() % 3);               // 1, 2, or 4
     const int workers = testutil::env_builders(1 << (fuzz() % 3));  // P ∈ {1, 2, 4}
@@ -81,11 +83,10 @@ TEST(PipelineStress, RandomizedRingScheduleMatchesInlineReference) {
     }
 
     const int total = 12;
-    BatchPipeline pipeline(*piped.pool, 2, /*async=*/true, depth, workers,
-                           testutil::tsan_safe_threads(0));
+    BatchPipeline pipeline(*piped.pool, 2, depth, workers);
     ASSERT_EQ(pipeline.capacity(), depth + 1);
     EXPECT_EQ(pipeline.workers(),
-              std::min<int>(workers, static_cast<int>(depth) + 1));
+              depth == 0 ? 0 : std::min<int>(workers, static_cast<int>(depth) + 1));
     util::Rng master_pipe(31), master_ref(31);
     util::PhaseAccumulator scratch;
     std::vector<BatchBuilder::Built> reference(total);
@@ -149,29 +150,26 @@ TEST(PipelineStress, RandomizedRingScheduleMatchesInlineReference) {
 }
 
 TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent) {
-  // Trainer-level fuzz: random (depth, staleness, builder workers,
-  // adaptive switches, OpenMP team size) draws; each config runs at P
-  // workers AND at the P=1 reference with identical seeds and must agree
-  // bit-for-bit, with a staleness histogram that sums to the iteration
-  // count, never exceeds the staleness cap, and explains stale_builds
+  // Trainer-level fuzz: random (depth, builder workers, adaptive
+  // switches, OpenMP team size) draws; each config runs at P workers AND
+  // at the P=1 reference with identical seeds and must agree bit-for-bit,
+  // with a staleness histogram that sums to the iteration count, never
+  // exceeds the depth (the staleness bound), and explains stale_builds
   // exactly.
   graph::Dataset data = small_trainer_data(29);
   std::mt19937 fuzz(987654321);
   const int kConfigs = 6;
 
   for (int c = 0; c < kConfigs; ++c) {
-    const int depth = 1 + static_cast<int>(fuzz() % 4);
-    // staleness: -1 (auto), or a value in [0, depth]
-    const int staleness = static_cast<int>(fuzz() % (static_cast<unsigned>(depth) + 2)) - 1;
+    const int depth = static_cast<int>(fuzz() % 5);  // K ∈ [0, 4]
     const bool ada_batch = fuzz() % 2 == 0;
     const bool ada_neighbor = c == 0 || fuzz() % 4 != 0;  // mostly on
     const int threads = 1 << (fuzz() % 3);
     const int workers = testutil::env_builders(1 + static_cast<int>(fuzz() % 4));
     SCOPED_TRACE(testing::Message() << "config " << c << ": depth " << depth
-                                    << " staleness " << staleness << " ada_batch "
-                                    << ada_batch << " ada_neighbor " << ada_neighbor
-                                    << " threads " << threads << " workers "
-                                    << workers);
+                                    << " ada_batch " << ada_batch << " ada_neighbor "
+                                    << ada_neighbor << " threads " << threads
+                                    << " workers " << workers);
     OmpThreadGuard guard;
     omp_set_num_threads(testutil::tsan_safe_threads(threads));
 
@@ -180,7 +178,6 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
     tc.finder = FinderKind::kGpu;
     tc.prefetch_mode = PrefetchMode::kStaleTheta;
     tc.prefetch_depth = depth;
-    tc.staleness = staleness;
     tc.ada_batch = ada_batch;
     tc.ada_neighbor = ada_neighbor;
     tc.batch_size = 96;
@@ -194,9 +191,7 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
     tc.seed = 5;
     tc.max_iters_per_epoch = 3 + static_cast<std::int64_t>(fuzz() % 3);
     tc.builder_workers = workers;
-    tc.builder_threads = testutil::tsan_safe_threads(0);
     ASSERT_NO_THROW(tc.validate());
-    const int S = tc.resolved_staleness();
 
     // b is the single-worker reference: the P-worker run must agree with
     // it bit-for-bit, not merely with a same-P repeat.
@@ -213,7 +208,7 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
 
     const bool adaptive = ada_batch || ada_neighbor;
     ASSERT_EQ(sa.staleness_hist.size(),
-              static_cast<std::size_t>(adaptive ? S : 0) + 1);
+              static_cast<std::size_t>(adaptive ? depth : 0) + 1);
     std::int64_t total = 0, tail = 0;
     for (std::size_t s = 0; s < sa.staleness_hist.size(); ++s) {
       EXPECT_GE(sa.staleness_hist[s], 0);
@@ -222,6 +217,6 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
     }
     EXPECT_EQ(total, sa.iterations) << "histogram must account for every batch";
     EXPECT_EQ(tail, sa.stale_builds) << "stale_builds must equal sum of hist[1:]";
-    if (S == 0 || !ada_neighbor) EXPECT_EQ(sa.stale_builds, 0);
+    if (depth == 0 || !ada_neighbor) EXPECT_EQ(sa.stale_builds, 0);
   }
 }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "core/trainer.h"
 #include "graph/synthetic.h"
@@ -205,48 +207,39 @@ TEST(Training, OrigFinderSupportsFullTaser) {
   EXPECT_NO_THROW(trainer.train_epoch());  // sequential finder, any order
 }
 
-TEST(Training, ConfigValidateRejectsContradictoryPrefetchCombos) {
+TEST(Training, ConfigValidateRejectsOutOfRangeSettings) {
   TrainerConfig cfg;  // defaults must stay valid
   EXPECT_NO_THROW(cfg.validate());
-  EXPECT_EQ(cfg.resolved_staleness(), 0);  // kSyncOnly auto-resolves to 0
 
-  // Auto staleness follows the ring depth under stale-θ prefetch.
-  cfg.prefetch_mode = PrefetchMode::kStaleTheta;
-  cfg.prefetch_depth = 3;
-  EXPECT_NO_THROW(cfg.validate());
-  EXPECT_EQ(cfg.resolved_staleness(), 3);
-
-  // A build cannot be staler than the ring is deep.
-  cfg.staleness = 4;
-  EXPECT_THROW(cfg.validate(), std::runtime_error);
-  cfg.staleness = 3;
-  EXPECT_NO_THROW(cfg.validate());
-
-  // kSyncOnly / kOff would silently ignore an explicit staleness request
-  // — that contradiction must be rejected, not papered over.
-  cfg.prefetch_mode = PrefetchMode::kSyncOnly;
-  cfg.staleness = 1;
-  EXPECT_THROW(cfg.validate(), std::runtime_error);
-  cfg.prefetch_mode = PrefetchMode::kOff;
-  EXPECT_THROW(cfg.validate(), std::runtime_error);
-  cfg.staleness = 0;
-  EXPECT_NO_THROW(cfg.validate());  // explicit 0 is the sync semantics anyway
-  cfg.staleness = -1;
-  EXPECT_NO_THROW(cfg.validate());
-
-  // Degenerate ring and staleness values.
+  // Depth 0 is the synchronous pipeline, in either mode.
   cfg.prefetch_depth = 0;
-  EXPECT_THROW(cfg.validate(), std::runtime_error);
-  cfg.prefetch_depth = 1;
-  cfg.staleness = -2;
-  EXPECT_THROW(cfg.validate(), std::runtime_error);
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.prefetch_mode = PrefetchMode::kStaleTheta;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.prefetch_depth = 4;
+  EXPECT_NO_THROW(cfg.validate());
 
-  // The Trainer enforces validate() at construction.
+  // Each bad value would otherwise reach the trainer: a negative ring
+  // depth, no builder, a zero batch (train_epoch divides the training set
+  // by it) and a negative count that zeroes evaluate_mrr's 2 + K chunk
+  // divisor. Every one must throw at validate() and at Trainer
+  // construction.
   auto data = small_data();
-  auto bad = small_config(BackboneKind::kGraphMixer);
-  bad.prefetch_mode = PrefetchMode::kSyncOnly;
-  bad.staleness = 1;
-  EXPECT_THROW(Trainer trainer(data, bad), std::runtime_error);
+  const std::vector<std::function<void(TrainerConfig&)>> bad_settings = {
+      [](TrainerConfig& c) { c.prefetch_depth = -1; },
+      [](TrainerConfig& c) { c.builder_workers = 0; },
+      [](TrainerConfig& c) { c.batch_size = 0; },
+      [](TrainerConfig& c) { c.batch_size = -3; },
+      [](TrainerConfig& c) { c.eval_negatives = 0; },
+      [](TrainerConfig& c) { c.eval_negatives = -2; },
+  };
+  for (std::size_t i = 0; i < bad_settings.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "bad setting " << i);
+    TrainerConfig bad = small_config(BackboneKind::kGraphMixer);
+    bad_settings[i](bad);
+    EXPECT_THROW(bad.validate(), std::runtime_error);
+    EXPECT_THROW(Trainer trainer(data, bad), std::runtime_error);
+  }
 }
 
 TEST(Training, DeterministicGivenSeed) {
