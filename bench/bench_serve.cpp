@@ -19,13 +19,14 @@
 // so the modeled-device ratio is the floor a multicore host only widens.
 //
 // Part 3 — sharded parallel-ingest gate: ingest+publish rounds driven
-// straight at GraphEpochManager, swept over 1/2/4 shards with the
-// per-direction device work modeled as EpochConfig::modeled_apply_us
+// straight at GraphEpochManager, swept over 1/2/4 shards. The modeled
+// column charges per-direction device work as EpochConfig::modeled_apply_us
 // (the per-event analogue of modeled_device_ms — a TGN memory update per
-// endpoint). Catch-up replays each shard's slice of the log on its own
-// thread, so the modeled sleeps overlap; the gate is >= 2x publish
-// throughput at 4 shards vs 1. Host-side indexing still serialises on a
-// 1-core container, so the modeled ratio is the floor.
+// endpoint); catch-up replays the shards in parallel, so the modeled
+// sleeps overlap, and the gate is >= 2x modeled publish throughput at 4
+// shards vs 1. The measured column beside it charges nothing modeled and
+// compacts at the serve-ingest workload's threshold: host-wall indexing
+// and compaction alone, reported, not gated.
 //
 // Part 4 — latency under a Poisson arrival process (open loop) swept over
 // 1/2/4 workers at a fixed offered load (~60% of 1-worker capacity), edge
@@ -42,11 +43,12 @@
 // convention.
 //
 // --smoke: parts 1-3 and 5, reduced query counts; exits non-zero when the
-// 2x coalescing gate, the 1.8x scale-out gate, the 2x shard-ingest gate,
+// 2x coalescing gate, the 1.8x scale-out gate, the 2x modeled shard-ingest gate,
 // the flat-workspace invariant, or the overload p99 gate fails
 // (ctest-registered canary). Every timing gate re-measures up to 3 times
 // and keeps the best attempt, so a background process stealing the core
 // mid-run cannot fail the canary.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -263,15 +265,18 @@ int run_part2(std::int64_t num_queries, bool smoke) {
 }
 
 /// One timed shard-sweep point: `rounds` rounds of (`batch` events
-/// ingested, publish) against a manager with `num_shards` shards and
-/// `apply_us` modeled device time per applied edge direction. Returns
-/// published events/second (publish dominates: the serial ingest append
-/// is shared overhead at every S).
+/// ingested, publish) against a manager with `num_shards` shards,
+/// `apply_us` modeled device time per applied edge direction and
+/// compaction at `compact_threshold` (0 = never). Returns published
+/// events/second (publish dominates: the serial ingest append is shared
+/// overhead at every S).
 double shard_ingest_rate(const Setup& s, int num_shards, double apply_us,
-                         std::int64_t rounds, std::int64_t batch) {
+                         std::int64_t compact_threshold, std::int64_t rounds,
+                         std::int64_t batch) {
   serve::EpochConfig ec;
   ec.num_shards = num_shards;
   ec.modeled_apply_us = apply_us;
+  ec.compact_threshold = compact_threshold;
   serve::GraphEpochManager mgr(s.data, ec);
   graph::Time t = s.data.ts.back();
   std::size_t e = 0;
@@ -293,38 +298,60 @@ double shard_ingest_rate(const Setup& s, int num_shards, double apply_us,
 
 int run_part3(bool smoke) {
   constexpr double kApplyUs = 4.0;
+  constexpr std::int64_t kCompactThreshold = 2000;  // the serve-ingest workload's
   const std::int64_t rounds = 6;
   const std::int64_t batch =
       smoke ? 800 : static_cast<std::int64_t>(800 * bench::bench_scale());
-  std::printf("\n== Part 3: sharded parallel ingest (%lld rounds x %lld events, "
-              "modeled apply %.0f us/direction) ==\n\n",
-              static_cast<long long>(rounds), static_cast<long long>(batch), kApplyUs);
+  std::printf("\n== Part 3: sharded parallel ingest (%lld rounds x %lld events; "
+              "modeled: apply %.0f us/direction, no compaction; measured: no "
+              "modeled time, compaction at %lld) ==\n\n",
+              static_cast<long long>(rounds), static_cast<long long>(batch), kApplyUs,
+              static_cast<long long>(kCompactThreshold));
   Setup s = make_setup();
+  const int shard_counts[] = {1, 2, 4};
 
-  // Best-of-3 in smoke, same reasoning as parts 1 and 2.
+  // Best-of-3 in smoke, same reasoning as parts 1 and 2. The attempt
+  // with the best modeled speedup is kept; each measured point is the
+  // best over the attempts made.
   const int attempts = smoke ? 3 : 1;
   double speedup = 0;
   std::vector<double> rates;
+  std::vector<double> measured(3, 0.0);
   for (int a = 0; a < attempts && speedup < 2.0; ++a) {
     std::vector<double> try_rates;
-    for (int num_shards : {1, 2, 4})
-      try_rates.push_back(shard_ingest_rate(s, num_shards, kApplyUs, rounds, batch));
+    for (std::size_t i = 0; i < 3; ++i) {
+      try_rates.push_back(
+          shard_ingest_rate(s, shard_counts[i], kApplyUs, 0, rounds, batch));
+      measured[i] = std::max(measured[i], shard_ingest_rate(s, shard_counts[i], 0.0,
+                                                            kCompactThreshold, rounds, batch));
+    }
     const double try_speedup = try_rates[0] > 0 ? try_rates[2] / try_rates[0] : 0;
     if (a == 0 || try_speedup > speedup) {
       speedup = try_speedup;
       rates = std::move(try_rates);
     }
   }
+  const double measured_speedup = measured[0] > 0 ? measured[2] / measured[0] : 0;
 
-  util::Table t({"shards", "events/s", "vs 1 shard"});
-  const int shard_counts[] = {1, 2, 4};
-  for (std::size_t i = 0; i < rates.size(); ++i)
+  util::Table t({"shards", "modeled events/s", "vs 1 shard", "measured events/s",
+                 "vs 1 shard"});
+  for (std::size_t i = 0; i < 3; ++i) {
     t.add_row({std::to_string(shard_counts[i]), util::Table::fmt(rates[i], 0),
-               util::Table::fmt(rates[0] > 0 ? rates[i] / rates[0] : 0, 2) + "x"});
+               util::Table::fmt(rates[0] > 0 ? rates[i] / rates[0] : 0, 2) + "x",
+               util::Table::fmt(measured[i], 0),
+               util::Table::fmt(measured[0] > 0 ? measured[i] / measured[0] : 0, 2) + "x"});
+    const std::string suffix = ".s" + std::to_string(shard_counts[i]);
+    bench::report_metric("part3.modeled_events_per_s" + suffix, rates[i]);
+    bench::report_metric("part3.measured_events_per_s" + suffix, measured[i]);
+  }
   t.print();
+  bench::report_metric("part3.modeled_speedup", speedup);
+  bench::report_metric("part3.measured_speedup", measured_speedup);
 
-  std::printf("\ningest/publish throughput scale-up at 4 shards: %.2fx\n", speedup);
-  bench::print_shape("4-shard ingest/publish throughput >= 2x over 1 shard",
+  std::printf("\ningest/publish throughput scale-up at 4 shards: %.2fx modeled, "
+              "%.2fx measured\n",
+              speedup, measured_speedup);
+  bench::print_shape("modeled 4-shard ingest/publish throughput >= 2x over 1 shard",
                      speedup >= 2.0);
   if (smoke && speedup < 2.0) return 1;
   return 0;

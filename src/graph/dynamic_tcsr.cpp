@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
@@ -131,13 +132,40 @@ int DynamicTCSR::apply_event(NodeId u, NodeId v, Time t, EdgeId eid) {
 void DynamicTCSR::compact() {
   WriteScope write(*this);
   if (delta_edge_count_ == 0) return;
-  // The event log is the source of truth; the linear TCSR construction
-  // over it reproduces base-then-delta per node (events are appended in
-  // time order), which is what makes compaction invisible to queries. In
-  // shard mode the rebuild re-applies the ownership filter, so an owned
-  // node's list still matches the unfiltered build.
-  base_ = TCSR(*log_, shard_id_, num_shards_);
-  for (auto& d : delta_) d.clear();  // capacity retained for the next wave
+  // Merge, not rebuild: node v's new list is its base segment followed by
+  // its delta list — the merged view itself, so compaction is invisible
+  // to queries. One sequential pass over this graph's own slots; the
+  // event log is never read. The base holds the directions of log rows
+  // [0, b) and the delta those of rows [b, applied) in row order, which
+  // is TCSR's fill order, so once every log row is applied (as after each
+  // catch-up) the arrays equal TCSR(log, shard_id, num_shards) byte for
+  // byte.
+  const auto n = static_cast<std::size_t>(num_nodes());
+  std::vector<std::int64_t> indptr(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v)
+    indptr[v + 1] = indptr[v] + base_.degree(static_cast<NodeId>(v)) +
+                    static_cast<std::int64_t>(delta_[v].size());
+  const auto slots = static_cast<std::size_t>(indptr[n]);
+  std::vector<NodeId> nbr(slots);
+  std::vector<Time> ts(slots);
+  std::vector<EdgeId> eid(slots);
+  std::size_t o = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto b0 = static_cast<std::size_t>(base_.begin(static_cast<NodeId>(v)));
+    const auto b1 = static_cast<std::size_t>(base_.end(static_cast<NodeId>(v)));
+    std::copy(base_.nbr().begin() + b0, base_.nbr().begin() + b1, nbr.begin() + o);
+    std::copy(base_.nbr_ts().begin() + b0, base_.nbr_ts().begin() + b1, ts.begin() + o);
+    std::copy(base_.nbr_eid().begin() + b0, base_.nbr_eid().begin() + b1, eid.begin() + o);
+    o += b1 - b0;
+    for (const DeltaEntry& d : delta_[v]) {
+      nbr[o] = d.nbr;
+      ts[o] = d.ts;
+      eid[o] = d.eid;
+      ++o;
+    }
+    delta_[v].clear();  // capacity retained for the next wave
+  }
+  base_ = TCSR(std::move(indptr), std::move(nbr), std::move(ts), std::move(eid));
   delta_edge_count_ = 0;
 }
 

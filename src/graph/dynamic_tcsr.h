@@ -78,10 +78,13 @@ class DynamicTCSR {
   /// per shard; bumps version() when any direction lands.
   int apply_event(NodeId u, NodeId v, Time t, EdgeId eid);
 
-  /// Folds the delta into the base CSR (O(total edges) rebuild) and
-  /// clears the delta buffers (capacity retained). The merged view is
-  /// invariant under compaction: every query answers identically before
-  /// and after. Writer-exclusive; bumps version().
+  /// Folds the delta into the base CSR and clears the delta buffers
+  /// (capacity retained). A merge, not a rebuild: each node's base
+  /// segment followed by its delta list, in one pass over this graph's
+  /// own slots — O(nodes + owned slots), the event log is never read. The
+  /// result is byte-identical to a TCSR built from the log (test_serve
+  /// pins it), so every query answers identically before and after.
+  /// Writer-exclusive; bumps version().
   void compact();
 
   std::int64_t num_nodes() const { return base_.num_nodes(); }

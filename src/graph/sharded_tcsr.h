@@ -32,8 +32,9 @@ namespace taser::graph {
 /// rows are filtered before the per-shard writer guard. The
 /// GraphEpochManager's publish() is the intended driver. The container
 /// itself keeps the single-writer orchestration contract: one thread
-/// calls append/compact/frozen at a time (the shard threads it spawns for
-/// apply/compact waves are the one sanctioned exception, split by shard).
+/// calls append/compact/frozen at a time (the epoch manager's shard crew,
+/// which runs apply and compact waves split by shard, is the one
+/// sanctioned exception).
 class ShardedDynamicTCSR {
  public:
   /// Takes the base event log by value; `num_shards` >= 1.
@@ -50,7 +51,9 @@ class ShardedDynamicTCSR {
   /// The shared global event log + features. Stable reference.
   const Dataset& dataset() const { return data_; }
   Time last_time() const { return last_time_; }
-  /// Compaction backlog summed over shards. Note the cross-S wobble: an
+  /// Compaction backlog summed over shards — the value
+  /// EpochConfig::compact_threshold is compared against, after which
+  /// every shard compacts in the same wave. Note the cross-S wobble: an
   /// event whose endpoints hash to different shards counts once in each,
   /// so the same stream reads up to 2x higher at S > 1 — compaction
   /// *timing* may differ across shard counts, query answers never do.
@@ -87,8 +90,9 @@ class ShardedDynamicTCSR {
   /// for distinct shards over the same slice — the parallel phase.
   std::int64_t apply_slice_to_shard(int s, EdgeId e0, EdgeId e1);
 
-  /// Rebuilds shard s's base from the shared log (ownership-filtered).
-  /// Safe to call concurrently for distinct shards.
+  /// Folds shard s's delta into its base (DynamicTCSR::compact: a merge
+  /// over the shard's own slots; the shared log is not read). Safe to
+  /// call concurrently for distinct shards.
   void compact_shard(int s);
   /// Serial all-shard compaction.
   void compact();

@@ -1,6 +1,7 @@
 #include "graph/tcsr.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -64,6 +65,19 @@ TCSR::TCSR(const Dataset& dataset, int shard_id, int num_shards) {
       ++cv;
     }
   }
+}
+
+TCSR::TCSR(std::vector<std::int64_t> indptr, std::vector<NodeId> nbr,
+           std::vector<Time> nbr_ts, std::vector<EdgeId> nbr_eid)
+    : num_nodes_(static_cast<std::int64_t>(indptr.size()) - 1),
+      indptr_(std::move(indptr)),
+      nbr_(std::move(nbr)),
+      nbr_ts_(std::move(nbr_ts)),
+      nbr_eid_(std::move(nbr_eid)) {
+  TASER_CHECK_MSG(num_nodes_ >= 0 && indptr_.front() == 0 &&
+                      indptr_.back() == static_cast<std::int64_t>(nbr_.size()) &&
+                      nbr_ts_.size() == nbr_.size() && nbr_eid_.size() == nbr_.size(),
+                  "TCSR: indptr and slot arrays disagree on the slot count");
 }
 
 std::int64_t TCSR::pivot(NodeId v, Time t) const {

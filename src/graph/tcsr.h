@@ -25,6 +25,12 @@ class TCSR {
   /// (0, 1) is the unfiltered construction.
   TCSR(const Dataset& dataset, int shard_id, int num_shards);
 
+  /// Adopts prebuilt arrays: `indptr` has num_nodes + 1 entries and each
+  /// node's slots are already timestamp-ascending. DynamicTCSR::compact
+  /// merges its base and delta into these.
+  TCSR(std::vector<std::int64_t> indptr, std::vector<NodeId> nbr,
+       std::vector<Time> nbr_ts, std::vector<EdgeId> nbr_eid);
+
   std::int64_t num_nodes() const { return num_nodes_; }
 
   std::int64_t degree(NodeId v) const {

@@ -75,9 +75,9 @@ std::vector<Ring*>& rings() {
   return *r;
 }
 /// Rings whose owner thread has exited, available for reuse. Short-lived
-/// traced threads (the epoch manager's per-publish shard-replay threads)
-/// would otherwise allocate a fresh ~0.5 MB ring each — pooling bounds
-/// ring count by the peak number of *concurrent* traced threads. A
+/// traced threads (a training epoch's builder workers, a served engine's
+/// workers) would otherwise allocate a fresh ~0.5 MB ring each — pooling
+/// bounds ring count by the peak number of *concurrent* traced threads. A
 /// recycled ring keeps its records (they carry their own tid, so they
 /// stay collectable); the new owner gets a fresh tid for new records.
 std::vector<Ring*>& ring_pool() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -31,6 +32,97 @@ const EpochObs& epoch_obs() {
 }
 }  // namespace
 
+/// catch_up's shard threads, started once per manager. run(fn) is one
+/// wave: fn(0) on the calling thread, fn(s) for s in 1..S-1 on crew
+/// thread s, and it returns once every shard has finished. A shard's
+/// exception is captured and rethrown after the whole wave (lowest shard
+/// first), so no shard is still writing when publish() unwinds. A mutex
+/// and two condition variables rather than OpenMP: an idle libgomp team
+/// spins, and tsan.supp masks gomp stacks, which would hide this path
+/// from TSan.
+class GraphEpochManager::ShardCrew {
+ public:
+  explicit ShardCrew(int num_shards) : errors_(static_cast<std::size_t>(num_shards)) {
+    try {
+      for (int s = 1; s < num_shards; ++s) threads_.emplace_back([this, s] { work(s); });
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  ~ShardCrew() { stop(); }
+  ShardCrew(const ShardCrew&) = delete;
+  ShardCrew& operator=(const ShardCrew&) = delete;
+
+  void run(const std::function<void(int)>& fn) {
+    if (threads_.empty()) {
+      fn(0);
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &fn;
+      pending_ = threads_.size();
+      ++wave_;
+    }
+    start_cv_.notify_all();
+    try {
+      fn(0);
+      errors_[0] = nullptr;
+    } catch (...) {
+      errors_[0] = std::current_exception();
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return pending_ == 0; });
+      job_ = nullptr;
+    }
+    for (const auto& e : errors_)
+      if (e) std::rethrow_exception(e);
+  }
+
+ private:
+  void work(int s) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      start_cv_.wait(lock, [&] { return stop_ || wave_ != seen; });
+      if (stop_) return;
+      seen = wave_;
+      const std::function<void(int)>& fn = *job_;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        fn(s);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      errors_[static_cast<std::size_t>(s)] = std::move(error);
+      if (--pending_ == 0) done_cv_.notify_one();
+    }
+  }
+
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    start_cv_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
+
+  std::mutex mu_;
+  std::condition_variable start_cv_;  ///< a wave started, or stop
+  std::condition_variable done_cv_;   ///< the last crew shard finished
+  const std::function<void(int)>* job_ = nullptr;
+  std::uint64_t wave_ = 0;
+  std::size_t pending_ = 0;  ///< crew shards still running this wave
+  bool stop_ = false;
+  std::vector<std::exception_ptr> errors_;  ///< per shard, this wave
+  std::vector<std::thread> threads_;
+};
+
 GraphEpochManager::GraphEpochManager(graph::Dataset base, EpochConfig config)
     : config_(config) {
   TASER_CHECK_MSG(config_.compact_threshold >= 0,
@@ -52,7 +144,10 @@ GraphEpochManager::GraphEpochManager(graph::Dataset base, EpochConfig config)
   published_version_[1] = sides_[1]->version();
   base_edges_ = static_cast<std::uint64_t>(sides_[0]->dataset().num_edges());
   last_time_ = sides_[0]->last_time();
+  crew_ = std::make_unique<ShardCrew>(config_.num_shards);
 }
+
+GraphEpochManager::~GraphEpochManager() = default;
 
 GraphEpochManager::ReadGuard::~ReadGuard() {
   if (mgr_ != nullptr) mgr_->release(side_);
@@ -174,7 +269,7 @@ bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
   // of serving a permanently torn write side.
   TASER_FAILPOINT("serve.epoch.publish");
   // Nested under the engine's serve.publish span (same thread); the
-  // shard-replay threads parent to it explicitly across the hop.
+  // crew threads' spans parent to it explicitly across the hop.
   obs::TraceSpan catch_up_span(epoch_obs().catch_up, target);
   const std::uint64_t catch_up_id = catch_up_span.id();
   graph::ShardedDynamicTCSR& g = *sides_[w];
@@ -186,7 +281,7 @@ bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
 
   // Phase 1, serial: append the pending rows to the replica's shared log.
   // Cheap (a few vector pushes per event) and must not overlap phase 2 —
-  // appends can reallocate the log vectors the shard threads read. A
+  // appends can reallocate the log vectors the crew threads read. A
   // prior faulted catch-up may have appended past applied_[w] already;
   // resume from what this replica's log actually holds.
   const std::uint64_t appended =
@@ -201,36 +296,13 @@ bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
   const auto e0 = static_cast<graph::EdgeId>(base_edges_ + applied_[w]);
   const auto e1 = static_cast<graph::EdgeId>(g.dataset().num_edges());
 
-  // Phase 2, parallel: index the slice into every shard, each on its own
-  // thread — disjoint node sets, disjoint state. The modeled apply cost
+  // Phase 2, parallel: index the slice into every shard in one crew
+  // wave — disjoint node sets, disjoint state. The modeled apply cost
   // (per owned direction) sleeps concurrently across shards, standing in
   // for per-event device work exactly like the engine's modeled_device_ms
-  // stands in for forward-pass time. A shard thread's exception is
-  // captured and rethrown after ALL threads join (first shard wins) —
-  // an uncaught throw on a plain std::thread would std::terminate.
-  const int S = g.num_shards();
-  auto run_on_shards = [S](auto&& fn) {
-    if (S == 1) {
-      fn(0);
-      return;
-    }
-    std::vector<std::thread> threads;
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(S));
-    threads.reserve(static_cast<std::size_t>(S));
-    for (int s = 0; s < S; ++s)
-      threads.emplace_back([&fn, &errors, s] {
-        try {
-          fn(s);
-        } catch (...) {
-          errors[static_cast<std::size_t>(s)] = std::current_exception();
-        }
-      });
-    for (auto& t : threads) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  };
-  run_on_shards([&](int s) {
-    // Cross-thread parentage: these run on per-publish std::threads, so
+  // stands in for forward-pass time.
+  crew_->run([&](int s) {
+    // Cross-thread parentage: shards 1..S-1 run on crew threads, where
     // the RAII stack can't see catch_up — parent passed explicitly.
     obs::TraceSpan replay_span(epoch_obs().shard_replay,
                                static_cast<std::uint64_t>(s), catch_up_id);
@@ -245,7 +317,7 @@ bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
 
   bool compacted = false;
   if (config_.compact_threshold > 0 && g.delta_edges() >= config_.compact_threshold) {
-    run_on_shards([&](int s) {
+    crew_->run([&](int s) {
       obs::TraceSpan compact_span(epoch_obs().compact,
                                   static_cast<std::uint64_t>(s), catch_up_id);
       g.compact_shard(s);

@@ -13,23 +13,29 @@
 namespace taser::serve {
 
 struct EpochConfig {
-  /// Compact a replica's delta backlog during publish-time catch-up once
-  /// it reaches this many events (0 = never). Compaction only ever runs
-  /// on the retired write side — published epochs are immutable, so
-  /// compaction stays invisible to queries by construction, not just by
-  /// the DynamicTCSR equivalence argument.
+  /// Compact every shard of a replica during publish-time catch-up once
+  /// the replica's delta backlog, summed over its shards
+  /// (ShardedDynamicTCSR::delta_edges), reaches this value (0 = never).
+  /// The sum counts an event whose endpoints live in two shards twice, so
+  /// at S > 1 it is not an event count. Compaction only ever runs on the
+  /// retired write side — published epochs are immutable, so compaction
+  /// stays invisible to queries by construction, not just by the
+  /// DynamicTCSR equivalence argument.
   std::int64_t compact_threshold = 0;
   /// Hash-partition the node space into this many shards per replica
   /// (>= 1). Publish-time catch-up indexes each shard's slice of the
-  /// event log on its own thread; 1 shard is the pre-sharding serial
-  /// path, bit-identical. Query answers are shard-count-invariant.
+  /// event log in parallel: the publishing thread takes shard 0, S - 1
+  /// threads started with the manager take the rest. 1 shard starts no
+  /// thread and is the pre-sharding serial path, bit-identical. Query
+  /// answers are shard-count-invariant.
   int num_shards = 1;
   /// Modeled accelerator time per applied edge direction during catch-up,
   /// in microseconds (0 = none). Stands in for the per-event device work
   /// an event-driven model does (e.g. a TGN memory update per endpoint),
   /// following the repo's modeled-device convention: the sleeps overlap
   /// across shard threads, which is exactly the win parallel ingest buys
-  /// (bench_serve's shard sweep gates >= 2x at 4 shards on it).
+  /// (bench_serve's shard sweep gates >= 2x at 4 shards on it, and
+  /// reports the measured host-wall column beside it).
   double modeled_apply_us = 0.0;
 };
 
@@ -57,17 +63,23 @@ struct EpochConfig {
 ///
 /// Cost model: every event is applied once per replica (O(1) amortized,
 /// twice total) instead of the graph being copied per epoch; publish is
-/// O(new events) plus a pointer swap. Memory is two full replicas — the
-/// price of lock-free-shaped reads with zero reader-visible mutation.
+/// O(new events) plus a pointer swap, and a due compaction adds one merge
+/// pass over each shard's own slots (never a re-read of the log). Memory
+/// is two full replicas — the price of lock-free-shaped reads with zero
+/// reader-visible mutation.
 ///
 /// Sharded catch-up (PR 7): each replica is hash-partitioned into
 /// `num_shards` disjoint DynamicTCSR shards over ONE shared log. publish()
 /// appends the pending log slice serially (cheap), then replays it into
-/// the S shards on S plain std::threads (the expensive indexing +
-/// modeled per-direction device work, embarrassingly parallel because
-/// shards own disjoint node sets), then swaps ALL shards atomically
-/// behind the single epoch id — one epoch counter, one pin counter per
-/// side, one event log, so the read-side contract is unchanged at any S.
+/// the S shards in one wave (the indexing + modeled per-direction device
+/// work, embarrassingly parallel because shards own disjoint node sets),
+/// then compacts in a second wave when due, then swaps ALL shards
+/// atomically behind the single epoch id — one epoch counter, one pin
+/// counter per side, one event log, so the read-side contract is
+/// unchanged at any S. A wave runs shard 0 on the publishing thread and
+/// shards 1..S-1 on a crew of S - 1 threads that the constructor starts
+/// once and the destructor joins (no thread start-up per publish); a
+/// shard's exception is captured and rethrown after the whole wave.
 ///
 /// Threading contract (hard checks where cheap):
 ///   - ingest() and publish() are single-ingest-thread only (concurrent
@@ -78,7 +90,10 @@ struct EpochConfig {
 ///     epoch boundaries and compactions).
 class GraphEpochManager {
  public:
+  /// Starts the S - 1 shard crew threads (none at S = 1).
   explicit GraphEpochManager(graph::Dataset base, EpochConfig config = {});
+  /// Joins the shard crew. Every ReadGuard must have been released.
+  ~GraphEpochManager();
 
   /// Pin of one published epoch: the graph view is immutable (and its
   /// version fenced) for the guard's lifetime. Release order is
@@ -177,12 +192,12 @@ class GraphEpochManager {
 
   void release(int side);
   /// Replays log entries [applied_[w], target) into replica w: serial
-  /// append to the shared log, parallel per-shard indexing (+ modeled
+  /// append to the shared log, a per-shard indexing wave (+ modeled
   /// apply cost), optional compaction wave, re-freeze. Runs unlocked;
   /// returns whether a compaction happened. Caller must hold the
   /// publishing_ flag and have verified pins_[w] == 0. Exception-safe
-  /// and re-drivable: on a throw (shard-thread exceptions are captured
-  /// and rethrown after joining) the replica is re-frozen and a later
+  /// and re-drivable: on a throw (a shard's exception is rethrown once
+  /// its whole wave has finished) the replica is re-frozen and a later
   /// call resumes — appends from the replica's log length, replays from
   /// per-shard watermarks — so a faulted publish retries to convergence.
   bool catch_up(int w, std::uint64_t target);
@@ -218,6 +233,11 @@ class GraphEpochManager {
   std::deque<Event> log_;
   std::uint64_t log_offset_ = 0;
   std::atomic<bool> publishing_{false};
+
+  /// Runs catch_up's per-shard waves; declared last so it is joined
+  /// before any state a wave touches is destroyed.
+  class ShardCrew;
+  std::unique_ptr<ShardCrew> crew_;
 };
 
 }  // namespace taser::serve

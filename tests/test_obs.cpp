@@ -98,7 +98,8 @@ TEST_F(ObsTest, HistogramSnapshotMergesShardsExactly) {
       for (int i = 1; i <= 1000; ++i) h.observe(static_cast<double>(t * 1000 + i));
     });
   for (auto& t : threads) t.join();
-  const obs::LocalHistogram* merged = find_hist(obs::snapshot(), "test.obs.hist");
+  const obs::MetricsSnapshot snap = obs::snapshot();  // outlives `merged`
+  const obs::LocalHistogram* merged = find_hist(snap, "test.obs.hist");
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->count, 4000u);
   EXPECT_DOUBLE_EQ(merged->min, 1.0);

@@ -13,13 +13,18 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <future>
 #include <optional>
+#include <set>
 #include <thread>
+#include <tuple>
 
 #include "graph/dynamic_tcsr.h"
 #include "graph/sharded_tcsr.h"
 #include "graph/synthetic.h"
+#include "obs/trace.h"
 #include "sampling/dynamic_finder.h"
 #include "sampling/orig_finder.h"
 #include "serve/epoch_manager.h"
@@ -28,8 +33,10 @@
 #include "serve/stats_merge.h"
 #include "tensor/counters.h"
 #include "tensor/ops.h"
+#include "util/failpoint.h"
 
 using namespace taser;
+namespace fp = taser::util::failpoints;
 
 namespace {
 
@@ -367,6 +374,87 @@ TEST(ShardedGraph, ShardOwnershipAndModeGuards) {
   EXPECT_NO_THROW(sharded.ingest(data.src[0], data.dst[0], t1 + 2));
 }
 
+template <class T>
+void expect_same_bytes(const std::vector<T>& a, const std::vector<T>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0) << what;
+  }
+}
+
+void expect_same_csr(const graph::TCSR& got, const graph::TCSR& want) {
+  expect_same_bytes(got.indptr(), want.indptr(), "indptr");
+  expect_same_bytes(got.nbr(), want.nbr(), "nbr");
+  expect_same_bytes(got.nbr_ts(), want.nbr_ts(), "nbr_ts");
+  expect_same_bytes(got.nbr_eid(), want.nbr_eid(), "nbr_eid");
+}
+
+// Merge compaction folds each node's base segment and delta list into a
+// new base without reading the log; the arrays must be exactly those of a
+// static build of the log — in owner mode and in every shard. The stream
+// carries a self-loop (both directions in one list), a run of equal
+// timestamps (ties keep row order), compactions right after the self-loop
+// and inside the run, and two compactions in a row, the second over an
+// empty delta.
+TEST(ShardedGraph, CompactionIsByteIdenticalToStaticBuild) {
+  graph::Dataset full = small_dataset(53);
+  const graph::Time t = full.ts.back() + 1;
+  const graph::NodeId a = full.src[0], b = full.dst[0], c = full.dst[1];
+  const std::int64_t loop_at = full.num_edges();
+  for (const auto& [u, v, dt] : std::vector<std::tuple<graph::NodeId, graph::NodeId, double>>{
+           {a, a, 0}, {a, b, 1}, {b, a, 1}, {a, a, 1}, {c, a, 1}, {b, c, 2}}) {
+    full.src.push_back(u);
+    full.dst.push_back(v);
+    full.ts.push_back(t + dt);
+    full.edge_feats.resize(full.edge_feats.size() + static_cast<std::size_t>(full.edge_feat_dim),
+                           0.5f);
+  }
+  full.train_end = full.val_end = full.num_edges();
+  const std::int64_t cut = full.num_edges() - 120;
+  const std::int64_t compact_after[] = {cut + 40, loop_at, loop_at + 2};
+
+  // Owner mode.
+  graph::DynamicTCSR grown(prefix_dataset(full, cut));
+  for (std::int64_t e = cut; e < full.num_edges(); ++e) {
+    grown.ingest(full.src[e], full.dst[e], full.ts[e], full.edge_feat(static_cast<graph::EdgeId>(e)));
+    for (std::int64_t at : compact_after)
+      if (e == at) {
+        grown.compact();
+        expect_same_csr(grown.base(), graph::TCSR(grown.dataset()));
+      }
+  }
+  for (int round = 0; round < 2; ++round) {  // the second folds an empty delta
+    grown.compact();
+    EXPECT_EQ(grown.delta_edges(), 0);
+    expect_same_csr(grown.base(), graph::TCSR(full));
+  }
+
+  // Shard mode.
+  for (int num_shards : {1, 2, 4, 7}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
+    auto expect_static_bases = [&] {
+      for (int s = 0; s < num_shards; ++s)
+        expect_same_csr(sharded.shard(s).base(), graph::TCSR(sharded.dataset(), s, num_shards));
+    };
+    for (std::int64_t e = cut; e < full.num_edges(); ++e) {
+      sharded.ingest(full.src[e], full.dst[e], full.ts[e],
+                     full.edge_feat(static_cast<graph::EdgeId>(e)));
+      for (std::int64_t at : compact_after)
+        if (e == at) {
+          sharded.compact();
+          expect_static_bases();
+        }
+    }
+    for (int round = 0; round < 2; ++round) {
+      sharded.compact();
+      EXPECT_EQ(sharded.delta_edges(), 0);
+      expect_static_bases();
+    }
+    expect_query_identical(sharded, grown);
+  }
+}
+
 // ---- epoch-based reclamation ----------------------------------------------
 
 TEST(EpochManager, PublishMakesIngestedEventsVisible) {
@@ -582,6 +670,124 @@ TEST(EpochManager, EpochRetiresOnlyAfterEveryReaderReleases) {
   EXPECT_EQ(mgr.current_epoch(), 2u);
   EXPECT_EQ(mgr.pins(0), 0);
   EXPECT_EQ(mgr.pins(1), 0);
+}
+
+// ---- the shard crew ----------------------------------------------------------
+
+/// Threads of this process (Linux /proc), or 0 when it cannot be read.
+/// Polls briefly for `want`: a joined thread can linger in the listing for
+/// a moment after pthread_join returns.
+std::size_t live_threads(std::size_t want = 0) {
+  namespace fs = std::filesystem;
+  std::size_t n = 0;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::error_code ec;
+    n = 0;
+    for (fs::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+         it.increment(ec))
+      ++n;
+    if (ec) return 0;
+    if (want == 0 || n == want) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return n;
+}
+
+// A shard that throws mid-replay — on the publishing thread or on a crew
+// thread — surfaces from publish() once, after the whole wave; the next
+// publish must not see a stale error, and it converges to the static
+// graph.
+TEST(EpochManager, ShardReplayFaultRethrowsOnceAndRetryConverges) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoint harness compiled out";
+  const graph::Dataset full = small_dataset(57);
+  const std::int64_t cut = full.num_edges() / 2;
+  const graph::DynamicTCSR statically_built(full);
+  for (std::uint64_t faulty_shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << faulty_shards << " faulty shards");
+    serve::EpochConfig ec;
+    ec.num_shards = 4;
+    ec.compact_threshold = 64;
+    serve::GraphEpochManager mgr(prefix_dataset(full, cut), ec);
+    for (std::int64_t e = cut; e < full.num_edges(); ++e)
+      mgr.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+    {
+      fp::FailpointConfig cfg;
+      cfg.max_fires = faulty_shards;
+      fp::ScopedFailpoint arm("serve.epoch.shard_replay", cfg);
+      EXPECT_THROW(mgr.publish(), fp::FailpointError);
+      EXPECT_EQ(fp::fires("serve.epoch.shard_replay"), faulty_shards);
+      EXPECT_EQ(mgr.current_epoch(), 0u);
+      EXPECT_TRUE(mgr.has_unpublished());
+      EXPECT_EQ(mgr.publish(), 1u);  // retry with the point still armed, spent
+    }
+    {
+      auto g = mgr.acquire();
+      expect_query_identical(g.graph(), statically_built);
+    }
+    EXPECT_EQ(mgr.publish(), 1u);  // idle: the laggard catches up too
+    EXPECT_EQ(mgr.log_size(), 0u);
+    expect_query_identical(mgr.side(0), mgr.side(1));
+  }
+}
+
+// The crew is started once by the constructor and joined by the
+// destructor — also when the manager never published, or when its last
+// publish faulted. S = 1 starts no thread.
+TEST(EpochManager, ShardCrewJoinsOnDestruction) {
+  const graph::Dataset data = small_dataset(59);
+  const std::size_t before = live_threads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task unreadable";
+  serve::EpochConfig ec;
+  ec.num_shards = 4;
+  {
+    serve::GraphEpochManager mgr(data, ec);
+    EXPECT_EQ(live_threads(before + 3), before + 3);
+  }
+  EXPECT_EQ(live_threads(before), before);
+  {
+    serve::GraphEpochManager mgr(data);
+    EXPECT_EQ(live_threads(), before);
+  }
+  if (fp::compiled_in()) {
+    serve::GraphEpochManager mgr(data, ec);
+    mgr.ingest(data.src[0], data.dst[0], data.ts.back() + 1);
+    fp::FailpointConfig cfg;  // every shard of every wave throws
+    fp::ScopedFailpoint arm("serve.epoch.shard_replay", cfg);
+    EXPECT_THROW(mgr.publish(), fp::FailpointError);
+    EXPECT_THROW(mgr.publish(), fp::FailpointError);
+    EXPECT_EQ(live_threads(), before + 3);
+  }
+  EXPECT_EQ(live_threads(before), before);
+}
+
+// Every wave runs on the same S threads: the shard_replay spans of many
+// publishes carry at most S distinct trace tids (a thread started per
+// wave would get a fresh tid each time).
+TEST(EpochManager, ShardReplaySpansComeFromAtMostSThreads) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const graph::Dataset full = small_dataset(61);
+  const std::int64_t cut = full.num_edges() - 50;
+  serve::EpochConfig ec;
+  ec.num_shards = 4;
+  serve::GraphEpochManager mgr(prefix_dataset(full, cut), ec);
+  obs::clear_spans();
+  obs::set_trace_enabled(true);
+  for (std::int64_t e = cut; e < full.num_edges(); ++e) {
+    mgr.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+    mgr.publish();
+  }
+  obs::set_trace_enabled(false);
+  const std::uint32_t replay = obs::intern_span_name("epoch.shard_replay").id;
+  std::set<std::uint32_t> tids;
+  std::size_t spans = 0;
+  for (const obs::SpanRecord& r : obs::collect_spans())
+    if (r.name_id == replay) {
+      ++spans;
+      tids.insert(r.tid);
+    }
+  EXPECT_EQ(spans, 50u * 4);
+  EXPECT_LE(tids.size(), 4u);
+  obs::clear_spans();
 }
 
 // ---- no-grad inference path ------------------------------------------------
