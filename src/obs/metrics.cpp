@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 
@@ -58,47 +59,72 @@ double LocalHistogram::quantile(double q) const {
   return max;
 }
 
+void AtomicHistogram::observe(double v) {
+  buckets_[static_cast<std::size_t>(HistogramBuckets::index(v))].fetch_add(
+      1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  extend(v, v);
+}
+
+void AtomicHistogram::add(const LocalHistogram& h) {
+  if (h.count == 0) return;
+  for (int i = 0; i < HistogramBuckets::kCount; ++i)
+    buckets_[static_cast<std::size_t>(i)].fetch_add(
+        h.buckets[static_cast<std::size_t>(i)], std::memory_order_relaxed);
+  count_.fetch_add(h.count, std::memory_order_relaxed);
+  sum_.fetch_add(h.sum, std::memory_order_relaxed);
+  extend(h.min, h.max);
+}
+
+void AtomicHistogram::extend(double lo, double hi) {
+  // CAS only when an extreme actually moves — after warm-up these are two
+  // relaxed loads.
+  double cur = min_.load(std::memory_order_relaxed);
+  while (lo < cur && !min_.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
+  }
+  cur = max_.load(std::memory_order_relaxed);
+  while (hi > cur && !max_.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
+  }
+}
+
+LocalHistogram AtomicHistogram::read() const {
+  LocalHistogram h;
+  h.count = count_.load(std::memory_order_relaxed);
+  if (h.count == 0) return h;
+  for (int i = 0; i < HistogramBuckets::kCount; ++i)
+    h.buckets[static_cast<std::size_t>(i)] =
+        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+  h.sum = sum_.load(std::memory_order_relaxed);
+  h.min = min_.load(std::memory_order_relaxed);
+  h.max = max_.load(std::memory_order_relaxed);
+  return h;
+}
+
+void AtomicHistogram::reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(HUGE_VAL, std::memory_order_relaxed);
+  max_.store(-HUGE_VAL, std::memory_order_relaxed);
+}
+
 #if TASER_TELEMETRY_ENABLED
 
 namespace {
 
 /// One thread's slice of every registered metric. Allocated once per
 /// shard slot on first use (startup-time, not steady state), never freed.
-/// Counter cells are written with relaxed fetch_add: a shard slot is
-/// normally owned by one thread (uncontended RMW on a private line), but
-/// slots wrap at kMaxShards, so the RMW keeps totals exact even when two
-/// threads share a slot.
+/// Cells are written with relaxed RMWs: a shard slot is normally owned
+/// by one thread (uncontended RMW on a private line), but slots wrap at
+/// kMaxShards, so the RMW keeps totals exact even when two threads share
+/// a slot.
 struct Shard {
   std::atomic<std::uint64_t> counters[kMaxCounters];
-  std::atomic<std::uint64_t> hist_buckets[kMaxHistograms][HistogramBuckets::kCount];
-  std::atomic<std::uint64_t> hist_count[kMaxHistograms];
-  /// Sum in fixed-point (value * kSumScale) so it can be a relaxed
-  /// fetch_add too; converted back to double on read.
-  std::atomic<std::uint64_t> hist_sum_fp[kMaxHistograms];
-  /// Exact min/max as order-preserving bit patterns (see to_bits). Only
-  /// finite non-negative observations are expected (durations, sizes).
-  std::atomic<std::uint64_t> hist_min_bits[kMaxHistograms];
-  std::atomic<std::uint64_t> hist_max_bits[kMaxHistograms];
-  Shard() {
-    for (auto& h : hist_min_bits) h.store(UINT64_MAX, std::memory_order_relaxed);
-  }
+  AtomicHistogram histograms[kMaxHistograms];
 };
 
-constexpr double kSumScale = 4096.0;
 constexpr int kMaxShards = 64;
-
-inline std::uint64_t to_bits(double v) {
-  // For non-negative doubles the IEEE-754 bit pattern is order-preserving.
-  std::uint64_t b;
-  static_assert(sizeof(b) == sizeof(v));
-  __builtin_memcpy(&b, &v, sizeof(b));
-  return b;
-}
-inline double from_bits(std::uint64_t b) {
-  double v;
-  __builtin_memcpy(&v, &b, sizeof(v));
-  return v;
-}
 
 struct Registry {
   std::mutex mu;
@@ -107,11 +133,14 @@ struct Registry {
   std::vector<std::string> gauge_names{"taser.unregistered"};
   std::vector<std::string> hist_names{"taser.unregistered"};
   /// Gauges are last-write-wins process globals — not sharded (a sharded
-  /// gauge has no meaningful merge). Stored as bit patterns.
-  std::atomic<std::uint64_t> gauges[kMaxGauges]{};
+  /// gauge has no meaningful merge).
+  std::atomic<double> gauges[kMaxGauges]{};
 
   std::atomic<Shard*> shards[kMaxShards]{};
   std::atomic<std::uint32_t> next_slot{0};
+  /// Live scopes (guarded by mu): snapshot() adds them to the series of
+  /// the same names until their destructor folds them into a shard.
+  std::vector<const Scope*> scopes;
 
   Shard& shard_for_this_thread() {
     thread_local Shard* tl = nullptr;
@@ -158,28 +187,11 @@ void Counter::add(std::uint64_t n) const {
 }
 
 void Gauge::set(double v) const {
-  registry().gauges[id_].store(to_bits(v), std::memory_order_relaxed);
+  registry().gauges[id_].store(v, std::memory_order_relaxed);
 }
 
 void Histogram::observe(double v) const {
-  Shard& s = registry().shard_for_this_thread();
-  s.hist_buckets[id_][HistogramBuckets::index(v)].fetch_add(
-      1, std::memory_order_relaxed);
-  s.hist_count[id_].fetch_add(1, std::memory_order_relaxed);
-  s.hist_sum_fp[id_].fetch_add(
-      static_cast<std::uint64_t>(v > 0 ? v * kSumScale + 0.5 : 0.0),
-      std::memory_order_relaxed);
-  // min/max: CAS loops, but only when the extreme actually moves — after
-  // warm-up these are two relaxed loads.
-  const std::uint64_t bits = to_bits(v < 0 ? 0.0 : v);
-  std::uint64_t cur = s.hist_min_bits[id_].load(std::memory_order_relaxed);
-  while (bits < cur && !s.hist_min_bits[id_].compare_exchange_weak(
-                           cur, bits, std::memory_order_relaxed)) {
-  }
-  cur = s.hist_max_bits[id_].load(std::memory_order_relaxed);
-  while (bits > cur && !s.hist_max_bits[id_].compare_exchange_weak(
-                           cur, bits, std::memory_order_relaxed)) {
-  }
+  registry().shard_for_this_thread().histograms[id_].observe(v);
 }
 
 Counter counter(std::string_view name) {
@@ -203,47 +215,28 @@ Histogram histogram(std::string_view name) {
 MetricsSnapshot snapshot() {
   Registry& r = registry();
   MetricsSnapshot out;
-  std::size_t n_counters, n_gauges, n_hists;
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    n_counters = r.counter_names.size();
-    n_gauges = r.gauge_names.size();
-    n_hists = r.hist_names.size();
-    // Copy names under the lock; values merge below with relaxed loads.
-    for (std::size_t i = 1; i < n_counters; ++i)
-      out.counters.push_back({r.counter_names[i], 0});
-    for (std::size_t i = 1; i < n_gauges; ++i)
-      out.gauges.push_back({r.gauge_names[i], 0});
-    for (std::size_t i = 1; i < n_hists; ++i)
-      out.histograms.push_back({r.hist_names[i], {}});
-  }
-  for (std::size_t i = 1; i < n_gauges; ++i)
-    out.gauges[i - 1].value =
-        from_bits(r.gauges[i].load(std::memory_order_relaxed));
+  // Held throughout: a scope folds into a shard and unlinks under this
+  // lock, so the snapshot counts it exactly once — live or folded.
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (std::size_t i = 1; i < r.counter_names.size(); ++i)
+    out.counters.push_back({r.counter_names[i], 0});
+  for (std::size_t i = 1; i < r.gauge_names.size(); ++i)
+    out.gauges.push_back({r.gauge_names[i], r.gauges[i].load(std::memory_order_relaxed)});
+  for (std::size_t i = 1; i < r.hist_names.size(); ++i)
+    out.histograms.push_back({r.hist_names[i], {}});
   for (int slot = 0; slot < kMaxShards; ++slot) {
     const Shard* s = r.shards[slot].load(std::memory_order_acquire);
     if (s == nullptr) continue;
-    for (std::size_t i = 1; i < n_counters; ++i)
-      out.counters[i - 1].value +=
-          s->counters[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 1; i < n_hists; ++i) {
-      LocalHistogram& h = out.histograms[i - 1].hist;
-      const std::uint64_t c = s->hist_count[i].load(std::memory_order_relaxed);
-      if (c == 0) continue;
-      for (int b = 0; b < HistogramBuckets::kCount; ++b)
-        h.buckets[static_cast<std::size_t>(b)] +=
-            s->hist_buckets[i][b].load(std::memory_order_relaxed);
-      h.sum += static_cast<double>(
-                   s->hist_sum_fp[i].load(std::memory_order_relaxed)) /
-               kSumScale;
-      const double mn =
-          from_bits(s->hist_min_bits[i].load(std::memory_order_relaxed));
-      const double mx =
-          from_bits(s->hist_max_bits[i].load(std::memory_order_relaxed));
-      if (h.count == 0 || mn < h.min) h.min = mn;
-      if (h.count == 0 || mx > h.max) h.max = mx;
-      h.count += c;
-    }
+    for (std::size_t i = 1; i <= out.counters.size(); ++i)
+      out.counters[i - 1].value += s->counters[i].load(std::memory_order_relaxed);
+    for (std::size_t i = 1; i <= out.histograms.size(); ++i)
+      out.histograms[i - 1].hist.merge(s->histograms[i].read());
+  }
+  for (const Scope* scope : r.scopes) {
+    for (std::size_t i = 0; i < scope->counter_ids_.size(); ++i)
+      out.counters[scope->counter_ids_[i] - 1u].value += scope->count(i);
+    for (std::size_t i = 0; i < scope->histogram_ids_.size(); ++i)
+      out.histograms[scope->histogram_ids_[i] - 1u].hist.merge(scope->histogram(i));
   }
   return out;
 }
@@ -251,19 +244,38 @@ MetricsSnapshot snapshot() {
 void reset_for_test() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& g : r.gauges) g.store(0, std::memory_order_relaxed);
+  for (auto& g : r.gauges) g.store(0.0, std::memory_order_relaxed);
   for (int slot = 0; slot < kMaxShards; ++slot) {
     Shard* s = r.shards[slot].load(std::memory_order_acquire);
     if (s == nullptr) continue;
     for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
-    for (int i = 0; i < kMaxHistograms; ++i) {
-      for (auto& b : s->hist_buckets[i]) b.store(0, std::memory_order_relaxed);
-      s->hist_count[i].store(0, std::memory_order_relaxed);
-      s->hist_sum_fp[i].store(0, std::memory_order_relaxed);
-      s->hist_min_bits[i].store(UINT64_MAX, std::memory_order_relaxed);
-      s->hist_max_bits[i].store(0, std::memory_order_relaxed);
-    }
+    for (auto& h : s->histograms) h.reset();
   }
+}
+
+Scope::Scope(std::initializer_list<std::string_view> counters,
+             std::initializer_list<std::string_view> histograms)
+    : counters_(counters.size()), histograms_(histograms.size()) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (std::string_view name : counters)
+    counter_ids_.push_back(
+        Registry::intern(r.counter_names, name, kMaxCounters, "counter"));
+  for (std::string_view name : histograms)
+    histogram_ids_.push_back(
+        Registry::intern(r.hist_names, name, kMaxHistograms, "histogram"));
+  r.scopes.push_back(this);
+}
+
+Scope::~Scope() {
+  Registry& r = registry();
+  Shard& shard = r.shard_for_this_thread();  // may lock r.mu: take it first
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (std::size_t i = 0; i < counter_ids_.size(); ++i)
+    shard.counters[counter_ids_[i]].fetch_add(count(i), std::memory_order_relaxed);
+  for (std::size_t i = 0; i < histogram_ids_.size(); ++i)
+    shard.histograms[histogram_ids_[i]].add(histogram(i));
+  r.scopes.erase(std::find(r.scopes.begin(), r.scopes.end(), this));
 }
 
 #else  // !TASER_TELEMETRY_ENABLED
@@ -273,6 +285,10 @@ Gauge gauge(std::string_view) { return Gauge(); }
 Histogram histogram(std::string_view) { return Histogram(); }
 MetricsSnapshot snapshot() { return {}; }
 void reset_for_test() {}
+Scope::Scope(std::initializer_list<std::string_view> counters,
+             std::initializer_list<std::string_view> histograms)
+    : counters_(counters.size()), histograms_(histograms.size()) {}
+Scope::~Scope() = default;
 
 #endif  // TASER_TELEMETRY_ENABLED
 

@@ -2,17 +2,20 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 // Compile-time switch for the whole telemetry layer (metrics registry +
 // trace spans): -DTASER_TELEMETRY=OFF (the CMake option) defines
-// TASER_TELEMETRY_ENABLED=0 and every update compiles to nothing — zero
-// code, zero data, no atomic op. Default ON. Mirrors the
+// TASER_TELEMETRY_ENABLED=0 and every handle update compiles to nothing —
+// zero code, zero data, no atomic op. Default ON. Mirrors the
 // TASER_FAILPOINTS pattern (util/failpoint.h). Exporters and snapshot
-// functions still exist when OFF; they return empty results.
+// functions still exist when OFF; they return empty results. Scope
+// storage stays: its owners' stats read it.
 #ifndef TASER_TELEMETRY_ENABLED
 #define TASER_TELEMETRY_ENABLED 1
 #endif
@@ -48,10 +51,9 @@ struct HistogramBuckets {
 };
 
 /// A plain (non-atomic, non-registered) fixed-bucket histogram value
-/// type: the building block the registry shards use internally, and what
-/// single-threaded owners (e.g. a serving shard under its own lock) use
-/// directly. NOT gated by TASER_TELEMETRY_ENABLED — it is just
-/// arithmetic, and the serving percentile path depends on it.
+/// type: what snapshots and Scope reads return. NOT gated by
+/// TASER_TELEMETRY_ENABLED — it is just arithmetic, and the serving
+/// percentile path depends on it.
 struct LocalHistogram {
   std::array<std::uint64_t, HistogramBuckets::kCount> buckets{};
   std::uint64_t count = 0;
@@ -83,10 +85,38 @@ struct LocalHistogram {
   double quantile(double q) const;
 };
 
+/// The same histogram updated with relaxed atomics from any thread: the
+/// storage behind the registry's per-thread shards and behind Scope. An
+/// update is three relaxed RMWs (bucket, count, sum) plus a CAS when an
+/// extreme moves. Fed by one writer at a time (e.g. under its owner's
+/// lock) it reads back bit-identical to a LocalHistogram fed the same
+/// values; concurrent writers may reorder the sum's additions. Not gated
+/// by TASER_TELEMETRY_ENABLED.
+class AtomicHistogram {
+ public:
+  void observe(double v);
+  /// Adds every observation `h` holds (buckets, count, sum, extremes).
+  void add(const LocalHistogram& h);
+  /// Relaxed read: exact once the writers have quiesced or are excluded
+  /// by the caller's lock, a monotone view while they run.
+  LocalHistogram read() const;
+  void reset();
+
+ private:
+  void extend(double lo, double hi);
+
+  std::array<std::atomic<std::uint64_t>, HistogramBuckets::kCount> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{HUGE_VAL};  ///< exact; meaningful only when count > 0
+  std::atomic<double> max_{-HUGE_VAL};
+};
+
 // ---------------------------------------------------------------------------
 // Handles. Registered once at setup time (registration takes a mutex and
-// may allocate — never do it on a hot path); updates are one relaxed
-// atomic RMW on a thread-sharded cache line. Handles are trivially
+// may allocate — never do it on a hot path); updates are relaxed atomics
+// on a thread-sharded cache line (a counter add is one RMW, a histogram
+// observe an AtomicHistogram update). Handles are trivially
 // copyable value types; a default-constructed handle is valid and
 // updates a reserved "unregistered" slot (so static-init order can never
 // crash a hot path).
@@ -149,8 +179,8 @@ class Histogram {
 // monotonically fresh while they run.
 //
 // Prometheus semantics: registry values are process-lifetime cumulative.
-// Per-object views (e.g. one ServingEngine's stats) snapshot-and-diff or
-// keep their own LocalHistogram — see src/obs/README.md.
+// A per-object view (e.g. one ServingEngine's stats) keeps its numbers in
+// a Scope — see below and src/obs/README.md.
 // ---------------------------------------------------------------------------
 inline constexpr int kMaxCounters = 256;
 inline constexpr int kMaxGauges = 64;
@@ -182,13 +212,51 @@ struct MetricsSnapshot {
   std::vector<HistogramSnapshot> histograms;
 };
 
-/// Merged view over every thread shard. Exact when writers are quiescent;
-/// a consistent-enough monotone view while they run. Empty when compiled
-/// out.
+/// Merged view over every thread shard and every live Scope. Exact when
+/// writers are quiescent; a consistent-enough monotone view while they
+/// run. Empty when compiled out.
 MetricsSnapshot snapshot();
 
 /// Zeroes every registered metric across all shards (names and handles
-/// stay valid). Test isolation only — production code never resets.
+/// stay valid). Live scopes keep their values: their owners read them.
+/// Test isolation only — production code never resets.
 void reset_for_test();
+
+/// An owned block of named counters and histograms: one set of books
+/// that feeds both its owner's per-object view (e.g.
+/// ServingEngine::stats()) and the exporters. Slots are fixed at
+/// construction and addressed by index, in the order the names are
+/// given; updates are relaxed atomics from any thread, reads are the
+/// owner's own values only. While the scope lives, snapshot() adds its
+/// values to the registry series of the same names; its destructor
+/// folds them into those series, so exported values stay
+/// process-cumulative. The storage stays compiled in under
+/// TASER_TELEMETRY=OFF (owners' stats are functional); only the
+/// registry link compiles out.
+class Scope {
+ public:
+  Scope(std::initializer_list<std::string_view> counters,
+        std::initializer_list<std::string_view> histograms);
+  ~Scope();
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  void add(std::size_t slot, std::uint64_t n = 1) {
+    counters_[slot].fetch_add(n, std::memory_order_relaxed);
+  }
+  void observe(std::size_t slot, double v) { histograms_[slot].observe(v); }
+  std::uint64_t count(std::size_t slot) const {
+    return counters_[slot].load(std::memory_order_relaxed);
+  }
+  LocalHistogram histogram(std::size_t slot) const { return histograms_[slot].read(); }
+
+ private:
+  friend MetricsSnapshot snapshot();
+
+  std::vector<std::atomic<std::uint64_t>> counters_;
+  std::vector<AtomicHistogram> histograms_;
+  /// Registry slot of each counter / histogram (empty when compiled out).
+  std::vector<std::uint16_t> counter_ids_, histogram_ids_;
+};
 
 }  // namespace taser::obs

@@ -15,16 +15,13 @@
 namespace taser::serve {
 
 namespace {
-/// Epoch-lifecycle telemetry (lazy: registration/interning lock once).
+/// Epoch-lifecycle span names (lazy: interning locks once).
 struct EpochObs {
   obs::SpanName catch_up = obs::intern_span_name("epoch.catch_up");
   obs::SpanName shard_replay = obs::intern_span_name("epoch.shard_replay");
   obs::SpanName compact = obs::intern_span_name("epoch.compact");
   obs::SpanName retire_wait = obs::intern_span_name("epoch.retire_wait");
   obs::SpanName swap = obs::intern_span_name("epoch.swap");
-  obs::Counter published = obs::counter("taser.epoch.published");
-  obs::Counter compactions = obs::counter("taser.epoch.compactions");
-  obs::Histogram publish_ms = obs::histogram("taser.epoch.publish_ms");
 };
 const EpochObs& epoch_obs() {
   static const EpochObs o;
@@ -124,7 +121,9 @@ class GraphEpochManager::ShardCrew {
 };
 
 GraphEpochManager::GraphEpochManager(graph::Dataset base, EpochConfig config)
-    : config_(config) {
+    : config_(config),
+      books_({"taser.epoch.published", "taser.epoch.compactions"},
+             {"taser.epoch.publish_ms"}) {
   TASER_CHECK_MSG(config_.compact_threshold >= 0,
                   "compact_threshold must be >= 0 (got "
                       << config_.compact_threshold << ")");
@@ -213,12 +212,11 @@ std::uint64_t GraphEpochManager::publish() {
       // publish gets it) and trim the log to empty.
       if (applied_[w] == target || pins_[w] != 0) return epoch_id_;
       lock.unlock();
-      const bool compacted = catch_up(w, target);
+      catch_up(w, target);
       const std::uint64_t version = sides_[w]->version();
       lock.lock();
       applied_[w] = target;
       published_version_[w] = version;
-      if (compacted) ++compactions_;
       trim_log_locked();
       return epoch_id_;
     }
@@ -234,7 +232,7 @@ std::uint64_t GraphEpochManager::publish() {
   }
 
   util::WallTimer publish_timer;
-  const bool compacted = catch_up(w, target);
+  catch_up(w, target);
   const std::uint64_t version = sides_[w]->version();
 
   std::uint64_t epoch;
@@ -246,15 +244,14 @@ std::uint64_t GraphEpochManager::publish() {
     current_ = w;
     epoch = ++epoch_id_;
     swap_span.set_tag(epoch);
-    if (compacted) ++compactions_;
     trim_log_locked();
   }
-  epoch_obs().published.add(1);
-  epoch_obs().publish_ms.observe(publish_timer.seconds() * 1e3);
+  books_.add(kPublished);
+  books_.observe(kPublishMs, publish_timer.seconds() * 1e3);
   return epoch;
 }
 
-bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
+void GraphEpochManager::catch_up(int w, std::uint64_t target) {
   // Runs unlocked: the retired side is unreachable for readers (acquire
   // only pins `current_`), and log entries [applied_[w], target) are
   // stable — only this thread appends, and trimming never passes the
@@ -315,17 +312,14 @@ bool GraphEpochManager::catch_up(int w, std::uint64_t target) {
     }
   });
 
-  bool compacted = false;
   if (config_.compact_threshold > 0 && g.delta_edges() >= config_.compact_threshold) {
     crew_->run([&](int s) {
       obs::TraceSpan compact_span(epoch_obs().compact,
                                   static_cast<std::uint64_t>(s), catch_up_id);
       g.compact_shard(s);
     });
-    compacted = true;
-    epoch_obs().compactions.add(1);
+    books_.add(kCompactions);
   }
-  return compacted;
 }
 
 void GraphEpochManager::trim_log_locked() {
@@ -357,8 +351,7 @@ std::uint64_t GraphEpochManager::events_published() const {
 }
 
 std::uint64_t GraphEpochManager::compactions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return compactions_;
+  return books_.count(kCompactions);
 }
 
 std::size_t GraphEpochManager::log_size() const {

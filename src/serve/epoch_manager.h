@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/sharded_tcsr.h"
+#include "obs/metrics.h"
 
 namespace taser::serve {
 
@@ -193,14 +194,14 @@ class GraphEpochManager {
   void release(int side);
   /// Replays log entries [applied_[w], target) into replica w: serial
   /// append to the shared log, a per-shard indexing wave (+ modeled
-  /// apply cost), optional compaction wave, re-freeze. Runs unlocked;
-  /// returns whether a compaction happened. Caller must hold the
-  /// publishing_ flag and have verified pins_[w] == 0. Exception-safe
-  /// and re-drivable: on a throw (a shard's exception is rethrown once
-  /// its whole wave has finished) the replica is re-frozen and a later
-  /// call resumes — appends from the replica's log length, replays from
-  /// per-shard watermarks — so a faulted publish retries to convergence.
-  bool catch_up(int w, std::uint64_t target);
+  /// apply cost), optional compaction wave (counted in books_),
+  /// re-freeze. Runs unlocked. Caller must hold the publishing_ flag and
+  /// have verified pins_[w] == 0. Exception-safe and re-drivable: on a
+  /// throw (a shard's exception is rethrown once its whole wave has
+  /// finished) the replica is re-frozen and a later call resumes —
+  /// appends from the replica's log length, replays from per-shard
+  /// watermarks — so a faulted publish retries to convergence.
+  void catch_up(int w, std::uint64_t target);
   /// Drops log entries below min(applied_). Caller holds mu_.
   void trim_log_locked();
 
@@ -223,8 +224,12 @@ class GraphEpochManager {
   /// event i is base_edges_ + i, the anchor the resumable append phase
   /// and the replay slice bounds are computed from.
   std::uint64_t base_edges_ = 0;
-  std::uint64_t compactions_ = 0;
   graph::Time last_time_;
+  /// `taser.epoch.{published,compactions,publish_ms}`, written by the
+  /// publishing thread.
+  enum BookCounter : std::size_t { kPublished, kCompactions };
+  enum BookHistogram : std::size_t { kPublishMs };
+  obs::Scope books_;
 
   /// Pending-event log. Appended under mu_ by the ingest thread; replayed
   /// lock-free by publish() — safe because ingest and publish share the

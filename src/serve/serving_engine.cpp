@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "obs/export.h"
-#include "serve/stats_merge.h"
 #include "util/failpoint.h"
 
 namespace taser::serve {
@@ -32,10 +31,25 @@ const SpanNames& span_names() {
 }
 }  // namespace
 
+ServingEngine::Shard::Shard(std::int64_t id)
+    : books({"taser.serve.requests", "taser.serve.rejected", "taser.serve.expired",
+             "taser.serve.faulted", "taser.serve.batches",
+             "taser.serve.torn_view_retries"},
+            {"taser.serve.latency_ms.w" + std::to_string(id),
+             "taser.serve.batch_occupancy"}) {}
+
+std::uint64_t ServingEngine::Shard::settled() const {
+  return books.count(kRequests) + books.count(kExpired) + books.count(kFaulted);
+}
+
 ServingEngine::ServingEngine(GraphEpochManager& graphs,
                              const SessionConfig& session_config,
                              EngineConfig config)
     : graphs_(graphs), config_(config),
+      front_books_({"taser.serve.submitted", "taser.serve.events.ingested",
+                    "taser.serve.events.rejected", "taser.serve.events.faulted",
+                    "taser.serve.publishes", "taser.serve.publish_faults"},
+                   {}),
       last_event_time_(graphs.last_ingest_time()) {
   TASER_CHECK_MSG(config_.num_workers >= 1,
                   "num_workers must be >= 1 (got " << config_.num_workers << ")");
@@ -55,33 +69,16 @@ ServingEngine::ServingEngine(GraphEpochManager& graphs,
   TASER_CHECK_MSG(config_.telemetry_snapshot_period_ms >= 0,
                   "telemetry_snapshot_period_ms must be >= 0 (got "
                       << config_.telemetry_snapshot_period_ms << ")");
-  // Registry handles: register-or-lookup, so re-constructed engines (tests
-  // build dozens) share the process-cumulative series.
-  metrics_.submitted = obs::counter("taser.serve.submitted");
-  metrics_.completed = obs::counter("taser.serve.requests");
-  metrics_.rejected = obs::counter("taser.serve.rejected");
-  metrics_.expired = obs::counter("taser.serve.expired");
-  metrics_.faulted = obs::counter("taser.serve.faulted");
-  metrics_.batches = obs::counter("taser.serve.batches");
-  metrics_.torn_retries = obs::counter("taser.serve.torn_view_retries");
-  metrics_.events_ingested = obs::counter("taser.serve.events.ingested");
-  metrics_.events_rejected = obs::counter("taser.serve.events.rejected");
-  metrics_.events_faulted = obs::counter("taser.serve.events.faulted");
-  metrics_.publishes = obs::counter("taser.serve.publishes");
-  metrics_.publish_faults = obs::counter("taser.serve.publish_faults");
   metrics_.snapshot_write_failures =
       obs::counter("taser.obs.snapshot_write_failures");
   metrics_.queue_depth = obs::gauge("taser.serve.queue_depth");
   metrics_.event_queue_depth = obs::gauge("taser.serve.event_queue_depth");
-  metrics_.batch_occupancy = obs::histogram("taser.serve.batch_occupancy");
   shards_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (std::int64_t w = 0; w < config_.num_workers; ++w) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(w);
     // Every replica shares one seed → identical models and identical
     // keyed sampling.
     shard->session = std::make_unique<InferenceSession>(graphs_, session_config);
-    shard->registry_latency =
-        obs::histogram("taser.serve.latency_ms.w" + std::to_string(w));
     shards_.push_back(std::move(shard));
   }
   ingest_thread_ = std::thread([this] { ingest_loop(); });
@@ -152,10 +149,10 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
     std::lock_guard<std::mutex> lock(front_mu_);
     if (stop_) throw EngineStoppedError("submit after ServingEngine shutdown");
     seq = seq_++;
+    front_books_.add(kSubmitted);
     if (seq == 0) first_enqueue_ = std::chrono::steady_clock::now();
   }
   submit_span.set_tag(seq);
-  metrics_.submitted.add(1);
   // Test-only window between the front stop gate and the shard enqueue
   // (delay schedules only: the seq is already consumed, so a throw here
   // would leak it from the stats identity).
@@ -198,8 +195,7 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
     // forever. Fail typed instead, mirroring the kBlock wake-on-stop
     // path below.
     if (shard.stop) {
-      ++shard.rejected;
-      metrics_.rejected.add(1);
+      shard.books.add(kRejected);
       req.result.set_exception(std::make_exception_ptr(EngineStoppedError(
           "engine shut down while submit was dispatching to its shard")));
       return result;
@@ -213,8 +209,7 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
         static_cast<std::int64_t>(shard.queue.size()) >=
             config_.max_queue_per_worker) {
       if (config_.admission == EngineConfig::AdmissionPolicy::kReject) {
-        ++shard.rejected;
-        metrics_.rejected.add(1);
+        shard.books.add(kRejected);
         req.result.set_exception(std::make_exception_ptr(RejectedError(
             "serving queue full: worker " + std::to_string(w) + " holds " +
             std::to_string(shard.queue.size()) + " pending queries")));
@@ -232,15 +227,14 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
                    config_.max_queue_per_worker;
       });
       if (shard.stop) {
-        ++shard.rejected;
-        metrics_.rejected.add(1);
+        shard.books.add(kRejected);
         req.result.set_exception(std::make_exception_ptr(
             EngineStoppedError("engine shut down while submit was blocked on "
                                "a full queue")));
         return result;
       }
     }
-    ++shard.submitted;
+    ++shard.enqueued;
     shard.queue.push_back(std::move(req));
   }
   shard.work_ready.notify_one();
@@ -276,8 +270,7 @@ void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
     if (config_.max_pending_events > 0 &&
         static_cast<std::int64_t>(events_.size()) >= config_.max_pending_events) {
       if (config_.admission == EngineConfig::AdmissionPolicy::kReject) {
-        ++events_rejected_;
-        metrics_.events_rejected.add(1);
+        front_books_.add(kEventsRejected);
         throw RejectedError("event queue full: " +
                             std::to_string(events_.size()) +
                             " events pending ingest");
@@ -324,9 +317,7 @@ void ServingEngine::drain() {
       // Every enqueued request must have resolved — with a value OR an
       // exception. Shed and faulted requests count as settled: drain()
       // means "no request in flight", not "no request failed".
-      if (shard->completed + shard->expired + shard->faulted !=
-              shard->submitted ||
-          !shard->queue.empty())
+      if (shard->settled() != shard->enqueued || !shard->queue.empty())
         return false;
     }
     return true;
@@ -368,14 +359,10 @@ void ServingEngine::ingest_loop() {
       }
       lock.lock();
       ++events_applied_;
-      if (ok) {
-        metrics_.events_ingested.add(1);
-      } else {
-        ++events_faulted_;
-        metrics_.events_faulted.add(1);
-      }
+      front_books_.add(ok ? kEventsIngested : kEventsFaulted);
     }
     const std::uint64_t applied_now = events_applied_;
+    const std::uint64_t ingested_now = front_books_.count(kEventsIngested);
     const bool exiting = stop_ && events_.empty();
     lock.unlock();
     // Publish fault boundary: catch_up throws propagate here with the
@@ -393,12 +380,12 @@ void ServingEngine::ingest_loop() {
     lock.lock();
     if (published) {
       events_visible_ = std::max(events_visible_, applied_now);
+      events_visible_ingested_ = ingested_now;
       publish_backoff = 0;
-      metrics_.publishes.add(1);
+      front_books_.add(kPublishes);
     } else {
-      ++publish_faults_;
       ++publish_backoff;
-      metrics_.publish_faults.add(1);
+      front_books_.add(kPublishFaults);
     }
     idle_.notify_all();
     // A permanently faulting publish must not hang shutdown: give up after
@@ -464,8 +451,7 @@ void ServingEngine::worker_loop(Shard& shard) {
                                now - front.enqueued)
                                .count()) +
             " ms in queue")));
-        ++shard.expired;
-        metrics_.expired.add(1);
+        shard.books.add(kExpired);
         shard.queue.pop_front();
         continue;
       }
@@ -540,10 +526,7 @@ void ServingEngine::worker_loop(Shard& shard) {
                      batch_span);
 
     lock.lock();
-    if (torn_retry) {
-      ++shard.torn_retries;
-      metrics_.torn_retries.add(1);
-    }
+    if (torn_retry) shard.books.add(kTornRetries);
     if (scored) {
       for (std::size_t i = 0; i < shard.batch.size(); ++i) {
         shard.batch[i].result.set_value(shard.batch_scores[i]);
@@ -551,24 +534,18 @@ void ServingEngine::worker_loop(Shard& shard) {
                               done - shard.batch[i].enqueued)
                               .count();
         // Fixed-bucket histogram: O(1) state for unbounded uptime, exact
-        // count/min/max/sum, ~9%-resolution percentiles — the one code
-        // path ServingStats and the exporters both read.
-        shard.latency_hist.observe(ms);
-        shard.registry_latency.observe(ms);
+        // count/min/max/sum, ~9%-resolution percentiles.
+        shard.books.observe(kLatencyMs, ms);
       }
-      shard.completed += shard.batch.size();
-      ++shard.batches;  // faulted batches are excluded from occupancy
-      metrics_.completed.add(shard.batch.size());
-      metrics_.batches.add(1);
-      metrics_.batch_occupancy.observe(static_cast<double>(shard.batch.size()));
+      shard.books.add(kRequests, shard.batch.size());
+      shard.books.add(kBatches);  // faulted batches are excluded from occupancy
+      shard.books.observe(kBatchOccupancy, static_cast<double>(shard.batch.size()));
     } else {
       for (auto& r : shard.batch) r.result.set_exception(fault);
-      shard.faulted += shard.batch.size();
-      metrics_.faulted.add(shard.batch.size());
+      shard.books.add(kFaulted, shard.batch.size());
     }
     shard.last_complete = done;
-    TASER_CHECK(shard.completed + shard.expired + shard.faulted <=
-                shard.submitted);
+    TASER_CHECK(shard.settled() <= shard.enqueued);
     lock.unlock();
     {
       // Briefly synchronize on the front lock before notifying: drain()'s
@@ -584,65 +561,57 @@ void ServingEngine::worker_loop(Shard& shard) {
 ServingStats ServingEngine::stats() const {
   ServingStats s;
   std::chrono::steady_clock::time_point first_enqueue;
-  std::uint64_t submitted_total = 0;
   {
     std::lock_guard<std::mutex> lock(front_mu_);
-    // events_ingested = events actually in the graph; faulted applies
-    // advanced visibility for drain() but added no edge.
-    s.events_ingested =
-        events_visible_ > events_faulted_ ? events_visible_ - events_faulted_ : 0;
-    s.events_rejected = events_rejected_;
-    s.events_faulted = events_faulted_;
-    s.publish_faults = publish_faults_;
+    s.submitted = front_books_.count(kSubmitted);
+    s.events_ingested = events_visible_ingested_;
+    s.events_rejected = front_books_.count(kEventsRejected);
+    s.events_faulted = front_books_.count(kEventsFaulted);
+    s.publish_faults = front_books_.count(kPublishFaults);
     s.publish_abandoned = publish_abandoned_;
     s.event_queue_depth = static_cast<std::int64_t>(events_.size());
-    s.submitted = seq_;
     first_enqueue = first_enqueue_;
-    submitted_total = seq_;
   }
   s.epochs_published = graphs_.current_epoch();
   s.compactions = graphs_.compactions();
 
-  // Merge shards in fixed worker order: equal runs → equal stats. Each
-  // shard contributes its exact fixed-bucket latency histogram; the
-  // bucketwise merge (stats_merge.h) is the single percentile code path
-  // shared with the telemetry exporters.
-  std::vector<obs::LocalHistogram> hists;
-  hists.reserve(shards_.size());
+  // Merge shards in fixed worker order: equal runs → equal stats.
+  obs::LocalHistogram latency;
   std::chrono::steady_clock::time_point last_complete{};
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    s.requests += shard->completed;
-    s.rejected += shard->rejected;
-    s.expired += shard->expired;
-    s.faulted += shard->faulted;
-    s.torn_view_retries += shard->torn_retries;
+    const obs::Scope& books = shard->books;
+    const std::uint64_t requests = books.count(kRequests);
+    const std::uint64_t batches = books.count(kBatches);
+    s.requests += requests;
+    s.rejected += books.count(kRejected);
+    s.expired += books.count(kExpired);
+    s.faulted += books.count(kFaulted);
+    s.torn_view_retries += books.count(kTornRetries);
     s.queue_depth += static_cast<std::int64_t>(shard->queue.size());
-    s.batches += shard->batches;
-    s.worker_requests.push_back(shard->completed);
+    s.batches += batches;
+    s.worker_requests.push_back(requests);
     s.worker_occupancy.push_back(
-        shard->batches > 0 ? static_cast<double>(shard->completed) /
-                                 static_cast<double>(shard->batches)
-                           : 0.0);
-    hists.push_back(shard->latency_hist);
-    if (shard->completed > 0 && shard->last_complete > last_complete)
+        batches > 0 ? static_cast<double>(requests) / static_cast<double>(batches)
+                    : 0.0);
+    latency.merge(books.histogram(kLatencyMs));
+    if (requests > 0 && shard->last_complete > last_complete)
       last_complete = shard->last_complete;
     s.workspace_alloc_events += shard->session->workspace_alloc_events();
   }
   if (s.batches > 0)
     s.mean_batch_occupancy =
         static_cast<double>(s.requests) / static_cast<double>(s.batches);
-  const obs::LocalHistogram merged = merged_histogram(hists);
-  if (merged.count > 0) {
-    s.p50_ms = merged.quantile(0.50);
-    s.p95_ms = merged.quantile(0.95);
-    s.p99_ms = merged.quantile(0.99);
-    s.min_ms = merged.min;  // exact extremes + mean tracked alongside
-    s.max_ms = merged.max;
-    s.mean_ms = merged.mean();
+  if (latency.count > 0) {
+    s.p50_ms = latency.quantile(0.50);
+    s.p95_ms = latency.quantile(0.95);
+    s.p99_ms = latency.quantile(0.99);
+    s.min_ms = latency.min;  // exact extremes + mean tracked alongside
+    s.max_ms = latency.max;
+    s.mean_ms = latency.mean();
     const double span =
         std::chrono::duration<double>(last_complete - first_enqueue).count();
-    if (submitted_total > 0 && span > 0)
+    if (s.submitted > 0 && span > 0)
       s.qps = static_cast<double>(s.requests) / span;
   }
   refresh_gauges(s.queue_depth, s.event_queue_depth);

@@ -78,18 +78,16 @@ struct EngineConfig {
   std::string telemetry_snapshot_path;
 };
 
-/// Aggregate serving statistics (all completed requests so far), merged
-/// over shards in fixed worker order so equal runs report equal stats.
-/// Percentiles come from per-shard fixed-bucket log-spaced histograms
-/// (obs::LocalHistogram, exact counts — every request lands in a bucket)
-/// merged bucketwise through the one shared code path
-/// (`merged_histogram_percentile`), so a long-running engine holds
-/// O(workers) stats state; resolution is the ~9% bucket geometry with
-/// log interpolation, clamped to the exact tracked min/max. The
-/// count-weighted reservoir merge survives in stats_merge as an
-/// independent cross-check (test_obs compares the two merges within
-/// bucket resolution). `min_ms`/`max_ms`/`mean_ms`, counts and `qps`
-/// are exact.
+/// Aggregate serving statistics (all completed requests so far), read
+/// from the engine's books — the obs::Scope of each worker shard and of
+/// the front, the same numbers the exporters show — and merged over
+/// shards in fixed worker order so equal runs report equal stats.
+/// Percentiles come from the per-shard fixed-bucket log-spaced latency
+/// histograms (exact counts — every request lands in a bucket) merged
+/// bucketwise with obs::LocalHistogram::merge, so a long-running engine
+/// holds O(workers) stats state; resolution is the ~9% bucket geometry
+/// with log interpolation, clamped to the exact tracked min/max.
+/// `min_ms`/`max_ms`/`mean_ms`, counts and `qps` are exact.
 struct ServingStats {
   std::uint64_t requests = 0;  ///< completed with a value
   std::uint64_t batches = 0;   ///< micro-batches scored (faulted ones excluded)
@@ -243,10 +241,27 @@ class ServingEngine {
     std::vector<float> feat;
   };
 
+  /// Slots of a worker shard's books: counters, then histograms.
+  enum ShardCounter : std::size_t {
+    kRequests, kRejected, kExpired, kFaulted, kBatches, kTornRetries
+  };
+  enum ShardHistogram : std::size_t { kLatencyMs, kBatchOccupancy };
+  /// Slots of the front's books.
+  enum FrontCounter : std::size_t {
+    kSubmitted, kEventsIngested, kEventsRejected, kEventsFaulted, kPublishes,
+    kPublishFaults
+  };
+
   /// One worker shard: queue + session replica + scoring thread, with its
-  /// own lock so shards never contend with each other — only submit()
-  /// touches a shard's lock from outside.
+  /// own lock so shards never contend with each other. From outside the
+  /// worker, submit() takes it to enqueue and drain()/stats() to read.
   struct Shard {
+    explicit Shard(std::int64_t id);
+
+    /// Enqueued requests resolved so far (value, shed or fault); drain()
+    /// waits until it reaches `enqueued`. Caller holds `mu`.
+    std::uint64_t settled() const;
+
     std::mutex mu;
     std::condition_variable work_ready;
     /// Signals bounded-queue space to kBlock submitters (notified by the
@@ -254,23 +269,10 @@ class ServingEngine {
     std::condition_variable space_ready;
     std::deque<Request> queue;
     bool stop = false;
-    std::uint64_t submitted = 0;  ///< enqueued (excludes rejected)
-    std::uint64_t completed = 0;  ///< resolved with a value
-    std::uint64_t rejected = 0;   ///< future failed at admission/stop-race
-    std::uint64_t expired = 0;    ///< shed at dequeue (deadline passed)
-    std::uint64_t faulted = 0;    ///< failed by a worker-forward fault
-    std::uint64_t torn_retries = 0;  ///< torn-view batches re-run
-    std::uint64_t batches = 0;
-    /// Fixed-bucket latency histogram (engine-owned, this-engine-only —
-    /// the registry's histograms are process-cumulative). Source of
-    /// ServingStats percentiles and exact min/max/mean via
-    /// merged_histogram_percentile. Replaces the former per-shard
-    /// Algorithm-R reservoir: same O(1) state, but exact counts (no
-    /// sampling) and no RNG on the completion path.
-    obs::LocalHistogram latency_hist;
-    /// Registry twin (`taser.serve.latency_ms.w<id>`): process-cumulative,
-    /// feeds the exporters.
-    obs::Histogram registry_latency;
+    std::uint64_t enqueued = 0;  ///< requests queued (excludes rejected)
+    /// ShardCounter / ShardHistogram slots under `taser.serve.*`, written
+    /// under `mu`; the latency histogram is `latency_ms.w<id>`.
+    obs::Scope books;
     std::chrono::steady_clock::time_point last_complete;
     std::unique_ptr<InferenceSession> session;
     std::thread worker;
@@ -292,17 +294,15 @@ class ServingEngine {
   GraphEpochManager& graphs_;
   EngineConfig config_;
 
-  /// Registry handles, resolved once at construction (registration locks;
-  /// updates are one relaxed atomic op on a thread-local shard). Names
-  /// under `taser.serve.*` — see src/obs/README.md for the scheme.
+  /// Registry handles for what has no per-engine view: the queue-depth
+  /// gauges and the snapshot thread's write failures.
   struct Metrics {
-    obs::Counter submitted, completed, rejected, expired, faulted, batches,
-        torn_retries, events_ingested, events_rejected, events_faulted,
-        publishes, publish_faults, snapshot_write_failures;
+    obs::Counter snapshot_write_failures;
     obs::Gauge queue_depth, event_queue_depth;
-    obs::Histogram batch_occupancy;
   };
   Metrics metrics_;
+  /// FrontCounter slots under `taser.serve.*`, written under front_mu_.
+  obs::Scope front_books_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -321,9 +321,9 @@ class ServingEngine {
   std::uint64_t events_submitted_ = 0;
   std::uint64_t events_applied_ = 0;  ///< applied to the write side (or dropped faulted)
   std::uint64_t events_visible_ = 0;  ///< published — visible to queries
-  std::uint64_t events_rejected_ = 0;  ///< admission-rejected events
-  std::uint64_t events_faulted_ = 0;   ///< events dropped by an apply fault
-  std::uint64_t publish_faults_ = 0;   ///< publish() throws (each retried)
+  /// The events_visible_ that reached the graph (not dropped by an apply
+  /// fault), recorded when their publish commits: stats' events_ingested.
+  std::uint64_t events_visible_ingested_ = 0;
   /// Set by the ingest thread when shutdown gives up on a persistently
   /// faulting final publish (bounded retries exhausted). Visibility can
   /// never advance past events_visible_ again; drain() keys off this so

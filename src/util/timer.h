@@ -2,7 +2,6 @@
 
 #include <array>
 #include <chrono>
-#include <map>
 #include <string>
 
 #include "obs/trace.h"
@@ -68,8 +67,7 @@ inline obs::SpanName phase_span_name(Phase p) {
 /// Accumulates per-phase durations (NF / AS / FS / PP breakdowns) in a
 /// fixed array — add() is branch-free index arithmetic, no allocation,
 /// no string compare. Not thread-safe; each worker keeps its own and
-/// merges. The string-keyed totals() view survives for reporting (it
-/// builds a map on demand — never call it on a hot path).
+/// merges.
 class PhaseAccumulator {
  public:
   void add(Phase phase, double seconds) {
@@ -87,15 +85,6 @@ class PhaseAccumulator {
     for (std::size_t i = 0; i < kPhaseCount; ++i) totals_[i] += other.totals_[i];
   }
   void clear() { totals_.fill(0.0); }
-  /// Reporting view, keyed by the canonical phase names. Allocates;
-  /// zero-valued phases are omitted (matching the old map's behavior of
-  /// only holding keys that were added to).
-  std::map<std::string, double> totals() const {
-    std::map<std::string, double> out;
-    for (std::size_t i = 0; i < kPhaseCount; ++i)
-      if (totals_[i] != 0.0) out[phase_name(static_cast<Phase>(i))] = totals_[i];
-    return out;
-  }
 
  private:
   std::array<double, kPhaseCount> totals_{};

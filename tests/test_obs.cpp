@@ -1,16 +1,18 @@
 // Telemetry layer (src/obs/): registry exactness under concurrent
 // writers, register-or-lookup idempotence, histogram bucket geometry and
-// quantile resolution, trace-ring overflow/nesting/async emission, the
-// exporters (Prometheus text, JSON snapshot round-trip, Chrome
-// trace_event), the single serving-percentile code path
-// (merged_histogram_percentile vs the weighted-reservoir cross-check),
-// and the determinism contract: runtime tracing on/off must not change a
-// single training bit. With -DTASER_TELEMETRY=OFF the registry/trace
-// tests skip themselves and the compile-out test proves the exporters
-// return empty documents.
+// quantile resolution, the bucketwise merge of skewed shards against the
+// exact percentile, the obs::Scope contract (owner-only reads, snapshot
+// sums, fold on destruction, bit-identity with LocalHistogram),
+// trace-ring overflow/nesting/async emission, the exporters (Prometheus
+// text, JSON snapshot round-trip, Chrome trace_event), and the
+// determinism contract: runtime tracing on/off must not change a single
+// training bit. With -DTASER_TELEMETRY=OFF the registry/trace tests skip
+// themselves (the Scope owner-side tests still run) and the compile-out
+// test proves the exporters return empty documents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -22,7 +24,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/stats_merge.h"
 #include "util/rng.h"
 
 using namespace taser;
@@ -181,41 +182,132 @@ TEST(LocalHistogram, MergeAddsCountsAndExtremes) {
   EXPECT_DOUBLE_EQ(a.min, 0.5);
 }
 
-// ---------------------------------------------------------------------------
-// Single serving-percentile code path vs the reservoir cross-check
-// ---------------------------------------------------------------------------
-
-TEST(StatsMerge, HistogramPercentileMatchesWeightedReservoir) {
-  // Three shards with skewed loads and different latency regimes — the
-  // scenario the weighted merge was built for. The histogram path is
-  // exact in *rank* (every request lands in a bucket), so against a
-  // full-population reservoir (no sampling) the two differ only by
-  // bucket resolution.
+TEST(LocalHistogram, MergedSkewedShardsMatchExactPercentile) {
+  // Three shards with skewed loads and different latency regimes, as hash
+  // dispatch produces. The bucketwise merge counts every request once, so
+  // it differs from the exact nearest-rank percentile of the whole
+  // population only by bucket resolution.
   util::Rng rng(23);
-  std::vector<serve::ReservoirSlice> slices(3);
   std::vector<obs::LocalHistogram> hists(3);
+  std::vector<double> all;
   const double base[3] = {1.0, 5.0, 20.0};
   const std::size_t loads[3] = {4000, 1000, 250};
-  for (int s = 0; s < 3; ++s) {
+  for (std::size_t s = 0; s < 3; ++s)
     for (std::size_t i = 0; i < loads[s]; ++i) {
       const double v = base[s] * (0.5 + static_cast<double>(rng.next_float()));
-      slices[static_cast<std::size_t>(s)].samples.push_back(v);
-      hists[static_cast<std::size_t>(s)].observe(v);
+      hists[s].observe(v);
+      all.push_back(v);
     }
-    slices[static_cast<std::size_t>(s)].count = loads[s];
-  }
+  obs::LocalHistogram merged;
+  for (const obs::LocalHistogram& h : hists) merged.merge(h);
+  std::sort(all.begin(), all.end());
   for (double p : {0.5, 0.95, 0.99}) {
-    const double reservoir = serve::merged_percentile(slices, p);
-    const double histogram = serve::merged_histogram_percentile(hists, p);
-    EXPECT_LE(histogram, reservoir * kBucketRatio * 1.02) << "p=" << p;
-    EXPECT_GE(histogram, reservoir / kBucketRatio / 1.02) << "p=" << p;
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(p * static_cast<double>(all.size()))));
+    const double exact = all[rank - 1];
+    EXPECT_LE(merged.quantile(p), exact * kBucketRatio * 1.01) << "p=" << p;
+    EXPECT_GE(merged.quantile(p), exact / kBucketRatio / 1.01) << "p=" << p;
   }
+  // Empty shards merge to an empty histogram, which reports zero.
+  obs::LocalHistogram none;
+  for (int i = 0; i < 4; ++i) none.merge(obs::LocalHistogram{});
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_DOUBLE_EQ(none.quantile(0.99), 0.0);
 }
 
-TEST(StatsMerge, HistogramPercentileEmptyShardsReturnZero) {
-  std::vector<obs::LocalHistogram> empty(4);
-  EXPECT_DOUBLE_EQ(serve::merged_histogram_percentile(empty, 0.99), 0.0);
-  EXPECT_EQ(serve::merged_histogram(empty).count, 0u);
+// ---------------------------------------------------------------------------
+// obs::Scope: one set of books for the owner's view and the exporters
+// ---------------------------------------------------------------------------
+
+// Owner-side reads are functional, so these hold with telemetry compiled
+// out too.
+TEST(ObsScope, OwnerSeesOnlyItsOwnValues) {
+  obs::Scope a({"test.scope.own"}, {"test.scope.own_ms"});
+  obs::Scope b({"test.scope.own"}, {"test.scope.own_ms"});
+  obs::counter("test.scope.own").add(100);  // a plain handle on the same series
+  obs::histogram("test.scope.own_ms").observe(100.0);
+  a.add(0, 3);
+  b.add(0);
+  a.observe(0, 2.0);
+  EXPECT_EQ(a.count(0), 3u);
+  EXPECT_EQ(b.count(0), 1u);
+  EXPECT_EQ(a.histogram(0).count, 1u);
+  EXPECT_DOUBLE_EQ(a.histogram(0).max, 2.0);
+  EXPECT_EQ(b.histogram(0).count, 0u);
+}
+
+TEST(ObsScope, SingleWriterHistogramMatchesLocalHistogram) {
+  obs::Scope scope({}, {"test.scope.bits_ms"});
+  obs::LocalHistogram local;
+  util::Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    // Inexact sums, a zero and a negative value: the atomic sum must round
+    // like `sum += v` and the extremes must order like `<`.
+    const double v = i == 10 ? 0.0
+                     : i == 20
+                         ? -1.5
+                         : 0.01 + 50.0 * static_cast<double>(rng.next_float()) *
+                                      static_cast<double>(rng.next_float());
+    scope.observe(0, v);
+    local.observe(v);
+  }
+  const obs::LocalHistogram got = scope.histogram(0);
+  EXPECT_EQ(got.buckets, local.buckets);
+  EXPECT_EQ(got.count, local.count);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum), std::bit_cast<std::uint64_t>(local.sum));
+  EXPECT_EQ(got.min, local.min);
+  EXPECT_EQ(got.max, local.max);
+}
+
+TEST_F(ObsTest, LiveScopesAndHandlesSumInSnapshot) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  obs::Scope a({"test.scope.sum"}, {"test.scope.sum_ms"});
+  obs::Scope b({"test.scope.sum"}, {"test.scope.sum_ms"});
+  obs::counter("test.scope.sum").add(5);
+  obs::histogram("test.scope.sum_ms").observe(1.0);
+  // Scope updates are relaxed atomics from any thread.
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t)
+    writers.emplace_back([&] {
+      for (int i = 0; i < 1000; ++i) a.add(0);
+    });
+  for (auto& t : writers) t.join();
+  b.add(0, 3);
+  a.observe(0, 4.0);
+  b.observe(0, 0.5);
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  EXPECT_EQ(counter_value(snap, "test.scope.sum"), 4008u);
+  EXPECT_EQ(std::count_if(snap.counters.begin(), snap.counters.end(),
+                          [](const auto& c) { return c.name == "test.scope.sum"; }),
+            1)
+      << "a scope adds no series of its own";
+  const obs::LocalHistogram* h = find_hist(snap, "test.scope.sum_ms");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_DOUBLE_EQ(h->sum, 5.5);
+  EXPECT_DOUBLE_EQ(h->min, 0.5);
+  EXPECT_DOUBLE_EQ(h->max, 4.0);
+}
+
+TEST_F(ObsTest, DestroyedScopeKeepsItsTotalsInTheSeries) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  {
+    obs::Scope scope({"test.scope.fold"}, {"test.scope.fold_ms"});
+    scope.add(0, 7);
+    for (double v : {3.0, 0.25, 9.5}) scope.observe(0, v);
+  }
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  EXPECT_EQ(counter_value(snap, "test.scope.fold"), 7u);
+  const obs::LocalHistogram* h = find_hist(snap, "test.scope.fold_ms");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_DOUBLE_EQ(h->sum, 12.75);
+  EXPECT_DOUBLE_EQ(h->min, 0.25);
+  EXPECT_DOUBLE_EQ(h->max, 9.5);
+  // Process-cumulative: a later scope of the same name adds on top.
+  obs::Scope again({"test.scope.fold"}, {});
+  again.add(0);
+  EXPECT_EQ(counter_value(obs::snapshot(), "test.scope.fold"), 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -987,11 +987,6 @@ TEST(PhaseAccumulator, ScopedPhaseHotPathAllocatesNothing) {
 
   EXPECT_EQ(g_alloc_count, 0u)
       << "ScopedPhase/PhaseAccumulator allocated on the hot path";
-  // The reporting view still works (and may allocate — off the hot path).
-  acc.add(util::Phase::kNF, 1.0);
-  const auto view = acc.totals();
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_DOUBLE_EQ(view.at("NF"), 1.0);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "serve/epoch_manager.h"
 #include "serve/inference_session.h"
 #include "serve/serving_engine.h"
-#include "serve/stats_merge.h"
 #include "tensor/counters.h"
 #include "tensor/ops.h"
 #include "util/failpoint.h"
@@ -1101,51 +1100,6 @@ TEST(ServingEngine, ShardCountInvariantScores) {
   for (std::size_t v = 1; v < scores.size(); ++v)
     EXPECT_EQ(scores[v], scores[0]) << "shard count variant " << v
         << " diverged from the 1-shard reference";
-}
-
-// ---- stats merge ------------------------------------------------------------
-
-// Satellite 1 regression: merged percentiles must weight per-shard
-// reservoirs by the request counts they represent. The old merge
-// concatenated retained samples, so once any reservoir overflowed, a
-// lightly-loaded shard's samples counted as much per-sample as a
-// heavily-loaded shard's — under hash-dispatch skew the merged p50
-// tracked the shard serving 3% of the traffic.
-TEST(StatsMerge, SkewedLoadWeightsByCount) {
-  // Heavy shard: 9000 requests at ~1 ms, reservoir capped at 100 retained
-  // samples. Light shard: 300 requests at ~10 ms, all retained.
-  serve::ReservoirSlice heavy;
-  heavy.samples.assign(100, 1.0);
-  heavy.count = 9000;
-  serve::ReservoirSlice light;
-  light.samples.assign(300, 10.0);
-  light.count = 300;
-  const std::vector<serve::ReservoirSlice> slices = {heavy, light};
-
-  // 97% of requests were fast: p50 and p95 sit on the heavy shard, only
-  // the p99 tail reaches the slow one.
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.50), 1.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.95), 1.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.99), 10.0);
-
-  // The exact bias this fixes: sample-equal concatenation reports a p50
-  // of 10 ms for a system that answered 97% of requests in 1 ms.
-  std::vector<double> concat;
-  concat.insert(concat.end(), heavy.samples.begin(), heavy.samples.end());
-  concat.insert(concat.end(), light.samples.begin(), light.samples.end());
-  std::sort(concat.begin(), concat.end());
-  EXPECT_DOUBLE_EQ(concat[concat.size() / 2], 10.0);
-
-  // Equal per-shard loads reduce to the plain merge.
-  const serve::ReservoirSlice a{{1.0, 2.0, 3.0, 4.0}, 4};
-  const serve::ReservoirSlice b{{5.0, 6.0, 7.0, 8.0}, 4};
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({a, b}, 0.5), 4.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({a, b}, 1.0), 8.0);
-
-  // Empty reservoirs are skipped; an all-empty merge reports zero.
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({serve::ReservoirSlice{}, a}, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({serve::ReservoirSlice{}}, 0.5), 0.0);
-  EXPECT_THROW(serve::merged_percentile(slices, 1.5), std::runtime_error);
 }
 
 TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {

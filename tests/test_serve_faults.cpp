@@ -6,8 +6,9 @@
 // idempotent publish retry after epoch faults, all-or-nothing checkpoint
 // loads across the worker fleet, typed rejection after shutdown, and the
 // standing invariant fuzz: every submitted future resolves exactly once —
-// value or exception — and completed + rejected + expired + faulted ==
-// submitted at all times.
+// value or exception — completed + rejected + expired + faulted ==
+// submitted at all times, and each exported registry series grows by
+// exactly the engine's final stats.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 
 #include "graph/dynamic_tcsr.h"
 #include "graph/synthetic.h"
+#include "obs/metrics.h"
 #include "sampling/dynamic_finder.h"
 #include "serve/epoch_manager.h"
 #include "serve/inference_session.h"
@@ -294,6 +296,48 @@ TEST_F(FaultTest, IngestApplyFaultDropsOneEventAndStreamContinues) {
   EXPECT_EQ(s.event_queue_depth, 0);
   auto g = mgr.acquire();
   EXPECT_EQ(g.graph().dataset().num_edges(), full.num_edges() - 1);
+}
+
+// stats().events_ingested counts what is visible to queries. While a
+// publish is in flight after an apply fault, the faulted event must not
+// be subtracted from events an earlier publish made visible.
+TEST_F(FaultTest, EventsIngestedHoldsWhileAPublishIsInFlight) {
+  const graph::Dataset full = small_dataset(23);
+  const std::int64_t cut = full.num_edges() - 2;
+  serve::GraphEpochManager mgr(prefix_dataset(full, cut));
+  serve::EngineConfig ec;
+  ec.num_workers = 1;
+  serve::ServingEngine engine(mgr, tiny_session_config(), ec);
+
+  engine.ingest(full.src[cut], full.dst[cut], full.ts[cut], feat_row(full, cut));
+  engine.drain();
+  ASSERT_EQ(engine.stats().events_ingested, 1u);
+
+  fp::FailpointConfig apply;
+  apply.max_fires = 1;
+  fp::ScopedFailpoint arm_apply("serve.ingest.apply", apply);
+  fp::FailpointConfig hold;
+  hold.action = fp::FailpointConfig::Action::kDelay;
+  hold.delay_ms = 300;
+  hold.max_fires = 1;
+  fp::ScopedFailpoint arm_hold("serve.epoch.publish", hold);
+
+  const std::int64_t e = cut + 1;
+  engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+  // The faulted apply is counted before its publish starts; the publish
+  // (catching up the lagging replica) now sleeps in its failpoint.
+  for (int i = 0; i < 10000 && fp::hits("serve.epoch.publish") < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(fp::hits("serve.epoch.publish"), 1u);
+  const serve::ServingStats held = engine.stats();
+  EXPECT_EQ(held.events_faulted, 1u);
+  EXPECT_EQ(held.events_ingested, mgr.events_published());
+  EXPECT_EQ(held.events_ingested, 1u);
+
+  engine.drain();
+  const serve::ServingStats s = engine.stats();
+  EXPECT_EQ(s.events_ingested, 1u);
+  EXPECT_EQ(s.events_faulted, 1u);
 }
 
 // Publish faults (epoch thaw/replay, including one shard thread dying
@@ -659,20 +703,15 @@ TEST_F(FaultTest, ExpiredRequestsShedAtDequeueWithTypedError) {
 // drains. Nothing here checks scores; it checks the robustness contract:
 // every future resolves exactly once (a broken promise would throw
 // std::future_error), the outcome classes reconcile exactly with the
-// engine's counters, the engine always drains, and it still serves after
-// the faults clear.
+// engine's counters, the engine always drains, it still serves after the
+// faults clear, and the exported ledger is the engine's ledger.
 namespace {
 
-void run_fault_fuzz(std::int64_t workers, int num_shards, std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << workers << " workers, " << num_shards
-                                    << " shards, seed " << seed);
-  util::Rng rng(seed);
-  const graph::Dataset data = small_dataset(41);
-
-  serve::EpochConfig epoch_cfg;
-  epoch_cfg.num_shards = num_shards;
-  epoch_cfg.compact_threshold = 50;
-  serve::GraphEpochManager mgr(data, epoch_cfg);
+/// One cocktail against an engine on `mgr`; returns the engine's final
+/// stats. The engine is destroyed on return.
+serve::ServingStats fuzz_engine(serve::GraphEpochManager& mgr,
+                                const graph::Dataset& data, std::int64_t workers,
+                                util::Rng& rng) {
   serve::SessionConfig sc = tiny_session_config();
   sc.policy = sampling::FinderPolicy::kUniform;
   serve::EngineConfig ec;
@@ -760,9 +799,52 @@ void run_fault_fuzz(std::int64_t workers, int num_shards, std::uint64_t seed) {
   fp::deactivate_all();
   EXPECT_TRUE(std::isfinite(engine.submit({data.src[0], data.dst[0], t_query}).get()));
   engine.drain();
-  auto g = mgr.acquire();
-  EXPECT_EQ(g.graph().dataset().num_edges(),
-            data.num_edges() + static_cast<std::int64_t>(s.events_ingested));
+  {
+    auto g = mgr.acquire();
+    EXPECT_EQ(g.graph().dataset().num_edges(),
+              data.num_edges() + static_cast<std::int64_t>(s.events_ingested));
+  }
+  return engine.stats();
+}
+
+void run_fault_fuzz(std::int64_t workers, int num_shards, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << workers << " workers, " << num_shards
+                                    << " shards, seed " << seed);
+  util::Rng rng(seed);
+  const graph::Dataset data = small_dataset(41);
+  const obs::MetricsSnapshot before = obs::snapshot();
+
+  serve::ServingStats s;
+  std::uint64_t compactions = 0;
+  {
+    serve::EpochConfig epoch_cfg;
+    epoch_cfg.num_shards = num_shards;
+    epoch_cfg.compact_threshold = 50;
+    serve::GraphEpochManager mgr(data, epoch_cfg);
+    s = fuzz_engine(mgr, data, workers, rng);
+    compactions = mgr.compactions();  // the engine's last publish included
+  }
+  EXPECT_EQ(s.requests + s.rejected + s.expired + s.faulted, s.submitted);
+  if (!obs::compiled_in()) return;  // no registry to compare against
+
+  // The engine's and the manager's books folded into the registry when
+  // they were destroyed: each exported series grew by exactly the value
+  // the owner reported.
+  const obs::MetricsSnapshot after = obs::snapshot();
+  auto grew = [&](const std::string& name) {
+    auto value = [&](const obs::MetricsSnapshot& snap) -> std::uint64_t {
+      for (const auto& c : snap.counters)
+        if (c.name == name) return c.value;
+      return 0;
+    };
+    return value(after) - value(before);
+  };
+  EXPECT_EQ(grew("taser.serve.submitted"), s.submitted);
+  EXPECT_EQ(grew("taser.serve.requests"), s.requests);
+  EXPECT_EQ(grew("taser.serve.rejected"), s.rejected);
+  EXPECT_EQ(grew("taser.serve.expired"), s.expired);
+  EXPECT_EQ(grew("taser.serve.faulted"), s.faulted);
+  EXPECT_EQ(grew("taser.epoch.compactions"), compactions);
 }
 
 }  // namespace
