@@ -516,7 +516,7 @@ int main(int argc, char** argv) {
       core::EpochStats last;
       for (int e = 0; e < epochs; ++e) {
         last = trainer.train_epoch();
-        stale_builds[mode] += last.stale_builds;
+        stale_builds[mode] += last.stale_builds();
       }
       wall_s[mode] = t.seconds() / epochs;
       final_loss[mode] = last.mean_loss;

@@ -157,8 +157,7 @@ int main() {
 
   // ---- observability hand-off ----------------------------------------------
   // What a /metrics scrape would return right now (the json_snapshot()
-  // twin of this text feeds dashboards; the engine can also write it
-  // periodically — EngineConfig::telemetry_snapshot_path).
+  // twin of this text feeds dashboards).
   obs::set_trace_enabled(false);
   std::printf("\n--- prometheus snapshot (serve metrics) ---\n");
   const std::string prom = obs::prometheus_text();

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "cache/feature_store.h"
 #include "cache/gpu_cache.h"
@@ -69,10 +68,9 @@ class CachedFeatureSource : public FeatureSource {
 /// (core::BuilderPool): serves the SAME feature content as the shared
 /// source — including the shared GpuFeatureCache's cached set, which is
 /// immutable intra-epoch — but accounts simulated transfer/gather time on
-/// the slot's Device and tallies cache hits/misses into slot-local
-/// counters. The pool folds those tallies into the shared cache's epoch
-/// stats in batch-consumption order (GpuFeatureCache::fold_stats), so
-/// epoch statistics reduce in a fixed order no matter how builds
+/// the slot's Device. Cache hits and misses go straight to the shared
+/// cache's books: they are integer sums, so they need no
+/// consumption-order fold to stay deterministic however builds
 /// interleave across workers. Does NOT expose cache(): epoch-end
 /// replacement must go through the shared source exactly once.
 class SlotFeatureSource : public FeatureSource {
@@ -84,7 +82,7 @@ class SlotFeatureSource : public FeatureSource {
 
   void gather_edges(const std::vector<EdgeId>& ids, float* out) override {
     if (shared_cache_) {
-      shared_cache_->gather_edge_feats_onto(ids, out, device_, hits_, misses_);
+      shared_cache_->gather_edge_feats_onto(ids, out, device_);
     } else {
       store_.gather_edge_feats(ids, out);
     }
@@ -96,20 +94,10 @@ class SlotFeatureSource : public FeatureSource {
     return shared_cache_ ? "vram-cache.slot" : "ram.slot";
   }
 
-  /// Drains the hit/miss tally accumulated since the last call (the
-  /// pool reads this after each build on this slot).
-  std::pair<std::uint64_t, std::uint64_t> take_cache_stats() {
-    const auto out = std::make_pair(hits_, misses_);
-    hits_ = 0;
-    misses_ = 0;
-    return out;
-  }
-
  private:
   GpuFeatureCache* shared_cache_;  ///< null on the plain (RAM) path
   HostFeatureStore store_;
   gpusim::Device& device_;
-  std::uint64_t hits_ = 0, misses_ = 0;
 };
 
 }  // namespace taser::cache

@@ -5,25 +5,10 @@
 #include <cstring>
 #include <numeric>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace taser::cache {
-
-namespace {
-/// Cache telemetry, bridged once per epoch at the end_epoch boundary
-/// (gathers stay untouched — no per-row counter traffic).
-struct CacheObs {
-  obs::Counter hits = obs::counter("taser.cache.hits");
-  obs::Counter misses = obs::counter("taser.cache.misses");
-  obs::Counter replacements = obs::counter("taser.cache.replacements");
-};
-const CacheObs& cache_obs() {
-  static const CacheObs o;
-  return o;
-}
-}  // namespace
 
 std::vector<EdgeId> top_k_edges(const std::vector<std::uint32_t>& counts, std::int64_t k) {
   const auto e = static_cast<std::int64_t>(counts.size());
@@ -78,27 +63,20 @@ void GpuFeatureCache::install(const std::vector<EdgeId>& edges) {
   }
 }
 
-void GpuFeatureCache::gather_edge_feats(const std::vector<EdgeId>& ids, float* out) {
-  std::uint64_t hit_rows = 0, miss_rows = 0;
-  gather_edge_feats_onto(ids, out, device_, hit_rows, miss_rows);
-  current_.hits += hit_rows;
-  current_.misses += miss_rows;
-}
-
 void GpuFeatureCache::gather_edge_feats_onto(const std::vector<EdgeId>& ids, float* out,
-                                             gpusim::Device& device, std::uint64_t& hits,
-                                             std::uint64_t& misses) {
+                                             gpusim::Device& device) {
   const std::int64_t d = data_.edge_feat_dim;
   const auto count = static_cast<std::int64_t>(ids.size());
   std::uint64_t hit_rows = 0, miss_rows = 0;
   // Rows are disjoint per index, so the copy loop parallelises cleanly.
   // The stateful pieces stay exact: hit/miss counts go through OpenMP's
-  // per-thread reduction copies (merged after the loop), and the
-  // access-frequency increments are atomic (std::atomic_ref so they stay
-  // atomic — and sanitizer-visible — across concurrent builder threads,
-  // not just within one OpenMP team) — both order-independent, so
-  // statistics are bit-identical to the serial gather at any thread or
-  // builder count (test_cache / test_pipeline assert).
+  // per-thread reduction copies (merged after the loop, then added to the
+  // books once), and the access-frequency increments are atomic
+  // (std::atomic_ref so they stay atomic — and sanitizer-visible — across
+  // concurrent builder threads, not just within one OpenMP team) — all
+  // order-independent, so statistics are bit-identical to the serial
+  // gather at any thread or builder count (test_cache / test_pipeline
+  // assert).
 #pragma omp parallel for schedule(static) reduction(+ : hit_rows, miss_rows) \
     if (count > 64)
   for (std::int64_t i = 0; i < count; ++i) {
@@ -122,8 +100,8 @@ void GpuFeatureCache::gather_edge_feats_onto(const std::vector<EdgeId>& ids, flo
       ++miss_rows;
     }
   }
-  hits += hit_rows;
-  misses += miss_rows;
+  books_.add(kHits, hit_rows);
+  books_.add(kMisses, miss_rows);
   const auto row_bytes = static_cast<std::uint64_t>(d) * sizeof(float);
   if (hit_rows > 0) device.account_vram_gather(hit_rows * row_bytes);
   if (miss_rows > 0) device.account_zero_copy(miss_rows * row_bytes);
@@ -131,6 +109,7 @@ void GpuFeatureCache::gather_edge_feats_onto(const std::vector<EdgeId>& ids, flo
 
 void GpuFeatureCache::end_epoch() {
   // Algorithm 3 lines 8-10.
+  CacheEpochStats epoch = current_epoch();
   const auto topk = top_k_edges(freq_, capacity_);
   std::int64_t overlap = 0;
   for (EdgeId e : topk)
@@ -138,16 +117,14 @@ void GpuFeatureCache::end_epoch() {
   if (static_cast<double>(overlap) <
       epsilon_ * static_cast<double>(std::max<std::int64_t>(capacity_, 1))) {
     install(topk);
-    ++replacements_;
-    current_.replaced = true;
-    cache_obs().replacements.add(1);
+    books_.add(kReplacements);
+    epoch.replaced = true;
     device_.account_h2d(static_cast<std::uint64_t>(topk.size()) *
                         static_cast<std::uint64_t>(data_.edge_feat_dim) * sizeof(float));
   }
-  cache_obs().hits.add(current_.hits);
-  cache_obs().misses.add(current_.misses);
-  history_.push_back(current_);
-  current_ = {};
+  archived_hits_ += epoch.hits;
+  archived_misses_ += epoch.misses;
+  history_.push_back(epoch);
   if (record_counts_) epoch_counts_.push_back(freq_);
   std::fill(freq_.begin(), freq_.end(), 0);
 }

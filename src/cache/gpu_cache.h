@@ -4,6 +4,7 @@
 
 #include "graph/dataset.h"
 #include "gpusim/device.h"
+#include "obs/metrics.h"
 
 namespace taser::cache {
 
@@ -43,42 +44,41 @@ class GpuFeatureCache {
 
   /// Slices edge-feature rows into `out` ([ids.size() x edge_dim]),
   /// serving from cache where possible. Invalid ids zero-fill for free.
-  /// OpenMP-parallel across rows; hit/miss statistics and the access
+  /// OpenMP-parallel across rows; hit/miss counts and the access
   /// counters Q match the serial gather exactly at any thread count
   /// (per-thread counter reduction + atomic Q increments).
-  void gather_edge_feats(const std::vector<EdgeId>& ids, float* out);
+  void gather_edge_feats(const std::vector<EdgeId>& ids, float* out) {
+    gather_edge_feats_onto(ids, out, device_);
+  }
 
   /// Multi-builder variant: identical content lookup (same cached set,
   /// same VRAM rows), but simulated time is accounted on `device` (a
-  /// per-slot ledger) and hit/miss rows are added to the caller's
-  /// counters instead of the epoch stats. Safe to call concurrently from
-  /// several builder threads: intra-epoch the cached set is immutable,
-  /// and the Q increments are atomic (order-independent sums, so Q is
-  /// bit-identical to the serial gather at any builder count). Callers
-  /// fold their hit/miss tallies back via fold_stats in consumption
-  /// order — the fixed-order reduction that keeps epoch statistics
-  /// deterministic under P workers.
+  /// per-slot ledger). Safe to call concurrently from several builder
+  /// threads: intra-epoch the cached set is immutable, and the Q
+  /// increments and the hit/miss adds to the cache's books are atomic.
+  /// All three are integer sums, so no consumption-order fold is
+  /// needed: they are bit-identical to the serial gather at any builder
+  /// count.
   void gather_edge_feats_onto(const std::vector<EdgeId>& ids, float* out,
-                              gpusim::Device& device, std::uint64_t& hits,
-                              std::uint64_t& misses);
-
-  /// Consumption-order merge of a slot gather's hit/miss tallies into the
-  /// current epoch's stats (see gather_edge_feats_onto).
-  void fold_stats(std::uint64_t hits, std::uint64_t misses) {
-    current_.hits += hits;
-    current_.misses += misses;
-  }
+                              gpusim::Device& device);
 
   /// Algorithm 3 epoch boundary: maybe replace the cached set, then
-  /// archive and reset the per-epoch counters.
+  /// archive the epoch's counts and reset Q. Call with no gather in
+  /// flight.
   void end_epoch();
 
   /// Whether an edge currently resides in the cache (tests/benches).
   bool is_cached(EdgeId e) const { return slot_of_[static_cast<std::size_t>(e)] >= 0; }
 
-  const CacheEpochStats& current_epoch() const { return current_; }
+  /// Hits and misses since the last end_epoch() (`replaced` is false).
+  CacheEpochStats current_epoch() const {
+    return {books_.count(kHits) - archived_hits_, books_.count(kMisses) - archived_misses_};
+  }
+  /// One entry per end_epoch(): the books' growth over that epoch.
   const std::vector<CacheEpochStats>& history() const { return history_; }
-  std::int64_t replacements() const { return replacements_; }
+  std::int64_t replacements() const {
+    return static_cast<std::int64_t>(books_.count(kReplacements));
+  }
 
   /// When enabled, end_epoch() archives each epoch's access-count vector
   /// (used by the Fig. 3(b) bench to replay other cache ratios and the
@@ -91,18 +91,24 @@ class GpuFeatureCache {
  private:
   void install(const std::vector<EdgeId>& edges);
 
+  enum Slot : std::size_t { kHits, kMisses, kReplacements };
+
   const graph::Dataset& data_;
   gpusim::Device& device_;
   std::int64_t capacity_;
   double epsilon_;
+  /// Every gather's hits and misses and every replacement, under
+  /// `taser.cache.*`.
+  obs::Scope books_{{"taser.cache.hits", "taser.cache.misses", "taser.cache.replacements"},
+                    {}};
 
   std::vector<std::int32_t> slot_of_;   ///< edge -> VRAM slot (-1 = not cached)
   std::vector<EdgeId> slot_edge_;       ///< slot -> edge
   std::vector<float> vram_;             ///< [capacity x edge_dim] simulated VRAM copy
   std::vector<std::uint32_t> freq_;     ///< per-epoch access counts Q
-  CacheEpochStats current_;
   std::vector<CacheEpochStats> history_;
-  std::int64_t replacements_ = 0;
+  /// The books' hits and misses at the last end_epoch().
+  std::uint64_t archived_hits_ = 0, archived_misses_ = 0;
   bool record_counts_ = false;
   std::vector<std::vector<std::uint32_t>> epoch_counts_;
 };
@@ -110,6 +116,8 @@ class GpuFeatureCache {
 /// Clairvoyant baseline for Fig. 3(b): before each epoch it is handed the
 /// exact access counts that epoch will produce and caches the top-k.
 /// Upper-bounds any epoch-granularity replacement policy of equal size.
+/// A serial bench baseline: it keeps its own counts, so its replayed
+/// traffic never enters `taser.cache.*`.
 class OracleCache {
  public:
   OracleCache(const graph::Dataset& data, gpusim::Device& device, double cache_ratio);

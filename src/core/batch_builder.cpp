@@ -12,28 +12,25 @@ namespace taser::core {
 namespace {
 
 /// RAII: accumulates wall time under `wall`, the device ledger delta
-/// under `sim` (when given), and emits a matching trace span. Phase ids
-/// are a fixed enum — no string keys or map nodes on the build hot path.
+/// under `sim`, and emits a matching trace span (util::ScopedPhase is the
+/// wall-only form). Phase ids are a fixed enum — no string keys or map
+/// nodes on the build hot path.
 class PhaseScope {
  public:
-  PhaseScope(util::PhaseAccumulator& acc, gpusim::Device& dev, util::Phase wall)
-      : acc_(acc), dev_(dev), wall_(wall), has_sim_(false),
-        sim0_(dev.elapsed().seconds), span_(util::phase_span_name(wall)) {}
   PhaseScope(util::PhaseAccumulator& acc, gpusim::Device& dev, util::Phase wall,
              util::Phase sim)
-      : acc_(acc), dev_(dev), wall_(wall), sim_(sim), has_sim_(true),
-        sim0_(dev.elapsed().seconds), span_(util::phase_span_name(wall)) {}
+      : acc_(acc), dev_(dev), wall_(wall), sim_(sim), sim0_(dev.elapsed().seconds),
+        span_(util::phase_span_name(wall)) {}
   ~PhaseScope() {
     acc_.add(wall_, timer_.seconds());
-    if (has_sim_) acc_.add(sim_, dev_.elapsed().seconds - sim0_);
+    acc_.add(sim_, dev_.elapsed().seconds - sim0_);
   }
 
  private:
   util::PhaseAccumulator& acc_;
   gpusim::Device& dev_;
   util::Phase wall_;
-  util::Phase sim_{};
-  bool has_sim_;
+  util::Phase sim_;
   double sim0_;
   obs::TraceSpan span_;
   util::WallTimer timer_;
@@ -323,7 +320,7 @@ BatchBuilder::Built BatchBuilder::build(const graph::TargetBatch& roots, int num
     const sampling::SampledNeighbors* next_src = nullptr;
     models::HopInputs hop_inputs;
     if (sampler) {
-      PhaseScope as(phases, device_, phase::kAS);
+      util::ScopedPhase as(phases, phase::kAS);
       SelectionResult sel = sampler->select(cands, config_.n, rng);
       hop_inputs = hop_inputs_from(cands, sel.selected, &sel.selected_slot);
       built.selections.push_back(std::move(sel));

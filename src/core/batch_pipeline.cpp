@@ -13,9 +13,9 @@ namespace taser::core {
 
 namespace {
 /// Build-pipeline telemetry (lazy; registration/interning lock once).
-/// The phase-level spans (phase.NF / phase.AS / phase.FS + .sim twins)
-/// are emitted inside BatchBuilder by PhaseScope and nest under
-/// build.batch via the per-thread RAII stack.
+/// The phase-level spans (phase.NF / phase.AS / phase.FS) are emitted
+/// inside BatchBuilder by its phase scopes and nest under build.batch via
+/// the per-thread RAII stack.
 struct BuildObs {
   obs::SpanName claim = obs::intern_span_name("build.claim");
   obs::SpanName batch = obs::intern_span_name("build.batch");
@@ -74,11 +74,13 @@ BatchPipeline::Result BatchPipeline::build(Job job, std::uint64_t seq) {
     util::WallTimer timer;
     r.prep.built = pool_.builder_for(seq).build(job.roots, num_hops_, r.prep.phases,
                                                 job.rng, job.sampler_snapshot);
-    r.prep.build_wall = timer.seconds();
-    r.prep.sampler_flops = snap.flops();
-    r.prep.sampler_launches = snap.launches();
+    const double build_ms = timer.seconds() * 1e3;
+    // AS.sim: the modeled device time of the tensor work this thread
+    // issued inside build() — the sampler's.
+    r.prep.phases.add(phase::kASSim,
+                      pool_.model().nn_time(snap.flops(), snap.launches()).seconds);
     build_obs().batches.add(1);
-    build_obs().build_ms.observe(r.prep.build_wall * 1e3);
+    build_obs().build_ms.observe(build_ms);
   } catch (...) {
     r.err = std::current_exception();
   }

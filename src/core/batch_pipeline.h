@@ -37,10 +37,12 @@ namespace taser::core {
 ///    function of (seq, job) — bit-identical at any worker count and any
 ///    depth, inline or on a worker.
 ///  - *Side-state merges in consumption order.* What a serial run would
-///    accumulate on shared objects (device sim-time ledger, launch
-///    count, cache hit/miss stats) is captured per build as a delta and
-///    folded inside next(), in consumption (= submission) order — a
-///    fixed-order reduction independent of worker timing.
+///    accumulate on the shared device (sim-time ledger, launch count) is
+///    captured per build as a delta and folded inside next(), in
+///    consumption (= submission) order — a fixed-order reduction
+///    independent of worker timing. Cache hit/miss counts need no fold:
+///    builds add them to the shared cache's books directly, and integer
+///    sums do not depend on order.
 ///  - Callers must NOT overlap a build with anything that mutates
 ///    builder-visible state (sampler parameter updates, re-ordered batch
 ///    selection). Adaptive runs satisfy that at depth 0 or through the
@@ -62,17 +64,15 @@ namespace taser::core {
 /// reach a builder.
 ///
 /// Phase accounting: the building thread measures its own NF/AS/FS wall
-/// and simulated time into the Prepared record, plus the sampler's tensor
-/// work via thread-local op counters (the global counters would mix in
-/// the main thread's concurrent propagation work).
+/// and simulated time into the Prepared record, including the sampler's
+/// modeled device time (AS.sim), priced from its tensor work via
+/// thread-local op counters (the global counters would mix in the main
+/// thread's concurrent propagation work).
 class BatchPipeline {
  public:
   struct Prepared {
     BatchBuilder::Built built;
-    util::PhaseAccumulator phases;      ///< NF/AS/FS (wall + sim), worker-measured
-    std::uint64_t sampler_flops = 0;    ///< tensor work issued inside build()
-    std::uint64_t sampler_launches = 0;
-    double build_wall = 0;              ///< total build() wall seconds
+    util::PhaseAccumulator phases;  ///< NF/AS/FS (wall + sim), worker-measured
   };
 
   /// Builds run on `pool`'s per-slot contexts; side-state deltas fold in

@@ -8,7 +8,7 @@ BuilderPool::BuilderPool(const graph::Dataset& data, sampling::NeighborFinder& f
                          cache::FeatureSource& features, gpusim::Device& device,
                          AdaptiveSampler* sampler, const BuilderConfig& config,
                          std::size_t num_slots)
-    : main_device_(device), shared_features_(features) {
+    : main_device_(device) {
   TASER_CHECK(num_slots >= 1);
   slots_.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
@@ -54,19 +54,12 @@ BuilderPool::SideState BuilderPool::end_build(std::uint64_t seq) {
   Slot& slot = slots_[seq % slots_.size()];
   side.sim_delta = {slot.device->elapsed().seconds - slot.sim_before.seconds};
   side.launches = slot.device->launch_count() - slot.launches_before;
-  const auto [hits, misses] = slot.features->take_cache_stats();
-  side.cache_hits = hits;
-  side.cache_misses = misses;
   return side;
 }
 
 void BuilderPool::fold(const SideState& side) {
   main_device_.account(side.sim_delta);
   main_device_.set_launch_count(main_device_.launch_count() + side.launches);
-  if (side.cache_hits != 0 || side.cache_misses != 0) {
-    if (auto* cache = shared_features_.cache())
-      cache->fold_stats(side.cache_hits, side.cache_misses);
-  }
 }
 
 }  // namespace taser::core

@@ -20,7 +20,7 @@ namespace taser::core {
 ///     per build (begin_build) to reproduce the serial sampling stream
 ///     for that batch sequence number;
 ///   - a cache::SlotFeatureSource reading the shared feature content but
-///     accounting device time and cache hit/miss tallies slot-locally;
+///     accounting device time slot-locally;
 ///   - a BatchBuilder with its own BuilderWorkspace — the zero-alloc
 ///     steady-state invariant holds per slot.
 ///
@@ -29,13 +29,14 @@ namespace taser::core {
 /// in flight together, so a slot context is used by one build at a time.
 ///
 /// Determinism: builds themselves are pure given the positioned contexts.
-/// The side-state a serial run would accumulate on shared objects — the
-/// device's simulated-time ledger and launch count, the cache's epoch
-/// hit/miss stats — is captured per build as a delta (end_build) and
-/// folded into the shared objects in batch-consumption order (fold), so
-/// shared state after batch k is a function of k alone, independent of
-/// worker timing. The finder must replicate (clone_for non-null); every
-/// training finder does.
+/// The side-state a serial run would accumulate on the shared device —
+/// its simulated-time ledger and launch count — is captured per build as
+/// a delta (end_build) and folded into the shared device in
+/// batch-consumption order (fold), so its ledger after batch k is a
+/// function of k alone, independent of worker timing. Cache hits and
+/// misses need no fold: every slot gather adds them to the shared cache's
+/// books directly, and integer sums do not depend on order. The finder
+/// must replicate (clone_for non-null); every training finder does.
 class BuilderPool {
  public:
   BuilderPool(const graph::Dataset& data, sampling::NeighborFinder& finder,
@@ -56,6 +57,9 @@ class BuilderPool {
   void begin_epoch();
 
   BatchBuilder& builder_for(std::uint64_t seq);
+  /// The shared device's performance model (every slot device shares its
+  /// spec).
+  const gpusim::PerfModel& model() const { return main_device_.model(); }
 
   /// Positions slot `seq % num_slots()` (finder stream, device launch
   /// counter) so its upcoming build samples exactly what the serial
@@ -63,12 +67,10 @@ class BuilderPool {
   /// ledgers for end_build's delta. Called on the building thread.
   void begin_build(std::uint64_t seq, int num_hops);
 
-  /// Shared-state deltas one build produced on its slot context.
+  /// Shared-device deltas one build produced on its slot context.
   struct SideState {
     gpusim::SimDuration sim_delta;  ///< slot device ledger growth
     std::uint64_t launches = 0;     ///< slot device launch-count growth
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
   };
 
   /// Collects the deltas of the build that just ran for `seq` (same
@@ -76,9 +78,9 @@ class BuilderPool {
   /// deltas keep the shared ledger consistent.
   SideState end_build(std::uint64_t seq);
 
-  /// Folds one build's deltas into the shared device ledger and cache
-  /// stats. Callers invoke this in batch-consumption order — the
-  /// fixed-order reduction the determinism contract rests on.
+  /// Folds one build's deltas into the shared device ledger. Callers
+  /// invoke this in batch-consumption order — the fixed-order reduction
+  /// the determinism contract rests on.
   void fold(const SideState& side);
 
  private:
@@ -92,7 +94,6 @@ class BuilderPool {
   };
 
   gpusim::Device& main_device_;
-  cache::FeatureSource& shared_features_;
   std::vector<Slot> slots_;
 };
 

@@ -5,33 +5,13 @@
 #include <deque>
 
 #include "core/batch_pipeline.h"
-
-#include "obs/metrics.h"
+#include "eval/metrics.h"
 #include "tensor/counters.h"
 #include "tensor/ops.h"
 
 namespace taser::core {
 
 namespace tt = taser::tensor;
-
-namespace {
-/// Training telemetry, bridged once per epoch (the per-batch hot loop
-/// stays untouched — PhaseAccumulator already aggregates).
-struct TrainObs {
-  obs::Counter epochs = obs::counter("taser.train.epochs");
-  obs::Counter iterations = obs::counter("taser.train.iterations");
-  obs::Counter stale_builds = obs::counter("taser.train.stale_builds");
-  obs::Histogram nf_ms = obs::histogram("taser.train.nf_ms");
-  obs::Histogram as_ms = obs::histogram("taser.train.as_ms");
-  obs::Histogram fs_ms = obs::histogram("taser.train.fs_ms");
-  obs::Histogram pp_ms = obs::histogram("taser.train.pp_ms");
-  obs::Gauge mean_loss = obs::gauge("taser.train.mean_loss");
-};
-const TrainObs& train_obs() {
-  static const TrainObs o;
-  return o;
-}
-}  // namespace
 
 const char* to_string(BackboneKind kind) {
   return kind == BackboneKind::kTgat ? "TGAT" : "GraphMixer";
@@ -57,6 +37,8 @@ void TrainerConfig::validate() const {
   TASER_CHECK_MSG(batch_size >= 1, "batch_size must be >= 1 (got " << batch_size << ")");
   TASER_CHECK_MSG(eval_negatives >= 1,
                   "eval_negatives must be >= 1 (got " << eval_negatives << ")");
+  TASER_CHECK_MSG(max_eval_edges >= 1,
+                  "max_eval_edges must be >= 1 (got " << max_eval_edges << ")");
 }
 
 Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
@@ -238,7 +220,7 @@ EpochStats Trainer::train_epoch() {
   std::deque<PendingBatch> pending;
   BatchPipeline pipeline(*pool_, model_->num_hops(), static_cast<std::size_t>(lookahead),
                          config_.builder_workers);
-  std::int64_t prefetched = 0, stale_builds = 0;
+  std::int64_t prefetched = 0;
   std::int64_t theta_updates = 0;
   std::vector<std::int64_t> staleness_hist(
       static_cast<std::size_t>(stale ? lookahead : 0) + 1, 0);
@@ -293,20 +275,17 @@ EpochStats Trainer::train_epoch() {
     const auto observed = static_cast<std::size_t>(theta_updates - batch.theta_at_submit);
     TASER_CHECK(observed < staleness_hist.size());
     ++staleness_hist[observed];
-    if (observed > 0) ++stale_builds;
     const auto b = static_cast<std::int64_t>(edge_ids.size());
 
     auto built = std::move(prep.built);
     last_selections_ = std::move(built.selections);
     phases.merge(prep.phases);
-    phases.add(phase::kASSim,
-               device_.model().nn_time(prep.sampler_flops, prep.sampler_launches).seconds);
 
     util::WallTimer pp_timer;
     // Thread-local snapshot: in stale-θ mode a prefetch worker issues
     // the next batch's sampler forward concurrently, and its flops must
-    // not bleed into this batch's propagation accounting (they arrive
-    // separately via prep.sampler_flops).
+    // not bleed into this batch's propagation accounting (the build
+    // prices them into prep.phases itself).
     tensor::ThreadOpCounterSnapshot pp_snap;
     Tensor h = model_->compute_embeddings(built.inputs);
     std::vector<std::int64_t> src_idx(static_cast<std::size_t>(b)),
@@ -386,7 +365,6 @@ EpochStats Trainer::train_epoch() {
   }
 
   features_->end_epoch();
-  ++epochs_run_;
 
   EpochStats stats;
   stats.nf_wall = phases.total(phase::kNF);
@@ -402,19 +380,15 @@ EpochStats Trainer::train_epoch() {
   if (config_.finder == FinderKind::kGpu) stats.nf_wall = 0;
   stats.iterations = iters;
   stats.prefetched_batches = prefetched;
-  stats.stale_builds = stale_builds;
   stats.staleness_hist = std::move(staleness_hist);
   stats.mean_loss = iters > 0 ? loss_sum / static_cast<double>(iters) : 0;
-  // Per-epoch telemetry bridge: EpochStats stays the API; the registry
-  // gets the same numbers for the exporters (wall+sim per paper phase).
-  train_obs().epochs.add(1);
-  train_obs().iterations.add(static_cast<std::uint64_t>(stats.iterations));
-  train_obs().stale_builds.add(static_cast<std::uint64_t>(stats.stale_builds));
-  train_obs().nf_ms.observe((stats.nf_wall + stats.nf_sim) * 1e3);
-  train_obs().as_ms.observe((stats.as_wall + stats.as_sim) * 1e3);
-  train_obs().fs_ms.observe((stats.fs_wall + stats.fs_sim) * 1e3);
-  train_obs().pp_ms.observe((stats.pp_wall + stats.pp_sim) * 1e3);
-  train_obs().mean_loss.set(stats.mean_loss);
+  books_.add(kEpochs);
+  books_.add(kIterations, static_cast<std::uint64_t>(stats.iterations));
+  books_.add(kStaleBuilds, static_cast<std::uint64_t>(stats.stale_builds()));
+  const double phase_s[] = {stats.nf_wall, stats.nf_sim, stats.as_wall, stats.as_sim,
+                            stats.fs_wall, stats.fs_sim, stats.pp_wall, stats.pp_sim};
+  for (std::size_t h = kNfWallMs; h <= kPpSimMs; ++h) books_.observe(h, phase_s[h] * 1e3);
+  mean_loss_.set(stats.mean_loss);
   return stats;
 }
 
@@ -437,7 +411,6 @@ double Trainer::evaluate_mrr(std::int64_t first_edge, std::int64_t last_edge) {
   const std::int64_t chunk = std::max<std::int64_t>(1, 600 / (2 + K));
   util::PhaseAccumulator scratch;
   double mrr_sum = 0;
-  std::int64_t mrr_count = 0;
 
   for (std::size_t lo = 0; lo < eval_edges.size(); lo += static_cast<std::size_t>(chunk)) {
     const std::size_t hi = std::min(eval_edges.size(), lo + static_cast<std::size_t>(chunk));
@@ -471,24 +444,15 @@ double Trainer::evaluate_mrr(std::int64_t first_edge, std::int64_t last_edge) {
     Tensor hb = tt::index_select0(h, b_idx);
     Tensor logits = predictor_->forward(ha, hb);
     const float* lg = logits.data();
-    for (std::int64_t i = 0; i < E; ++i) {
-      const float pos = lg[i];
-      int greater = 0, ties = 0;
-      for (int j = 0; j < K; ++j) {
-        const float neg = lg[E + i * K + j];
-        if (neg > pos) ++greater;
-        else if (neg == pos) ++ties;
-      }
-      const double rank = 1.0 + greater + 0.5 * ties;
-      mrr_sum += 1.0 / rank;
-      ++mrr_count;
-    }
+    for (std::int64_t i = 0; i < E; ++i)
+      mrr_sum += eval::reciprocal_rank(
+          lg[i], std::span<const float>(lg + E + i * K, static_cast<std::size_t>(K)));
   }
 
   model_->set_training(true);
   predictor_->set_training(true);
   if (sampler_) sampler_->set_training(true);
-  return mrr_count > 0 ? mrr_sum / static_cast<double>(mrr_count) : 0.0;
+  return mrr_sum / static_cast<double>(eval_edges.size());
 }
 
 }  // namespace taser::core

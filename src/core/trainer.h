@@ -13,6 +13,7 @@
 #include "models/graphmixer.h"
 #include "models/tgat.h"
 #include "nn/adam.h"
+#include "obs/metrics.h"
 #include "sampling/gpu_finder.h"
 #include "sampling/orig_finder.h"
 #include "sampling/tgl_finder.h"
@@ -75,8 +76,9 @@ struct TrainerConfig {
   int builder_workers = 1;
 
   /// Rejects out-of-range settings (throws std::runtime_error):
-  /// prefetch_depth < 0, builder_workers < 1, batch_size < 1 or
-  /// eval_negatives < 1. Trainer calls this on construction.
+  /// prefetch_depth < 0, builder_workers < 1, batch_size < 1,
+  /// eval_negatives < 1 or max_eval_edges < 1. Trainer calls this on
+  /// construction.
   void validate() const;
 
   std::int64_t batch_size = 600;
@@ -101,7 +103,7 @@ struct TrainerConfig {
 
   std::uint64_t seed = 7;
   int eval_negatives = 49;          ///< MRR protocol (DistTGL)
-  std::int64_t max_eval_edges = 500;
+  std::int64_t max_eval_edges = 500;  ///< cap on edges per MRR evaluation (≥ 1)
   /// Cap on iterations per epoch (0 = full epoch). Runtime benches use
   /// this to measure per-phase costs without paying for convergence.
   std::int64_t max_iters_per_epoch = 0;
@@ -135,17 +137,22 @@ struct EpochStats {
   /// Batches whose construction overlapped the previous batch's training
   /// (0 at lookahead 0).
   std::int64_t prefetched_batches = 0;
-  /// Staleness accounting (kStaleTheta): batches built from a sampler-θ
-  /// snapshot at least one update older than the live parameters at
-  /// consumption time. 0 under kSyncOnly and at depth 0. Always equals
-  /// the sum of staleness_hist[1:].
-  std::int64_t stale_builds = 0;
   /// Per-depth staleness histogram: staleness_hist[s] counts batches
   /// whose build observed a θ exactly s updates stale at consumption
   /// time. Sized prefetch_depth+1 for adaptive kStaleTheta runs (batch j
   /// observes min(j, K) when every step updates θ), size 1 otherwise;
   /// sums to `iterations` either way.
   std::vector<std::int64_t> staleness_hist;
+
+  /// Staleness accounting (kStaleTheta): batches built from a sampler-θ
+  /// snapshot at least one update older than the live parameters at
+  /// consumption time, the sum of staleness_hist[1:]. 0 under kSyncOnly
+  /// and at depth 0.
+  std::int64_t stale_builds() const {
+    std::int64_t n = 0;
+    for (std::size_t s = 1; s < staleness_hist.size(); ++s) n += staleness_hist[s];
+    return n;
+  }
 
   double nf() const { return nf_wall + nf_sim; }
   double as() const { return as_sim; }
@@ -164,6 +171,16 @@ struct EpochStats {
 /// benches report.
 class Trainer {
  public:
+  /// Slots of books(). Counters: `taser.train.{epochs,iterations,
+  /// stale_builds}`. Histograms: one per EpochStats phase field, in field
+  /// order — `taser.train.<nf|as|fs|pp>.<wall|sim>_ms` — each observing
+  /// that field once per epoch, in milliseconds. Wall and modeled time
+  /// never share a series.
+  enum BookCounter : std::size_t { kEpochs, kIterations, kStaleBuilds };
+  enum BookHistogram : std::size_t {
+    kNfWallMs, kNfSimMs, kAsWallMs, kAsSimMs, kFsWallMs, kFsSimMs, kPpWallMs, kPpSimMs
+  };
+
   Trainer(const graph::Dataset& data, TrainerConfig config);
 
   EpochStats train_epoch();
@@ -189,7 +206,9 @@ class Trainer {
   SamplerSnapshotPool* snapshot_pool() { return snapshot_pool_.get(); }
   sampling::NeighborFinder& finder() { return *finder_; }
   int num_hops() const { return model_->num_hops(); }
-  std::int64_t epochs_run() const { return epochs_run_; }
+  /// The trainer's books: every train_epoch() adds its EpochStats to
+  /// them (BookCounter / BookHistogram slots).
+  const obs::Scope& books() const { return books_; }
 
  private:
   graph::TargetBatch make_roots(const std::vector<std::int64_t>& edge_ids);
@@ -222,8 +241,15 @@ class Trainer {
   std::unique_ptr<nn::Adam> opt_sampler_;
   util::Rng rng_;
   std::vector<SelectionResult> last_selections_;
-  std::int64_t epochs_run_ = 0;
   graph::NodeId dst_begin_, dst_end_;
+  obs::Scope books_{{"taser.train.epochs", "taser.train.iterations",
+                     "taser.train.stale_builds"},
+                    {"taser.train.nf.wall_ms", "taser.train.nf.sim_ms",
+                     "taser.train.as.wall_ms", "taser.train.as.sim_ms",
+                     "taser.train.fs.wall_ms", "taser.train.fs.sim_ms",
+                     "taser.train.pp.wall_ms", "taser.train.pp.sim_ms"}};
+  /// Last epoch's mean loss; a gauge has no per-object view to keep.
+  obs::Gauge mean_loss_ = obs::gauge("taser.train.mean_loss");
 };
 
 }  // namespace taser::core

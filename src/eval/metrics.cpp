@@ -4,7 +4,7 @@
 
 namespace taser::eval {
 
-double reciprocal_rank(float positive, const std::vector<float>& negatives) {
+double reciprocal_rank(float positive, std::span<const float> negatives) {
   int greater = 0, ties = 0;
   for (float n : negatives) {
     if (n > positive) ++greater;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 namespace taser::eval {
@@ -7,7 +8,8 @@ namespace taser::eval {
 /// Reciprocal rank of one positive score against its negative scores.
 /// Ties contribute half a rank step, so an untrained model (all-equal
 /// logits) scores like a random ranker instead of like the worst one.
-double reciprocal_rank(float positive, const std::vector<float>& negatives);
+/// The one ranking kernel: Trainer::evaluate_mrr ranks through it too.
+double reciprocal_rank(float positive, std::span<const float> negatives);
 
 /// Mean reciprocal rank over per-edge (positive, negatives) score sets.
 double mean_reciprocal_rank(const std::vector<float>& positives,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "obs/export.h"
 #include "util/failpoint.h"
 
 namespace taser::serve {
@@ -66,13 +65,6 @@ ServingEngine::ServingEngine(GraphEpochManager& graphs,
   TASER_CHECK_MSG(config_.max_pending_events >= 0,
                   "max_pending_events must be >= 0 (got "
                       << config_.max_pending_events << ")");
-  TASER_CHECK_MSG(config_.telemetry_snapshot_period_ms >= 0,
-                  "telemetry_snapshot_period_ms must be >= 0 (got "
-                      << config_.telemetry_snapshot_period_ms << ")");
-  metrics_.snapshot_write_failures =
-      obs::counter("taser.obs.snapshot_write_failures");
-  metrics_.queue_depth = obs::gauge("taser.serve.queue_depth");
-  metrics_.event_queue_depth = obs::gauge("taser.serve.event_queue_depth");
   shards_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (std::int64_t w = 0; w < config_.num_workers; ++w) {
     auto shard = std::make_unique<Shard>(w);
@@ -86,22 +78,12 @@ ServingEngine::ServingEngine(GraphEpochManager& graphs,
     Shard* s = shard.get();
     s->worker = std::thread([this, s] { worker_loop(*s); });
   }
-  if (config_.telemetry_snapshot_period_ms > 0)
-    telemetry_thread_ = std::thread([this] { telemetry_loop(); });
 }
 
 ServingEngine::~ServingEngine() { shutdown(); }
 
 void ServingEngine::shutdown() {
-  // Telemetry snapshot thread first: it only reads, and stopping it here
-  // keeps its periodic stats() calls from overlapping the teardown.
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mu_);
-    telemetry_stop_ = true;
-  }
-  telemetry_cv_.notify_all();
-  if (telemetry_thread_.joinable()) telemetry_thread_.join();
-  // Stop the ingest thread next: it drains the event queue and runs a
+  // Stop the ingest thread first: it drains the event queue and runs a
   // final publish, so late micro-batches score against the final epoch.
   {
     std::lock_guard<std::mutex> lock(front_mu_);
@@ -157,11 +139,7 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
   // (delay schedules only: the seq is already consumed, so a throw here
   // would leak it from the stats identity).
   TASER_FAILPOINT("serve.submit.dispatch");
-  const auto w = static_cast<std::size_t>(
-      config_.dispatch == EngineConfig::Dispatch::kHashSrc
-          ? util::mix_stream_key(static_cast<std::uint64_t>(query.src), 0x5aULL) %
-                static_cast<std::uint64_t>(config_.num_workers)
-          : seq % static_cast<std::uint64_t>(config_.num_workers));
+  const std::uint64_t w = seq % static_cast<std::uint64_t>(config_.num_workers);
   Shard& shard = *shards_[w];
 
   Request req;
@@ -614,32 +592,9 @@ ServingStats ServingEngine::stats() const {
     if (s.submitted > 0 && span > 0)
       s.qps = static_cast<double>(s.requests) / span;
   }
-  refresh_gauges(s.queue_depth, s.event_queue_depth);
+  queue_depth_gauge_.set(static_cast<double>(s.queue_depth));
+  event_queue_depth_gauge_.set(static_cast<double>(s.event_queue_depth));
   return s;
-}
-
-void ServingEngine::refresh_gauges(std::int64_t queue_depth,
-                                   std::int64_t event_queue_depth) const {
-  metrics_.queue_depth.set(static_cast<double>(queue_depth));
-  metrics_.event_queue_depth.set(static_cast<double>(event_queue_depth));
-}
-
-void ServingEngine::telemetry_loop() {
-  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(config_.telemetry_snapshot_period_ms));
-  std::unique_lock<std::mutex> lock(telemetry_mu_);
-  for (;;) {
-    // One final snapshot on shutdown so short-lived engines still flush.
-    const bool stopping =
-        telemetry_cv_.wait_for(lock, period, [this] { return telemetry_stop_; });
-    lock.unlock();
-    stats();  // refreshes the queue-depth gauges as a side effect
-    if (!config_.telemetry_snapshot_path.empty() &&
-        !obs::write_file(config_.telemetry_snapshot_path, obs::json_snapshot()))
-      metrics_.snapshot_write_failures.add(1);
-    lock.lock();
-    if (stopping) return;
-  }
 }
 
 }  // namespace taser::serve

@@ -15,7 +15,6 @@
 #include "serve/epoch_manager.h"
 #include "serve/errors.h"
 #include "serve/inference_session.h"
-#include "util/rng.h"
 
 namespace taser::serve {
 
@@ -29,11 +28,6 @@ struct EngineConfig {
   /// Launch a partial batch once the oldest pending query has waited this
   /// long (the latency/throughput trade-off knob).
   double max_delay_ms = 2.0;
-  /// How submit() picks a shard. Round-robin balances load exactly;
-  /// hash-by-src keeps a node's queries on one worker (cache affinity).
-  /// Scores are dispatch-invariant either way — see the determinism note.
-  enum class Dispatch { kRoundRobin, kHashSrc };
-  Dispatch dispatch = Dispatch::kRoundRobin;
   /// Modeled accelerator time per micro-batch (ms): each worker sleeps
   /// this long after its forward, standing in for the simulated device's
   /// kernel time (the bench_pipeline modeled-device convention). Sleeps
@@ -64,18 +58,6 @@ struct EngineConfig {
   /// time — before any forward work — failing its future with
   /// DeadlineExceededError. LinkQuery::deadline_ms overrides per query.
   double default_deadline_ms = 0;
-
-  // ---- telemetry (PR 10) --------------------------------------------------
-
-  /// Period of the background telemetry snapshot thread in ms (0 = off,
-  /// the default — serving never pays for observability it didn't ask
-  /// for). When on, the thread periodically refreshes the registry
-  /// queue-depth gauges and, if `telemetry_snapshot_path` is set, writes
-  /// a JSON metrics snapshot there (overwrite; I/O failures are counted,
-  /// never thrown — telemetry must not take the engine down).
-  double telemetry_snapshot_period_ms = 0;
-  /// Destination for periodic JSON snapshots (empty = gauges only).
-  std::string telemetry_snapshot_path;
 };
 
 /// Aggregate serving statistics (all completed requests so far), read
@@ -136,12 +118,13 @@ struct ServingStats {
 ///
 /// Determinism: every request carries a global submission sequence
 /// number, which keys its private sampling streams in the session's keyed
-/// score_links. A query's score therefore depends only on (query, seq,
-/// epoch) — not on micro-batch composition, batch position, dispatch
-/// policy or worker count. 1-worker and N-worker engines are
-/// bit-identical on the same submission order (asserted in test_serve),
-/// which also fixes the PR 5 coalescing-dependence of the stochastic
-/// finder policies. Stats merge in fixed worker order.
+/// score_links; submit() dispatches it to shard seq mod num_workers. A
+/// query's score therefore depends only on (query, seq, epoch) — not on
+/// micro-batch composition, batch position or worker count. 1-worker and
+/// N-worker engines are bit-identical on the same submission order
+/// (asserted in test_serve), which also fixes the PR 5
+/// coalescing-dependence of the stochastic finder policies. Stats merge
+/// in fixed worker order.
 ///
 /// Ordering: each shard drains its queue FIFO, so per-shard completion
 /// order == per-shard *enqueue* order, and `completed + expired + faulted
@@ -285,22 +268,14 @@ class ServingEngine {
 
   void worker_loop(Shard& shard);
   void ingest_loop();
-  void telemetry_loop();
-  /// Refreshes the registry queue-depth gauges (read-side; called from
-  /// stats() and the snapshot thread — gauges are last-writer-wins).
-  void refresh_gauges(std::int64_t queue_depth,
-                      std::int64_t event_queue_depth) const;
 
   GraphEpochManager& graphs_;
   EngineConfig config_;
 
   /// Registry handles for what has no per-engine view: the queue-depth
-  /// gauges and the snapshot thread's write failures.
-  struct Metrics {
-    obs::Counter snapshot_write_failures;
-    obs::Gauge queue_depth, event_queue_depth;
-  };
-  Metrics metrics_;
+  /// gauges, refreshed by stats() (last writer wins).
+  obs::Gauge queue_depth_gauge_ = obs::gauge("taser.serve.queue_depth");
+  obs::Gauge event_queue_depth_gauge_ = obs::gauge("taser.serve.event_queue_depth");
   /// FrontCounter slots under `taser.serve.*`, written under front_mu_.
   obs::Scope front_books_;
 
@@ -336,13 +311,6 @@ class ServingEngine {
   std::chrono::steady_clock::time_point first_enqueue_;
 
   std::thread ingest_thread_;
-
-  // Periodic telemetry snapshot thread (only started when
-  // telemetry_snapshot_period_ms > 0; first to stop at shutdown).
-  std::mutex telemetry_mu_;
-  std::condition_variable telemetry_cv_;
-  bool telemetry_stop_ = false;
-  std::thread telemetry_thread_;
 };
 
 }  // namespace taser::serve

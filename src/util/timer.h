@@ -76,11 +76,6 @@ class PhaseAccumulator {
   double total(Phase phase) const {
     return totals_[static_cast<std::size_t>(phase)];
   }
-  double grand_total() const {
-    double t = 0;
-    for (double v : totals_) t += v;
-    return t;
-  }
   void merge(const PhaseAccumulator& other) {
     for (std::size_t i = 0; i < kPhaseCount; ++i) totals_[i] += other.totals_[i];
   }

@@ -9,18 +9,18 @@ using namespace taser::eval;
 namespace {
 
 TEST(ReciprocalRank, PerfectAndWorst) {
-  EXPECT_DOUBLE_EQ(reciprocal_rank(10.f, {1.f, 2.f, 3.f}), 1.0);
-  EXPECT_DOUBLE_EQ(reciprocal_rank(0.f, {1.f, 2.f, 3.f}), 1.0 / 4.0);
+  EXPECT_DOUBLE_EQ(reciprocal_rank(10.f, std::vector<float>{1.f, 2.f, 3.f}), 1.0);
+  EXPECT_DOUBLE_EQ(reciprocal_rank(0.f, std::vector<float>{1.f, 2.f, 3.f}), 1.0 / 4.0);
 }
 
 TEST(ReciprocalRank, MiddleRank) {
   // one negative above -> rank 2
-  EXPECT_DOUBLE_EQ(reciprocal_rank(5.f, {9.f, 1.f, 2.f}), 0.5);
+  EXPECT_DOUBLE_EQ(reciprocal_rank(5.f, std::vector<float>{9.f, 1.f, 2.f}), 0.5);
 }
 
 TEST(ReciprocalRank, TiesCountHalf) {
   // all equal: rank = 1 + 0 + 3/2 = 2.5
-  EXPECT_DOUBLE_EQ(reciprocal_rank(1.f, {1.f, 1.f, 1.f}), 1.0 / 2.5);
+  EXPECT_DOUBLE_EQ(reciprocal_rank(1.f, std::vector<float>{1.f, 1.f, 1.f}), 1.0 / 2.5);
 }
 
 TEST(ReciprocalRank, UntrainedModelScoresLikeRandom) {

@@ -153,9 +153,8 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
   // Trainer-level fuzz: random (depth, builder workers, adaptive
   // switches, OpenMP team size) draws; each config runs at P workers AND
   // at the P=1 reference with identical seeds and must agree bit-for-bit,
-  // with a staleness histogram that sums to the iteration count, never
-  // exceeds the depth (the staleness bound), and explains stale_builds
-  // exactly.
+  // with a staleness histogram that sums to the iteration count and never
+  // exceeds the depth (the staleness bound).
   graph::Dataset data = small_trainer_data(29);
   std::mt19937 fuzz(987654321);
   const int kConfigs = 6;
@@ -202,21 +201,19 @@ TEST(PipelineStress, RandomizedTrainerConfigsReproducibleAndHistogramConsistent)
     const auto sa = a.train_epoch();
     const auto sb = b.train_epoch();
     EXPECT_EQ(sa.mean_loss, sb.mean_loss);
-    EXPECT_EQ(sa.stale_builds, sb.stale_builds);
+    EXPECT_EQ(sa.stale_builds(), sb.stale_builds());
     EXPECT_EQ(sa.staleness_hist, sb.staleness_hist);
     EXPECT_EQ(a.evaluate_val_mrr(), b.evaluate_val_mrr());
 
     const bool adaptive = ada_batch || ada_neighbor;
     ASSERT_EQ(sa.staleness_hist.size(),
               static_cast<std::size_t>(adaptive ? depth : 0) + 1);
-    std::int64_t total = 0, tail = 0;
+    std::int64_t total = 0;
     for (std::size_t s = 0; s < sa.staleness_hist.size(); ++s) {
       EXPECT_GE(sa.staleness_hist[s], 0);
       total += sa.staleness_hist[s];
-      if (s > 0) tail += sa.staleness_hist[s];
     }
     EXPECT_EQ(total, sa.iterations) << "histogram must account for every batch";
-    EXPECT_EQ(tail, sa.stale_builds) << "stale_builds must equal sum of hist[1:]";
-    if (depth == 0 || !ada_neighbor) EXPECT_EQ(sa.stale_builds, 0);
+    if (depth == 0 || !ada_neighbor) EXPECT_EQ(sa.stale_builds(), 0);
   }
 }

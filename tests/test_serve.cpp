@@ -1020,9 +1020,9 @@ TEST(ServingEngine, SingleWorkerMatchesDirectSessionBitwise) {
   std::remove(ckpt.c_str());
 }
 
-// The headline determinism claim: worker count, dispatch policy and
-// micro-batch size change latency and throughput, never answers — for
-// stochastic sampling policies included.
+// The headline determinism claim: worker count and micro-batch size
+// change latency and throughput, never answers — for stochastic sampling
+// policies included.
 TEST(ServingEngine, WorkerCountAndBatchingInvariantScores) {
   const graph::Dataset data = small_dataset(17);
   const auto queries = tiny_queries(data, 24);
@@ -1033,13 +1033,8 @@ TEST(ServingEngine, WorkerCountAndBatchingInvariantScores) {
   struct Variant {
     std::int64_t workers;
     std::int64_t max_batch;
-    serve::EngineConfig::Dispatch dispatch;
   };
-  const Variant variants[] = {
-      {1, 24, serve::EngineConfig::Dispatch::kRoundRobin},
-      {4, 5, serve::EngineConfig::Dispatch::kRoundRobin},
-      {2, 1, serve::EngineConfig::Dispatch::kHashSrc},
-  };
+  const Variant variants[] = {{1, 24}, {4, 5}, {2, 1}};
 
   std::vector<std::vector<float>> scores;
   for (const Variant& v : variants) {
@@ -1048,7 +1043,6 @@ TEST(ServingEngine, WorkerCountAndBatchingInvariantScores) {
     ec.num_workers = v.workers;
     ec.max_batch = v.max_batch;
     ec.max_delay_ms = 1.0;
-    ec.dispatch = v.dispatch;
     serve::ServingEngine engine(mgr, sc, ec);
     std::vector<std::future<float>> futures;
     for (const auto& q : queries) futures.push_back(engine.submit(q));

@@ -1,15 +1,18 @@
 // End-to-end training integration: both backbones learn on noisy
 // synthetic CTDGs, all four Table-I variants run, the sample loss trains
-// the sampler, runtime phases are populated, the cache warms up inside
-// the trainer, and the TGL finder rejects TASER's shuffled batches.
+// the sampler, runtime phases are populated and booked, the cache warms
+// up inside the trainer, and the TGL finder rejects TASER's shuffled
+// batches.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/trainer.h"
 #include "graph/synthetic.h"
+#include "obs/metrics.h"
 
 using namespace taser;
 using namespace taser::core;
@@ -144,6 +147,74 @@ TEST(Training, EpochStatsPhasesPopulated) {
   EXPECT_GT(stats.wall_total(), 0.0);
 }
 
+TEST(Training, BooksAreTheEpochStats) {
+  // One set of training books: every EpochStats phase field has its own
+  // series in the trainer's scope (wall and modeled time never share
+  // one), and the exported registry series grow by exactly those values.
+  auto data = small_data();
+  auto cfg = small_config(BackboneKind::kGraphMixer);
+  cfg.ada_neighbor = true;
+  cfg.prefetch_mode = PrefetchMode::kStaleTheta;
+  cfg.prefetch_depth = 2;
+  cfg.max_iters_per_epoch = 5;
+  const obs::MetricsSnapshot before = obs::snapshot();
+  Trainer trainer(data, cfg);
+  constexpr int kEpochs = 3;
+  double phase_ms[8] = {};
+  std::uint64_t iterations = 0, stale_builds = 0;
+  for (int e = 0; e < kEpochs; ++e) {
+    const EpochStats s = trainer.train_epoch();
+    const double fields[8] = {s.nf_wall, s.nf_sim, s.as_wall, s.as_sim,
+                              s.fs_wall, s.fs_sim, s.pp_wall, s.pp_sim};
+    for (int h = 0; h < 8; ++h) phase_ms[h] += fields[h] * 1e3;
+    iterations += static_cast<std::uint64_t>(s.iterations);
+    stale_builds += static_cast<std::uint64_t>(s.stale_builds());
+  }
+  ASSERT_GT(stale_builds, 0u) << "no stale build: the stale_builds series is untested";
+
+  const obs::Scope& books = trainer.books();
+  EXPECT_EQ(books.count(Trainer::kEpochs), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(books.count(Trainer::kIterations), iterations);
+  EXPECT_EQ(books.count(Trainer::kStaleBuilds), stale_builds);
+  for (std::size_t h = Trainer::kNfWallMs; h <= Trainer::kPpSimMs; ++h) {
+    SCOPED_TRACE(testing::Message() << "histogram slot " << h);
+    EXPECT_EQ(books.histogram(h).count, static_cast<std::uint64_t>(kEpochs));
+    EXPECT_DOUBLE_EQ(books.histogram(h).sum, phase_ms[h]);
+  }
+
+  if (!obs::compiled_in()) return;  // no registry to compare against
+  const obs::MetricsSnapshot after = obs::snapshot();
+  auto counter_delta = [&](const std::string& name) {
+    std::uint64_t d = 0;
+    for (const auto& c : after.counters) d += c.name == name ? c.value : 0;
+    for (const auto& c : before.counters) d -= c.name == name ? c.value : 0;
+    return d;
+  };
+  auto histogram_delta = [&](const std::string& name) {
+    obs::LocalHistogram d;
+    for (const auto& h : after.histograms)
+      if (h.name == name) d = h.hist;
+    for (const auto& h : before.histograms)
+      if (h.name == name) {
+        d.count -= h.hist.count;
+        d.sum -= h.hist.sum;
+      }
+    return d;
+  };
+  EXPECT_EQ(counter_delta("taser.train.epochs"), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(counter_delta("taser.train.iterations"), iterations);
+  EXPECT_EQ(counter_delta("taser.train.stale_builds"), stale_builds);
+  const char* names[8] = {"nf.wall", "nf.sim", "as.wall", "as.sim",
+                          "fs.wall", "fs.sim", "pp.wall", "pp.sim"};
+  for (int h = 0; h < 8; ++h) {
+    SCOPED_TRACE(names[h]);
+    const obs::LocalHistogram d =
+        histogram_delta(std::string("taser.train.") + names[h] + "_ms");
+    EXPECT_EQ(d.count, static_cast<std::uint64_t>(kEpochs));
+    EXPECT_NEAR(d.sum, phase_ms[h], 1e-9 * (1.0 + phase_ms[h]));
+  }
+}
+
 TEST(Training, AdaptiveBatchSelectorShiftsScores) {
   auto data = small_data();
   auto cfg = small_config(BackboneKind::kGraphMixer);
@@ -221,9 +292,10 @@ TEST(Training, ConfigValidateRejectsOutOfRangeSettings) {
 
   // Each bad value would otherwise reach the trainer: a negative ring
   // depth, no builder, a zero batch (train_epoch divides the training set
-  // by it) and a negative count that zeroes evaluate_mrr's 2 + K chunk
-  // divisor. Every one must throw at validate() and at Trainer
-  // construction.
+  // by it), a negative count that zeroes evaluate_mrr's 2 + K chunk
+  // divisor, and an evaluation cap below 1 (evaluate_mrr would rank no
+  // edge and report MRR 0.0). Every one must throw at validate() and at
+  // Trainer construction.
   auto data = small_data();
   const std::vector<std::function<void(TrainerConfig&)>> bad_settings = {
       [](TrainerConfig& c) { c.prefetch_depth = -1; },
@@ -232,6 +304,8 @@ TEST(Training, ConfigValidateRejectsOutOfRangeSettings) {
       [](TrainerConfig& c) { c.batch_size = -3; },
       [](TrainerConfig& c) { c.eval_negatives = 0; },
       [](TrainerConfig& c) { c.eval_negatives = -2; },
+      [](TrainerConfig& c) { c.max_eval_edges = 0; },
+      [](TrainerConfig& c) { c.max_eval_edges = -1; },
   };
   for (std::size_t i = 0; i < bad_settings.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "bad setting " << i);
