@@ -15,8 +15,9 @@
 // sleep (EngineConfig::modeled_device_ms — the bench_pipeline convention
 // for device-bound stages). Device sleeps overlap across shards, which is
 // the effect scale-out buys: aggregate QPS must reach >= 1.8x at 4
-// workers vs 1. Host-side compute still serialises on a 1-core container,
-// so the modeled-device ratio is the floor a multicore host only widens.
+// workers vs 1. The gate rests on the modeled sleeps: host-side compute
+// scales far less, because the worker threads share the host's cores
+// with their OpenMP teams, the ingest thread and the shard crew.
 //
 // Part 3 — sharded parallel-ingest gate: ingest+publish rounds driven
 // straight at GraphEpochManager, swept over 1/2/4 shards. The modeled
@@ -57,7 +58,6 @@
 #include <vector>
 
 #include "common.h"
-#include "graph/dynamic_tcsr.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/epoch_manager.h"
@@ -76,12 +76,11 @@ struct Setup {
 // The serving model is deliberately compact (hidden 8, time 4, n = 3,
 // 4-dim edge features): micro-batching amortises the *per-forward fixed*
 // costs — op dispatch, result-node allocation, hop assembly, engine
-// wake-ups — and on this repo's 1-core CI container the per-query tensor
-// compute is strictly linear in batch size, so a large model would bury
-// the mechanism being measured under un-amortisable arithmetic. On
-// multicore hosts batching additionally unlocks OpenMP parallelism
-// (per-target builder loops engage at T > 32, GEMM row panels split),
-// which widens the gap further; the container number is the floor.
+// wake-ups — while the per-query tensor compute grows linearly with
+// batch size, so a large model would bury the mechanism being measured
+// under un-amortisable arithmetic. Batching also unlocks OpenMP
+// parallelism (per-target builder loops engage at T > 32, GEMM row
+// panels split), which widens the gap on hosts with cores to spare.
 Setup make_setup() {
   graph::SyntheticConfig cfg = graph::movielens_like(0.01 * bench::bench_scale(), 4);
   Setup s;
@@ -203,15 +202,17 @@ int run_part1(std::int64_t num_queries, bool smoke) {
   // session shape and require zero further arena growth.
   bool ws_flat = true;
   {
-    graph::DynamicTCSR g(s.data);
-    serve::InferenceSession session(g, session_config());
+    serve::GraphEpochManager mgr(s.data);
+    serve::InferenceSession session(mgr, session_config());
     session.load_checkpoint(s.ckpt);
     std::vector<float> out;
     std::vector<serve::LinkQuery> fixed(queries.begin(), queries.begin() + 32);
-    session.score_links(fixed, out);
-    session.score_links(fixed, out);
+    std::vector<std::uint64_t> keys(fixed.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i;
+    session.score_links(fixed, keys.data(), out);
+    session.score_links(fixed, keys.data(), out);
     const std::uint64_t ws0 = session.workspace_alloc_events();
-    for (int k = 0; k < 16; ++k) session.score_links(fixed, out);
+    for (int k = 0; k < 16; ++k) session.score_links(fixed, keys.data(), out);
     ws_flat = session.workspace_alloc_events() == ws0;
   }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/trainer.h"
-#include "graph/dynamic_tcsr.h"
 #include "graph/synthetic.h"
 #include "obs/export.h"
 #include "obs/trace.h"

@@ -34,16 +34,8 @@ class DynamicTCSR::WriteScope {
   DynamicTCSR& g_;
 };
 
-DynamicTCSR::DynamicTCSR(Dataset base)
-    : data_(std::move(base)),
-      log_(&data_),
-      base_(data_),
-      delta_(static_cast<std::size_t>(data_.num_nodes)),
-      last_time_(data_.ts.empty() ? -std::numeric_limits<Time>::infinity()
-                                  : data_.ts.back()) {}
-
 DynamicTCSR::DynamicTCSR(const Dataset& shared_log, int shard_id, int num_shards)
-    : log_(&shared_log),
+    : log_(shared_log),
       shard_id_(shard_id),
       num_shards_(num_shards),
       base_(shared_log, shard_id, num_shards),
@@ -56,44 +48,7 @@ DynamicTCSR::DynamicTCSR(const Dataset& shared_log, int shard_id, int num_shards
                                         << "): shard_id must lie in [0, num_shards)");
 }
 
-EdgeId DynamicTCSR::ingest(NodeId u, NodeId v, Time t, const float* edge_feat) {
-  TASER_CHECK_MSG(owns_log(),
-                  "ingest on a shard-mode DynamicTCSR — shard replicas replay "
-                  "the shared container log via apply_event, they never append");
-  WriteScope write(*this);
-  TASER_CHECK_MSG(u >= 0 && u < data_.num_nodes && v >= 0 && v < data_.num_nodes,
-                  "ingest(" << u << ", " << v << "): node id out of range [0, "
-                            << data_.num_nodes << ")");
-  TASER_CHECK_MSG(t >= last_time_,
-                  "ingest at t=" << t << " regresses behind the latest event t="
-                                 << last_time_
-                                 << " — streamed events must arrive in time order "
-                                    "(the merged-view sortedness invariant)");
-
-  const auto eid = static_cast<EdgeId>(data_.num_edges());
-  data_.src.push_back(u);
-  data_.dst.push_back(v);
-  data_.ts.push_back(t);
-  if (data_.edge_feat_dim > 0) {
-    const auto de = static_cast<std::size_t>(data_.edge_feat_dim);
-    if (edge_feat != nullptr) {
-      data_.edge_feats.insert(data_.edge_feats.end(), edge_feat, edge_feat + de);
-    } else {
-      data_.edge_feats.resize(data_.edge_feats.size() + de, 0.f);
-    }
-  }
-
-  delta_[static_cast<std::size_t>(u)].push_back({v, t, eid});
-  delta_[static_cast<std::size_t>(v)].push_back({u, t, eid});
-  ++delta_edge_count_;
-  last_time_ = t;
-  return eid;
-}
-
 int DynamicTCSR::apply_event(NodeId u, NodeId v, Time t, EdgeId eid) {
-  TASER_CHECK_MSG(!owns_log(),
-                  "apply_event on an owner-mode DynamicTCSR — the owner appends "
-                  "and indexes in one step via ingest()");
   TASER_CHECK_MSG(eid == applied_through_,
                   "apply_event: row " << eid << " out of order — this shard has "
                       "replayed through " << applied_through_

@@ -9,20 +9,21 @@
 
 namespace taser::graph {
 
-/// Hash-partitioned streaming graph: ONE dense global event log plus S
-/// shard-mode DynamicTCSR replicas, where shard s keeps exactly the
-/// adjacency lists of nodes with `shard_of(v, S) == s`. An event (u, v)
-/// lands in both endpoints' shards — the sharded analogue of TCSR
-/// inserting both directions — while EdgeIds stay dense and global, so
-/// EdgeId-indexed feature sources keep working unchanged.
+/// Hash-partitioned streaming graph, the one growing temporal graph that
+/// serving reads: ONE dense global event log plus S DynamicTCSR shards
+/// over it, where shard s keeps exactly the adjacency lists of nodes with
+/// `shard_of(v, S) == s`. An event (u, v) lands in both endpoints' shards
+/// — the sharded analogue of TCSR inserting both directions — while
+/// EdgeIds stay dense and global, so EdgeId-indexed feature sources keep
+/// working unchanged.
 ///
 /// Why this shape: every merged-view query (degree / pivot_count / nbr*)
 /// routes to the single shard owning the root, and that shard's list is
 /// byte-identical to what the unsharded graph would hold (the filtered
 /// TCSR build and `apply_event` replay only ever *skip whole unowned
-/// lists*, never reorder surviving entries). S = 1 is therefore
-/// bit-identical to the pre-sharding single-graph path, and any S answers
-/// every query identically — the conformance anchor test_serve pins.
+/// lists*, never reorder surviving entries). At S = 1 the one shard holds
+/// every list of a static TCSR over the log, and any S answers every
+/// query identically — the conformance anchor test_serve pins.
 ///
 /// Writer model (the parallel-ingest payoff): appending to the log
 /// (`append_event`) is serial and cheap; *indexing* the appended rows —
@@ -61,7 +62,7 @@ class ShardedDynamicTCSR {
 
   /// Mutation counter summed over shards; strictly monotone across
   /// publishes (every applied event lands in >= 1 shard). Readers fence
-  /// on it exactly as on the single-graph version.
+  /// on it (DynamicNeighborFinder::begin_batch / expect_version).
   std::uint64_t version() const;
   bool writer_active() const;
 

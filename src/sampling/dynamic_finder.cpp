@@ -24,11 +24,11 @@ void DynamicNeighborFinder::set_stream_keys(const std::vector<std::uint64_t>& ro
 
 void DynamicNeighborFinder::begin_batch(Time batch_time) {
   (void)batch_time;  // any batch order is fine; the version is the snapshot
-  TASER_CHECK_MSG(!graph_writer_active(),
+  TASER_CHECK_MSG(!graph_.writer_active(),
                   "begin_batch during a DynamicTCSR mutation — readers must be "
                   "sequenced after the writer (single-writer/snapshot-read "
                   "contract)");
-  version_at_batch_ = graph_version();
+  version_at_batch_ = graph_.version();
   if (has_expected_version_) {
     // Consume the expectation before any possible throw: a worker that
     // catches TornViewError and retries re-arms the fence from a fresh
@@ -55,9 +55,9 @@ void DynamicNeighborFinder::sample_into(const TargetBatch& targets, std::int64_t
   TASER_CHECK_MSG(version_at_batch_ != kNoBatch,
                   "sample_into before begin_batch — the dynamic finder needs a "
                   "version snapshot to assert the read window");
-  TASER_CHECK_MSG(graph_version() == version_at_batch_,
+  TASER_CHECK_MSG(graph_.version() == version_at_batch_,
                   "DynamicTCSR mutated inside a sampling window (version "
-                      << graph_version() << " != snapshot " << version_at_batch_
+                      << graph_.version() << " != snapshot " << version_at_batch_
                       << ") — ingest/compact must happen between batches, then "
                          "begin_batch again");
   out.resize(static_cast<std::int64_t>(targets.size()), budget);
@@ -98,8 +98,8 @@ void DynamicNeighborFinder::sample_into(const TargetBatch& targets, std::int64_t
     const Time t = targets.times[i];
     if (v == graph::kInvalidNode) continue;
     // Per-root shard routing: all merged-view reads for this target go to
-    // the one graph owning v's list (degenerate in single-graph mode).
-    const graph::DynamicTCSR& g = route(v);
+    // the one shard owning v's list.
+    const graph::DynamicTCSR& g = graph_.shard_for(v);
     const std::int64_t eligible = g.pivot_count(v, t);
     if (eligible == 0) continue;
     const std::int64_t take = std::min(budget, eligible);

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "graph/dynamic_tcsr.h"
 #include "graph/sharded_tcsr.h"
 #include "sampling/neighbor_finder.h"
 
@@ -19,10 +18,10 @@ class TornViewError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// NeighborFinder over a streaming DynamicTCSR: the thin serving-side
-/// adapter that samples from the merged base+delta view. All three static
-/// policies are supported with the same per-query semantics as
-/// OrigNeighborFinder (most-recent = newest-first prefix, uniform =
+/// NeighborFinder over a streaming ShardedDynamicTCSR: the thin
+/// serving-side adapter that samples from the merged base+delta view. All
+/// three static policies are supported with the same per-query semantics
+/// as OrigNeighborFinder (most-recent = newest-first prefix, uniform =
 /// partial Fisher–Yates without replacement, inverse-timespan = weighted
 /// without replacement). By default stochastic draws come from one
 /// per-instance Rng stream in target order — so two finders with the same
@@ -43,12 +42,13 @@ class TornViewError : public std::runtime_error {
 /// hop-(h-1) output slots, one entry per slot, padding included); a
 /// frontier of any other shape is a hard TASER_CHECK.
 ///
-/// Snapshot-read half of the DynamicTCSR contract, asserted here:
-/// begin_batch() captures the graph version (and checks no writer is
-/// mid-mutation); every sample_into() re-checks the version, so an
-/// ingest/compact landing between begin_batch and sampling is a hard
-/// TASER_CHECK failure, not a torn read. Call begin_batch after every
-/// graph mutation (BatchBuilder does so at the top of each build).
+/// Snapshot-read half of the DynamicTCSR contract, asserted here over the
+/// whole container (its version is summed over shards): begin_batch()
+/// captures the graph version (and checks no writer is mid-mutation);
+/// every sample_into() re-checks the version, so an ingest/compact
+/// landing between begin_batch and sampling is a hard TASER_CHECK
+/// failure, not a torn read. Call begin_batch after every graph mutation
+/// (BatchBuilder does so at the top of each build).
 /// `expect_version` extends the fence across the epoch hand-off: a reader
 /// holding a published epoch passes the publish-time version, and the
 /// next begin_batch hard-fails unless the replica still matches it — a
@@ -58,21 +58,16 @@ class TornViewError : public std::runtime_error {
 /// Serial per-target loop with capacity-reusing member scratch: serving
 /// micro-batches are small, and both stream modes keep the sample
 /// sequence independent of thread count by construction.
-/// Sharded binding: constructed over a ShardedDynamicTCSR, every root
-/// routes to the shard owning its adjacency list (`shard_for`); because an
-/// owned node's merged list is byte-identical to the unsharded one, the
-/// sample sequence — and therefore every score — is independent of the
-/// shard count (test_serve's S ∈ {1,2,4} anchor). The version fence spans
-/// the whole container (summed shard versions).
+///
+/// Every root routes to the shard owning its adjacency list
+/// (`shard_for`); because an owned node's merged list is byte-identical
+/// to the unsharded one, the sample sequence — and therefore every score
+/// — is independent of the shard count (test_serve's S ∈ {1,2,4} anchor).
 class DynamicNeighborFinder : public NeighborFinder {
  public:
-  explicit DynamicNeighborFinder(const graph::DynamicTCSR& graph,
-                                 std::uint64_t seed = 1)
-      : single_(&graph), rng_(seed) {}
-
   explicit DynamicNeighborFinder(const graph::ShardedDynamicTCSR& graph,
                                  std::uint64_t seed = 1)
-      : sharded_(&graph), rng_(seed) {}
+      : graph_(graph), rng_(seed) {}
 
   void begin_batch(Time batch_time) override;
 
@@ -88,27 +83,13 @@ class DynamicNeighborFinder : public NeighborFinder {
 
   /// Arms the next batch (one build, all hops) with per-root stream keys;
   /// keys.size() must equal the root frontier size of that build. Without
-  /// a fresh call the finder falls back to its single legacy stream.
+  /// a fresh call the finder falls back to its single unkeyed stream.
   void set_stream_keys(const std::vector<std::uint64_t>& root_keys);
 
  private:
   static constexpr std::uint64_t kNoBatch = ~std::uint64_t{0};
 
-  std::uint64_t graph_version() const {
-    return single_ != nullptr ? single_->version() : sharded_->version();
-  }
-  bool graph_writer_active() const {
-    return single_ != nullptr ? single_->writer_active() : sharded_->writer_active();
-  }
-  /// The graph holding root v's adjacency list (per-root shard routing;
-  /// degenerate in single-graph mode).
-  const graph::DynamicTCSR& route(graph::NodeId v) const {
-    return single_ != nullptr ? *single_ : sharded_->shard_for(v);
-  }
-
-  // Exactly one of the two bindings is non-null (set by the ctor used).
-  const graph::DynamicTCSR* single_ = nullptr;
-  const graph::ShardedDynamicTCSR* sharded_ = nullptr;
+  const graph::ShardedDynamicTCSR& graph_;
   util::Rng rng_;
   std::uint64_t version_at_batch_ = kNoBatch;
   std::uint64_t expected_version_ = 0;

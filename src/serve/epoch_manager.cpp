@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -174,6 +175,8 @@ void GraphEpochManager::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                   "streamed event (" << u << ", " << v
                                      << "): node id out of range [0, "
                                      << num_nodes() << ")");
+  TASER_CHECK_MSG(std::isfinite(t), "streamed event (" << u << ", " << v << ") at t=" << t
+                                                       << ": event time must be finite");
   TASER_CHECK_MSG(edge_feat.empty() ||
                       static_cast<std::int64_t>(edge_feat.size()) == edge_feat_dim(),
                   "streamed edge feature row has " << edge_feat.size()

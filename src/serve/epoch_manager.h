@@ -27,8 +27,8 @@ struct EpochConfig {
   /// (>= 1). Publish-time catch-up indexes each shard's slice of the
   /// event log in parallel: the publishing thread takes shard 0, S - 1
   /// threads started with the manager take the rest. 1 shard starts no
-  /// thread and is the pre-sharding serial path, bit-identical. Query
-  /// answers are shard-count-invariant.
+  /// thread: every wave runs on the publishing thread. Query answers are
+  /// shard-count-invariant.
   int num_shards = 1;
   /// Modeled accelerator time per applied edge direction during catch-up,
   /// in microseconds (0 = none). Stands in for the per-event device work
@@ -139,9 +139,9 @@ class GraphEpochManager {
 
   // ---- writer side (single ingest thread) -----------------------------------
 
-  /// Buffers one interaction event (validated here: node range, globally
-  /// non-decreasing time, feature width). The event becomes visible to
-  /// readers only at the next publish().
+  /// Buffers one interaction event (validated here: node range, finite
+  /// and globally non-decreasing time, feature width). The event becomes
+  /// visible to readers only at the next publish().
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});
 

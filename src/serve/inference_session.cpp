@@ -1,5 +1,7 @@
 #include "serve/inference_session.h"
 
+#include <cmath>
+
 #include "tensor/counters.h"
 #include "tensor/ops.h"
 
@@ -13,20 +15,6 @@ namespace {
 constexpr std::uint64_t kSrcRootSalt = 0x5a11c0de5u;
 constexpr std::uint64_t kDstRootSalt = 0xd5a17ea15u;
 }  // namespace
-
-InferenceSession::Pipeline::Pipeline(const graph::DynamicTCSR& graph,
-                                     gpusim::Device& device,
-                                     const SessionConfig& config, double time_scale)
-    : finder(graph, config.seed ^ 0xd1f1ULL) {
-  features = std::make_unique<cache::PlainFeatureSource>(graph.dataset(), device);
-  core::BuilderConfig bc;
-  bc.n = config.n_neighbors;
-  bc.m = config.n_neighbors;  // non-adaptive: the finder samples n directly
-  bc.policy = config.policy;
-  bc.time_scale = time_scale;
-  builder = std::make_unique<core::BatchBuilder>(graph.dataset(), finder, *features,
-                                                 device, /*sampler=*/nullptr, bc);
-}
 
 InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
                                      gpusim::Device& device,
@@ -45,39 +33,13 @@ InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
                                                  device, /*sampler=*/nullptr, bc);
 }
 
-InferenceSession::InferenceSession(graph::DynamicTCSR& graph, SessionConfig config)
-    : fixed_graph_(&graph),
-      config_(config),
-      device_(config.device_spec),
-      rng_(config.seed) {
-  init_model();
-  const double time_scale = config_.time_scale > 0
-                                ? config_.time_scale
-                                : graph.dataset().mean_inter_event_gap();
-  pipes_.push_back(std::make_unique<Pipeline>(graph, device_, config_, time_scale));
-}
-
 InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig config)
-    : graphs_(&graphs),
+    : graphs_(graphs),
       config_(config),
       device_(config.device_spec),
       rng_(config.seed) {
-  init_model();
-  // Both replica pipelines share one ∆t normalisation, derived once from
-  // the base log — replicas must answer identically, so their builders
-  // must be configured identically.
-  const double time_scale = config_.time_scale > 0
-                                ? config_.time_scale
-                                : graphs.side(0).dataset().mean_inter_event_gap();
-  for (int s = 0; s < 2; ++s)
-    pipes_.push_back(
-        std::make_unique<Pipeline>(graphs.side(s), device_, config_, time_scale));
-}
-
-void InferenceSession::init_model() {
+  const graph::Dataset& data = graphs.side(0).dataset();
   util::Rng init_rng(config_.seed ^ 0xabcdef12345ULL);
-  const graph::Dataset& data =
-      graphs_ != nullptr ? graphs_->side(0).dataset() : fixed_graph_->dataset();
   models::ModelConfig mc;
   mc.node_feat_dim = data.node_feat_dim;
   mc.edge_feat_dim = data.edge_feat_dim;
@@ -92,6 +54,14 @@ void InferenceSession::init_model() {
   predictor_ = std::make_unique<models::EdgePredictor>(config_.hidden_dim, init_rng);
   model_->set_training(false);
   predictor_->set_training(false);
+
+  // Both replica pipelines share one ∆t normalisation, derived once from
+  // the base log — replicas must answer identically, so their builders
+  // must be configured identically.
+  const double time_scale =
+      config_.time_scale > 0 ? config_.time_scale : data.mean_inter_event_gap();
+  for (int s = 0; s < 2; ++s)
+    pipes_[s] = std::make_unique<Pipeline>(graphs.side(s), device_, config_, time_scale);
 }
 
 void InferenceSession::load_checkpoint(const std::string& path) {
@@ -109,32 +79,29 @@ std::uint64_t InferenceSession::workspace_alloc_events() const {
 }
 
 void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
-                                   std::vector<float>& out) {
-  score_links(queries, /*stream_keys=*/nullptr, out);
-}
-
-void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
                                    const std::uint64_t* stream_keys,
                                    std::vector<float>& out) {
-  if (graphs_ != nullptr) {
-    // Pin the current epoch for the whole request: builder + forward see
-    // one immutable view, fenced by the publish-time version.
-    GraphEpochManager::ReadGuard epoch = graphs_->acquire();
-    Pipeline& pipe = *pipes_[static_cast<std::size_t>(epoch.side())];
-    pipe.finder.expect_version(epoch.graph_version());
-    last_epoch_ = epoch.epoch();
-    score_on(pipe, epoch.graph().num_nodes(), queries, stream_keys, out);
-  } else {
-    score_on(*pipes_[0], fixed_graph_->num_nodes(), queries, stream_keys, out);
-  }
-}
-
-void InferenceSession::score_on(Pipeline& pipe, std::int64_t num_nodes,
-                                const std::vector<LinkQuery>& queries,
-                                const std::uint64_t* stream_keys,
-                                std::vector<float>& out) {
   TASER_CHECK_MSG(!queries.empty(), "score_links on an empty micro-batch");
+  TASER_CHECK_MSG(stream_keys != nullptr,
+                  "score_links without stream keys — every query samples from "
+                  "its own keyed stream");
   const auto B = static_cast<std::int64_t>(queries.size());
+  const std::int64_t nodes = graphs_.num_nodes();
+  for (const LinkQuery& q : queries) {
+    TASER_CHECK_MSG(q.src >= 0 && q.src < nodes && q.dst >= 0 && q.dst < nodes,
+                    "link query (" << q.src << ", " << q.dst
+                                   << "): node id out of range [0, " << nodes << ")");
+    TASER_CHECK_MSG(std::isfinite(q.t),
+                    "link query (" << q.src << ", " << q.dst << ") at t=" << q.t
+                                   << ": query time must be finite");
+  }
+
+  // Pin the current epoch for the whole request: builder + forward see
+  // one immutable view, fenced by the publish-time version.
+  GraphEpochManager::ReadGuard epoch = graphs_.acquire();
+  Pipeline& pipe = *pipes_[epoch.side()];
+  pipe.finder.expect_version(epoch.graph_version());
+  last_epoch_ = epoch.epoch();
 
   // The whole request is a no-grad region; the tape-node delta check at
   // the end turns the "no autograd graph at serving time" contract into
@@ -143,25 +110,16 @@ void InferenceSession::score_on(Pipeline& pipe, std::int64_t num_nodes,
   tt::NoGradGuard no_grad;
 
   roots_.clear();
-  const auto nodes = num_nodes;
-  for (const LinkQuery& q : queries) {
-    TASER_CHECK_MSG(q.src >= 0 && q.src < nodes && q.dst >= 0 && q.dst < nodes,
-                    "link query (" << q.src << ", " << q.dst
-                                   << "): node id out of range [0, " << nodes << ")");
-    roots_.push(q.src, q.t);
-  }
+  for (const LinkQuery& q : queries) roots_.push(q.src, q.t);
   for (const LinkQuery& q : queries) roots_.push(q.dst, q.t);
 
-  if (stream_keys != nullptr) {
-    root_keys_.resize(static_cast<std::size_t>(2 * B));
-    for (std::int64_t i = 0; i < B; ++i) {
-      const std::uint64_t key = stream_keys[static_cast<std::size_t>(i)];
-      root_keys_[static_cast<std::size_t>(i)] = util::mix_stream_key(key, kSrcRootSalt);
-      root_keys_[static_cast<std::size_t>(B + i)] =
-          util::mix_stream_key(key, kDstRootSalt);
-    }
-    pipe.finder.set_stream_keys(root_keys_);
+  root_keys_.resize(static_cast<std::size_t>(2 * B));
+  for (std::int64_t i = 0; i < B; ++i) {
+    const std::uint64_t key = stream_keys[static_cast<std::size_t>(i)];
+    root_keys_[static_cast<std::size_t>(i)] = util::mix_stream_key(key, kSrcRootSalt);
+    root_keys_[static_cast<std::size_t>(B + i)] = util::mix_stream_key(key, kDstRootSalt);
   }
+  pipe.finder.set_stream_keys(root_keys_);
 
   auto built = pipe.builder->build(roots_, model_->num_hops(), phases_, rng_);
   util::ScopedPhase pp(phases_, core::phase::kPP);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/trainer.h"
-#include "graph/dynamic_tcsr.h"
 #include "sampling/dynamic_finder.h"
 #include "serve/checkpoint.h"
 #include "serve/epoch_manager.h"
@@ -14,7 +13,7 @@ namespace taser::serve {
 
 /// One link-prediction query: how likely is an interaction (src, dst) at
 /// time t, given every event strictly earlier than t currently in the
-/// graph.
+/// graph. `t` must be finite.
 struct LinkQuery {
   graph::NodeId src = 0;
   graph::NodeId dst = 0;
@@ -24,8 +23,10 @@ struct LinkQuery {
   /// default_deadline_ms, negative disables the deadline even when a
   /// default is configured. A request whose deadline passes while it
   /// waits in a shard queue is shed at dequeue time (its future fails
-  /// with DeadlineExceededError). Ignored by direct InferenceSession
-  /// calls — sessions score synchronously, nothing queues.
+  /// with DeadlineExceededError); a deadline past what steady_clock can
+  /// represent (+inf included) never passes. Ignored by direct
+  /// InferenceSession calls — sessions score synchronously, nothing
+  /// queues.
   double deadline_ms = 0;
 };
 
@@ -41,8 +42,8 @@ struct SessionConfig {
   std::int64_t time_dim = 100;
   /// Static finder policy; serving defaults to the recency-biased
   /// most-recent sampling (GraphMixer's training default). Stochastic
-  /// policies (uniform / inverse-timespan) are batching-independent only
-  /// through the keyed score_links overload — the engine always uses it.
+  /// policies (uniform / inverse-timespan) draw from per-query keyed
+  /// streams, so they are batching-independent too.
   sampling::FinderPolicy policy = sampling::FinderPolicy::kMostRecent;
   double time_scale = 0;  ///< 0 = Dataset::mean_inter_event_gap()
   std::uint64_t seed = 11;
@@ -51,22 +52,18 @@ struct SessionConfig {
 
 /// No-grad inference over a streaming graph: loads a train→serve
 /// checkpoint (serve::save_servable), samples temporal neighborhoods from
-/// a DynamicTCSR's merged view through a workspace-backed BatchBuilder
-/// (the training hot path, reused — steady-state serving is
-/// zero-allocation in the builder arena once batch shapes stabilise,
-/// asserted via workspace_alloc_events()), and runs backbone + predictor
-/// forward under NoGradGuard.
+/// the merged view of a GraphEpochManager's published epoch through a
+/// workspace-backed BatchBuilder (the training hot path, reused —
+/// steady-state serving is zero-allocation in the builder arena once
+/// batch shapes stabilise, asserted via workspace_alloc_events()), and
+/// runs backbone + predictor forward under NoGradGuard.
 ///
-/// Two binding modes:
-///   - fixed-view (ctor over one DynamicTCSR&): one sampling pipeline
-///     bound to that graph, the PR 5 shape — callers sequence reads
-///     against writes themselves (version-fenced, as before);
-///   - epoch mode (ctor over a GraphEpochManager&): one pipeline per
-///     replica, and every score_links pins the current epoch for its
-///     duration, hands the publish-time version to the finder as the
-///     read-side fence, and scores against that immutable view. N
-///     sessions on N threads serve concurrently against the same manager
-///     while the ingest thread builds the next epoch.
+/// The session keeps one sampling pipeline per replica of the manager,
+/// and every score_links pins the current epoch for its duration, hands
+/// the publish-time version to the finder as the read-side fence, and
+/// scores against that immutable view. N sessions on N threads serve
+/// concurrently against the same manager while the ingest thread builds
+/// the next epoch.
 ///
 /// No-grad contract (hard assert, not a convention): every score_links
 /// call checks that the tensor runtime allocated *zero* tape nodes while
@@ -75,15 +72,13 @@ struct SessionConfig {
 /// forward at the same parameters and inputs (test_serve pins both).
 ///
 /// Threading: a session is single-threaded like the builders it wraps —
-/// at most one score_links at a time. In epoch mode that is the *only*
-/// sequencing requirement: graph mutations are the epoch manager's
-/// problem, and concurrent sessions never share mutable state (each owns
-/// its model replica, builders, workspaces, device and Rng).
+/// at most one score_links at a time. That is the *only* sequencing
+/// requirement: graph mutations are the epoch manager's problem, and
+/// concurrent sessions never share mutable state (each owns its model
+/// replica, builders, workspaces, device and Rng).
 class InferenceSession {
  public:
-  /// Fixed-view mode over one graph (caller sequences reads vs writes).
-  InferenceSession(graph::DynamicTCSR& graph, SessionConfig config);
-  /// Epoch mode: score_links pins the manager's current epoch per call.
+  /// score_links pins the manager's current epoch per call.
   InferenceSession(GraphEpochManager& graphs, SessionConfig config);
 
   /// Restores model + predictor parameters from a save_servable bundle.
@@ -96,15 +91,13 @@ class InferenceSession {
   /// Scores a micro-batch of link queries: out[i] is the predictor logit
   /// for queries[i] (higher = more likely interaction). One builder pass
   /// over [srcs | dsts] roots, one backbone forward, one predictor
-  /// forward — all no-grad. Stochastic finder policies draw from the
-  /// session's single legacy stream, in batch order.
-  void score_links(const std::vector<LinkQuery>& queries, std::vector<float>& out);
-
-  /// Keyed variant: stream_keys[i] (the engine passes the request
+  /// forward — all no-grad. stream_keys[i] (the engine passes the request
   /// sequence number) seeds query i's private sampling streams, so its
   /// score is independent of micro-batch composition, batch position and
   /// worker — 1-worker and N-worker serving are bit-identical (asserted
-  /// in test_serve). nullptr falls back to the legacy stream.
+  /// in test_serve). A null `stream_keys`, an out-of-range node id or a
+  /// non-finite query time is a hard error, raised before the epoch is
+  /// pinned.
   void score_links(const std::vector<LinkQuery>& queries,
                    const std::uint64_t* stream_keys, std::vector<float>& out);
 
@@ -114,7 +107,7 @@ class InferenceSession {
   std::uint64_t workspace_alloc_events() const;
   /// Micro-batches scored so far.
   std::uint64_t forwards() const { return forwards_; }
-  /// Epoch id of the most recent scored batch (epoch mode; 0 before any).
+  /// Epoch id of the most recent scored batch (0 before any).
   std::uint64_t last_epoch() const { return last_epoch_; }
 
   models::TgnnModel& model() { return *model_; }
@@ -125,12 +118,9 @@ class InferenceSession {
 
  private:
   /// One per-replica sampling pipeline: finder + feature source + builder
-  /// (with its own BuilderWorkspace arena), all bound to one graph — a
-  /// plain DynamicTCSR (fixed-view mode) or a sharded replica (epoch
-  /// mode, where the finder routes each root to its owning shard).
+  /// (with its own BuilderWorkspace arena), all bound to one replica; the
+  /// finder routes each root to its owning shard.
   struct Pipeline {
-    Pipeline(const graph::DynamicTCSR& graph, gpusim::Device& device,
-             const SessionConfig& config, double time_scale);
     Pipeline(const graph::ShardedDynamicTCSR& graph, gpusim::Device& device,
              const SessionConfig& config, double time_scale);
     sampling::DynamicNeighborFinder finder;
@@ -138,16 +128,10 @@ class InferenceSession {
     std::unique_ptr<core::BatchBuilder> builder;
   };
 
-  void init_model();
-  void score_on(Pipeline& pipe, std::int64_t num_nodes,
-                const std::vector<LinkQuery>& queries,
-                const std::uint64_t* stream_keys, std::vector<float>& out);
-
-  graph::DynamicTCSR* fixed_graph_ = nullptr;  ///< fixed-view mode
-  GraphEpochManager* graphs_ = nullptr;        ///< epoch mode
+  GraphEpochManager& graphs_;
   SessionConfig config_;
   gpusim::Device device_;
-  std::vector<std::unique_ptr<Pipeline>> pipes_;  ///< 1 (fixed) or 2 (epoch)
+  std::unique_ptr<Pipeline> pipes_[2];  ///< one per replica (ReadGuard::side)
   std::unique_ptr<models::TgnnModel> model_;
   std::unique_ptr<models::EdgePredictor> predictor_;
   util::Rng rng_;

@@ -1,6 +1,7 @@
 #include "serve/serving_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 
 #include "util/failpoint.h"
@@ -12,6 +13,19 @@ namespace {
 /// publish must not hang the destructor (each retry's backoff lives in
 /// the ingest loop's timed wait).
 constexpr std::uint64_t kShutdownPublishRetries = 64;
+
+using Clock = std::chrono::steady_clock;
+
+/// `t + ms`, saturating: an offset past what the clock can represent
+/// (an infinite or very large deadline or coalescing window) yields
+/// Clock::time_point::max() — no deadline, or a window that lasts until
+/// the batch is full or the engine stops — where the plain conversion
+/// would overflow into a point in the past.
+Clock::time_point add_ms(Clock::time_point t, double ms) {
+  const std::chrono::duration<double, std::milli> offset(ms);
+  if (!(offset < Clock::time_point::max() - t)) return Clock::time_point::max();
+  return t + std::chrono::duration_cast<Clock::duration>(offset);
+}
 
 /// Interned span names for the request/event lifecycle (lazy: interning
 /// locks, so resolve once on first use, never per span).
@@ -125,6 +139,9 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
                       query.dst < nodes,
                   "link query (" << query.src << ", " << query.dst
                                  << "): node id out of range [0, " << nodes << ")");
+  TASER_CHECK_MSG(std::isfinite(query.t),
+                  "link query (" << query.src << ", " << query.dst << ") at t="
+                                 << query.t << ": query time must be finite");
   obs::TraceSpan submit_span(span_names().submit);
   std::uint64_t seq;
   {
@@ -159,10 +176,7 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
   const double deadline_ms =
       query.deadline_ms != 0 ? query.deadline_ms : config_.default_deadline_ms;
   req.has_deadline = deadline_ms > 0;
-  if (req.has_deadline)
-    req.deadline = req.enqueued +
-                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(deadline_ms));
+  if (req.has_deadline) req.deadline = add_ms(req.enqueued, deadline_ms);
   std::future<float> result = req.result.get_future();
   {
     std::unique_lock<std::mutex> lock(shard.mu);
@@ -231,6 +245,8 @@ void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                   "streamed event (" << u << ", " << v
                                      << "): node id out of range [0, " << nodes
                                      << ")");
+  TASER_CHECK_MSG(std::isfinite(t), "streamed event (" << u << ", " << v << ") at t=" << t
+                                                       << ": event time must be finite");
   TASER_CHECK_MSG(edge_feat.empty() ||
                       static_cast<std::int64_t>(edge_feat.size()) ==
                           graphs_.edge_feat_dim(),
@@ -396,10 +412,7 @@ void ServingEngine::worker_loop(Shard& shard) {
     // Coalescing window: run as soon as max_batch queries are pending,
     // the oldest has waited max_delay, or shutdown wants the queue
     // drained.
-    const auto deadline =
-        shard.queue.front().enqueued +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(config_.max_delay_ms));
+    const auto deadline = add_ms(shard.queue.front().enqueued, config_.max_delay_ms);
     shard.work_ready.wait_until(lock, deadline, [&] {
       return shard.stop ||
              static_cast<std::int64_t>(shard.queue.size()) >= config_.max_batch;

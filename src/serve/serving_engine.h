@@ -26,7 +26,9 @@ struct EngineConfig {
   /// Coalesce at most this many pending queries into one forward.
   std::int64_t max_batch = 64;
   /// Launch a partial batch once the oldest pending query has waited this
-  /// long (the latency/throughput trade-off knob).
+  /// long (the latency/throughput trade-off knob). A window past what
+  /// steady_clock can represent (+inf included) waits for a full batch or
+  /// shutdown.
   double max_delay_ms = 2.0;
   /// Modeled accelerator time per micro-batch (ms): each worker sleeps
   /// this long after its forward, standing in for the simulated device's
@@ -56,7 +58,9 @@ struct EngineConfig {
   /// Default per-request deadline in ms from submit() (0 = none). A
   /// request still queued when its deadline passes is shed at dequeue
   /// time — before any forward work — failing its future with
-  /// DeadlineExceededError. LinkQuery::deadline_ms overrides per query.
+  /// DeadlineExceededError. LinkQuery::deadline_ms overrides per query. A
+  /// deadline past what steady_clock can represent (+inf included) never
+  /// lapses.
   double default_deadline_ms = 0;
 };
 

@@ -16,12 +16,12 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
 
-#include "graph/dynamic_tcsr.h"
 #include "graph/sharded_tcsr.h"
 #include "graph/synthetic.h"
 #include "obs/trace.h"
@@ -67,7 +67,7 @@ graph::Dataset prefix_dataset(const graph::Dataset& full, std::int64_t keep) {
 
 /// Streams events [from, full.num_edges()) of `full` into `g`, compacting
 /// at every index in `compact_at`.
-void stream_rest(graph::DynamicTCSR& g, const graph::Dataset& full, std::int64_t from,
+void stream_rest(graph::ShardedDynamicTCSR& g, const graph::Dataset& full, std::int64_t from,
                  std::initializer_list<std::int64_t> compact_at = {}) {
   for (std::int64_t e = from; e < full.num_edges(); ++e) {
     const float* feat = full.edge_feat_dim > 0 ? full.edge_feat(static_cast<graph::EdgeId>(e))
@@ -86,11 +86,9 @@ std::vector<float> feat_row(const graph::Dataset& d, std::int64_t e) {
   return std::vector<float>(f, f + d.edge_feat_dim);
 }
 
-/// Works across graph backends (DynamicTCSR and ShardedDynamicTCSR at any
-/// shard count expose the same merged-view surface) — the sharded
-/// conformance suites compare mixed pairs.
-template <class GraphA, class GraphB>
-void expect_query_identical(const GraphA& a, const GraphB& b) {
+/// Compares two containers' merged views (any shard counts) list by list.
+void expect_query_identical(const graph::ShardedDynamicTCSR& a,
+                            const graph::ShardedDynamicTCSR& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.dataset().num_edges(), b.dataset().num_edges());
   EXPECT_EQ(a.dataset().src, b.dataset().src);
@@ -117,8 +115,8 @@ TEST(DynamicGraph, IncrementalEqualsStaticAcrossCompactions) {
   const graph::Dataset full = small_dataset();
   const std::int64_t cut = full.num_edges() * 2 / 3;
 
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
   // Two compactions at arbitrary points, plus a tail left in the delta.
   stream_rest(grown, full, cut, {cut + 37, cut + 120});
   ASSERT_GT(grown.delta_edges(), 0);
@@ -141,8 +139,8 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
   full.ts = {1, 2, 2, 2, 3};
   full.train_end = full.val_end = full.num_edges();
 
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, 2));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, 2));
   stream_rest(grown, full, 2);
 
   expect_query_identical(grown, statically_built);
@@ -156,8 +154,8 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
 TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
   const graph::Dataset full = small_dataset(7);
   const std::int64_t cut = full.num_edges() / 2;
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
   stream_rest(grown, full, cut, {cut + 50});
 
   // Queries spread over the timeline, including early times served purely
@@ -193,7 +191,7 @@ TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
 TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
   const graph::Dataset full = small_dataset(21);
   graph::TCSR tcsr(full);
-  graph::DynamicTCSR dyn(full);
+  graph::ShardedDynamicTCSR dyn(full);
 
   graph::TargetBatch targets;
   for (std::int64_t e = 0; e < full.num_edges(); e += 31)
@@ -217,7 +215,7 @@ TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
 
 TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   const graph::Dataset full = small_dataset(9);
-  graph::DynamicTCSR g(prefix_dataset(full, full.num_edges() / 2));
+  graph::ShardedDynamicTCSR g(prefix_dataset(full, full.num_edges() / 2));
   sampling::DynamicNeighborFinder finder(g, 1);
   graph::TargetBatch targets;
   targets.push(full.src[0], full.ts.back());
@@ -249,7 +247,7 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
 
 TEST(DynamicGraph, FrozenReplicaRejectsMutation) {
   const graph::Dataset data = small_dataset(23);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   g.set_frozen(true);
   // A published epoch is immutable: both mutation entry points hard-fail
   // instead of racing concurrent readers.
@@ -262,7 +260,7 @@ TEST(DynamicGraph, FrozenReplicaRejectsMutation) {
 
 TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
   const graph::Dataset data = small_dataset(25);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   sampling::DynamicNeighborFinder finder(g, 1);
 
   // Matching expectation passes and is one-shot.
@@ -285,7 +283,7 @@ TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
 // is set (debug builds and the sanitizer CI jobs).
 TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
   const graph::Dataset data = small_dataset(45);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   const auto n = static_cast<graph::NodeId>(g.num_nodes());
 
   EXPECT_THROW(g.degree(n), std::runtime_error);
@@ -308,13 +306,14 @@ TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
 // ---- hash-partitioned shards -----------------------------------------------
 
 // The tentpole conformance anchor: a sharded container's merged view is
-// query-identical to an unsharded graph over the same log, at every shard
-// count, through streaming ingest and compactions (which shards compact
-// independently, at different effective thresholds).
+// query-identical to a statically built one-shard container over the same
+// log, at every shard count, through streaming ingest and compactions
+// (which shards compact independently, at different effective
+// thresholds).
 TEST(ShardedGraph, MergedViewMatchesUnshardedAcrossShardCounts) {
   const graph::Dataset full = small_dataset(47);
   const std::int64_t cut = full.num_edges() * 2 / 3;
-  graph::DynamicTCSR reference(full);
+  const graph::ShardedDynamicTCSR reference(full);
 
   for (int num_shards : {1, 2, 4, 7}) {
     graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
@@ -361,12 +360,8 @@ TEST(ShardedGraph, ShardOwnershipAndModeGuards) {
     EXPECT_EQ(graph::shard_of(v, 1), 0);
   }
 
-  // Mode guards: an owner-mode graph never replays an external log...
-  graph::DynamicTCSR owner_mode(data);
-  EXPECT_THROW(owner_mode.apply_event(data.src[0], data.dst[0], t1 + 1, 0),
-               std::runtime_error);
-  // ...and a frozen sharded container rejects appends like a frozen
-  // replica does (published epochs stay immutable at any shard count).
+  // Mode guard: a frozen sharded container rejects appends (published
+  // epochs stay immutable at any shard count).
   sharded.set_frozen(true);
   EXPECT_THROW(sharded.ingest(data.src[0], data.dst[0], t1 + 2), std::runtime_error);
   sharded.set_frozen(false);
@@ -390,7 +385,7 @@ void expect_same_csr(const graph::TCSR& got, const graph::TCSR& want) {
 
 // Merge compaction folds each node's base segment and delta list into a
 // new base without reading the log; the arrays must be exactly those of a
-// static build of the log — in owner mode and in every shard. The stream
+// static build of the log, in every shard at every shard count. The stream
 // carries a self-loop (both directions in one list), a run of equal
 // timestamps (ties keep row order), compactions right after the self-loop
 // and inside the run, and two compactions in a row, the second over an
@@ -411,24 +406,8 @@ TEST(ShardedGraph, CompactionIsByteIdenticalToStaticBuild) {
   full.train_end = full.val_end = full.num_edges();
   const std::int64_t cut = full.num_edges() - 120;
   const std::int64_t compact_after[] = {cut + 40, loop_at, loop_at + 2};
+  const graph::ShardedDynamicTCSR statically_built(full);
 
-  // Owner mode.
-  graph::DynamicTCSR grown(prefix_dataset(full, cut));
-  for (std::int64_t e = cut; e < full.num_edges(); ++e) {
-    grown.ingest(full.src[e], full.dst[e], full.ts[e], full.edge_feat(static_cast<graph::EdgeId>(e)));
-    for (std::int64_t at : compact_after)
-      if (e == at) {
-        grown.compact();
-        expect_same_csr(grown.base(), graph::TCSR(grown.dataset()));
-      }
-  }
-  for (int round = 0; round < 2; ++round) {  // the second folds an empty delta
-    grown.compact();
-    EXPECT_EQ(grown.delta_edges(), 0);
-    expect_same_csr(grown.base(), graph::TCSR(full));
-  }
-
-  // Shard mode.
   for (int num_shards : {1, 2, 4, 7}) {
     SCOPED_TRACE(::testing::Message() << num_shards << " shards");
     graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
@@ -445,12 +424,12 @@ TEST(ShardedGraph, CompactionIsByteIdenticalToStaticBuild) {
           expect_static_bases();
         }
     }
-    for (int round = 0; round < 2; ++round) {
+    for (int round = 0; round < 2; ++round) {  // the second folds an empty delta
       sharded.compact();
       EXPECT_EQ(sharded.delta_edges(), 0);
       expect_static_bases();
     }
-    expect_query_identical(sharded, grown);
+    expect_query_identical(sharded, statically_built);
   }
 }
 
@@ -499,10 +478,9 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
 TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
   const graph::Dataset full = small_dataset(29);
   const std::int64_t cut = full.num_edges() / 3;
-  graph::DynamicTCSR statically_built(full);
+  const graph::ShardedDynamicTCSR statically_built(full);
 
-  // The PR 6 anchors must hold at every shard count (ISSUE acceptance:
-  // S in {1, 2, 4}); S = 1 is the pre-sharding serial path.
+  // Incremental ≡ static must hold at every shard count, S in {1, 2, 4}.
   for (int num_shards : {1, 2, 4}) {
     serve::EpochConfig ec;
     ec.compact_threshold = 64;  // several publish-time compactions on the way
@@ -533,7 +511,7 @@ TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
     // the next publish — the fresh current epoch was the laggard a moment
     // ago, and must now be query-identical to a static build of the same
     // extended log.
-    graph::DynamicTCSR static_plus(full);
+    graph::ShardedDynamicTCSR static_plus(full);
     static_plus.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.publish();
@@ -700,7 +678,7 @@ TEST(EpochManager, ShardReplayFaultRethrowsOnceAndRetryConverges) {
   if (!fp::compiled_in()) GTEST_SKIP() << "failpoint harness compiled out";
   const graph::Dataset full = small_dataset(57);
   const std::int64_t cut = full.num_edges() / 2;
-  const graph::DynamicTCSR statically_built(full);
+  const graph::ShardedDynamicTCSR statically_built(full);
   for (std::uint64_t faulty_shards : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << faulty_shards << " faulty shards");
     serve::EpochConfig ec;
@@ -809,6 +787,14 @@ std::vector<serve::LinkQuery> tiny_queries(const graph::Dataset& data, std::size
   return qs;
 }
 
+/// Stream keys first, first + 1, ... — the engine keys its i-th submitted
+/// request by seq i.
+std::vector<std::uint64_t> seq_keys(std::size_t n, std::uint64_t first = 0) {
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = first + i;
+  return keys;
+}
+
 TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   const graph::Dataset data = small_dataset(11);
   const std::string ckpt = temp_path("servable.ckpt");
@@ -825,17 +811,19 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   models::EdgePredictor ref_predictor(16, init);
   serve::save_servable(ref_model, ref_predictor, ckpt);
 
-  graph::DynamicTCSR g(data);
-  serve::InferenceSession session(g, tiny_session_config());
+  serve::GraphEpochManager mgr(data);
+  serve::InferenceSession session(mgr, tiny_session_config());
   session.load_checkpoint(ckpt);
 
   const auto queries = tiny_queries(data, 12);
   std::vector<float> served;
-  session.score_links(queries, served);
+  session.score_links(queries, seq_keys(queries.size()).data(), served);
 
   // Training-path reference: identical machinery (merged-view finder,
-  // workspace builder, same time_scale), grad mode ON, training=true.
-  graph::DynamicTCSR g2(data);
+  // workspace builder, same time_scale), grad mode ON, training=true. The
+  // most-recent policy draws nothing, so the finder's unkeyed stream
+  // samples what the session's keyed streams did.
+  graph::ShardedDynamicTCSR g2(data);
   sampling::DynamicNeighborFinder finder(g2, 1);
   gpusim::Device device;
   cache::PlainFeatureSource features(g2.dataset(), device);
@@ -874,26 +862,44 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
 
 TEST(NoGradInference, RepeatedRequestsKeepTapeAndWorkspaceFlat) {
   const graph::Dataset data = small_dataset(13);
-  graph::DynamicTCSR g(data);
-  serve::InferenceSession session(g, tiny_session_config());
+  serve::GraphEpochManager mgr(data);
+  serve::InferenceSession session(mgr, tiny_session_config());
 
   const auto queries = tiny_queries(data, 8);
+  const auto keys = seq_keys(queries.size());
   std::vector<float> out;
-  session.score_links(queries, out);  // warm-up: shapes stabilise
-  session.score_links(queries, out);
+  session.score_links(queries, keys.data(), out);  // warm-up: shapes stabilise
+  session.score_links(queries, keys.data(), out);
 
   const std::uint64_t ws0 = session.workspace_alloc_events();
   const std::uint64_t tape0 = tensor::OpCounters::tape_nodes();
   std::vector<float> first = out;
   for (int k = 0; k < 20; ++k) {
-    session.score_links(queries, out);
-    EXPECT_EQ(out, first);  // most-recent policy: replays are bitwise-stable
+    session.score_links(queries, keys.data(), out);
+    EXPECT_EQ(out, first);  // same keys: replays are bitwise-stable
   }
   EXPECT_EQ(session.workspace_alloc_events(), ws0)
       << "steady-state serving must not grow the builder arena";
   EXPECT_EQ(tensor::OpCounters::tape_nodes(), tape0)
       << "no-grad serving must not allocate tape nodes";
   EXPECT_EQ(session.forwards(), 22u);
+
+  // Malformed calls fail before pinning an epoch or running a forward: no
+  // key array, an out-of-range node, a non-finite query time.
+  EXPECT_THROW(session.score_links(queries, nullptr, out), std::runtime_error);
+  auto bad = queries;
+  bad[3].dst = static_cast<graph::NodeId>(data.num_nodes);
+  EXPECT_THROW(session.score_links(bad, keys.data(), out), std::runtime_error);
+  for (graph::Time t : {std::nan(""), std::numeric_limits<graph::Time>::infinity(),
+                        -std::numeric_limits<graph::Time>::infinity()}) {
+    bad = queries;
+    bad[5].t = t;
+    EXPECT_THROW(session.score_links(bad, keys.data(), out), std::runtime_error) << t;
+  }
+  EXPECT_EQ(session.forwards(), 22u);
+  EXPECT_EQ(mgr.pins(0) + mgr.pins(1), 0);
+  session.score_links(queries, keys.data(), out);
+  EXPECT_EQ(out, first);
 }
 
 // ---- keyed per-request sampling streams ------------------------------------
@@ -903,7 +909,7 @@ TEST(NoGradInference, RepeatedRequestsKeepTapeAndWorkspaceFlat) {
 // the property that makes stochastic policies safe to coalesce.
 TEST(KeyedStreams, ScoreIndependentOfBatchComposition) {
   const graph::Dataset data = small_dataset(33);
-  graph::DynamicTCSR g(data);
+  serve::GraphEpochManager mgr(data);
 
   // TGAT is multi-hop: its deeper frontiers exercise the parent→child key
   // chaining, not just the root keys.
@@ -921,7 +927,7 @@ TEST(KeyedStreams, ScoreIndependentOfBatchComposition) {
     serve::SessionConfig sc = tiny_session_config();
     sc.backbone = c.backbone;
     sc.policy = policy;
-    serve::InferenceSession session(g, sc);
+    serve::InferenceSession session(mgr, sc);
 
     const auto queries = tiny_queries(data, 12);
     std::vector<std::uint64_t> keys;
@@ -939,14 +945,6 @@ TEST(KeyedStreams, ScoreIndependentOfBatchComposition) {
       session.score_links({queries[j]}, &keys[j], one);
       EXPECT_EQ(one[0], batched[j]) << "query " << j << " policy " << to_string(policy);
     }
-
-    // Unkeyed scoring draws from the legacy stream in batch order — the
-    // coalescing-dependence the keys exist to remove. (Two consecutive
-    // unkeyed batches consume different stream positions.)
-    std::vector<float> legacy1, legacy2;
-    session.score_links(queries, legacy1);
-    session.score_links(queries, legacy2);
-    EXPECT_NE(legacy1, legacy2) << "legacy stream should advance between batches";
 
     // Keyed replay is exactly reproducible.
     std::vector<float> replay;
@@ -974,22 +972,23 @@ std::string make_ckpt(const char* name, std::uint64_t seed) {
   return ckpt;
 }
 
-// Conformance anchor: a 1-worker engine over an epoch manager answers
-// bit-identically to the PR 5 shape — a plain fixed-view session scoring
-// the same queries directly.
+// Conformance anchor: a 1-worker engine answers bit-identically to a
+// direct session over an epoch manager built from the same log, scoring
+// the same queries one at a time keyed by the engine's submission seqs.
 TEST(ServingEngine, SingleWorkerMatchesDirectSessionBitwise) {
   const graph::Dataset data = small_dataset(17);
   const std::string ckpt = make_ckpt("engine.ckpt", 5);
   const auto queries = tiny_queries(data, 8);
 
-  // Reference answers: one fixed-view session, one query at a time.
-  graph::DynamicTCSR g_ref(data);
-  serve::InferenceSession ref(g_ref, tiny_session_config());
+  // Reference answers: one direct session, one query at a time.
+  serve::GraphEpochManager ref_graphs(data);
+  serve::InferenceSession ref(ref_graphs, tiny_session_config());
   ref.load_checkpoint(ckpt);
+  const auto keys = seq_keys(queries.size());
   std::vector<float> expected;
-  for (const auto& q : queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
     std::vector<float> one;
-    ref.score_links({q}, one);
+    ref.score_links({queries[i]}, &keys[i], one);
     expected.push_back(one[0]);
   }
 
@@ -1058,8 +1057,8 @@ TEST(ServingEngine, WorkerCountAndBatchingInvariantScores) {
 // Shard count is an ingest-throughput knob, never a semantics knob: the
 // same query stream over the same event stream scores bit-identically at
 // S in {1, 2, 4} (keyed sampling streams make this hold for stochastic
-// policies too). Together with SingleWorkerMatchesDirectSessionBitwise,
-// this anchors every shard count to the pre-sharding serving path.
+// policies too). PostDrainScoresMatchStaticGraphSession ties every shard
+// count to a direct session over a statically built graph.
 TEST(ServingEngine, ShardCountInvariantScores) {
   const graph::Dataset full = small_dataset(17);
   const std::int64_t cut = full.num_edges() / 2;
@@ -1142,45 +1141,75 @@ TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {
   EXPECT_THROW(engine.ingest(data.src[0], data.dst[0], t + 2,
                              std::vector<float>(3, 0.f)),  // wrong feature width
                std::runtime_error);
-  // The engine still serves after rejecting them.
+  // Non-finite times: a query at ±inf or NaN would score from an empty or
+  // unbounded neighbourhood, and an event at +inf would stall the stream
+  // (every later finite event "regresses" behind it).
+  const graph::Time inf = std::numeric_limits<graph::Time>::infinity();
+  for (graph::Time bad : {std::nan(""), inf, -inf})
+    EXPECT_THROW(engine.submit({data.src[0], data.dst[0], bad}), std::runtime_error) << bad;
+  for (graph::Time bad : {std::nan(""), inf})
+    EXPECT_THROW(engine.ingest(data.src[0], data.dst[0], bad, feat), std::runtime_error)
+        << bad;
+  // The engine still serves after rejecting them, and the rejected events
+  // left the ordering guard alone: the next finite event publishes.
   EXPECT_NO_THROW(engine.submit({data.src[0], data.dst[0], t + 2}).get());
+  EXPECT_NO_THROW(engine.ingest(data.src[0], data.dst[0], t + 2, feat));
+  engine.drain();
+  EXPECT_EQ(engine.stats().events_ingested, 25u);
+  {
+    auto g = mgr.acquire();
+    EXPECT_EQ(g.graph().dataset().num_edges(), edges_before + 25);
+    EXPECT_EQ(g.graph().last_time(), t + 2);
+  }
 }
 
 // Scores under interleaved ingest equal a statically built graph's
 // answers once everything is drained — the incremental ≡ static
-// equivalence lifted through epochs, worker shards and compactions.
+// equivalence lifted through epochs, worker shards, graph shards and
+// compactions. The reference is a direct session over a manager built
+// from the full log, keyed by the engine's submission seqs, so a
+// stochastic policy must draw the same neighbours on both sides.
 TEST(ServingEngine, PostDrainScoresMatchStaticGraphSession) {
   const graph::Dataset full = small_dataset(35);
   const std::int64_t cut = full.num_edges() / 2;
-
-  serve::SessionConfig sc = tiny_session_config();
-  sc.time_scale = 1.0;  // pin: engine sessions derive theirs from the prefix
-
-  serve::EpochConfig epoch_cfg;
-  epoch_cfg.compact_threshold = 100;
-  serve::GraphEpochManager mgr(prefix_dataset(full, cut), epoch_cfg);
-  serve::EngineConfig ec;
-  ec.num_workers = 2;
-  ec.max_batch = 6;
-  ec.max_delay_ms = 1.0;
-  serve::ServingEngine engine(mgr, sc, ec);
-
-  for (std::int64_t e = cut; e < full.num_edges(); ++e)
-    engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
-  engine.drain();
-
   const auto queries = tiny_queries(full, 10);
-  std::vector<std::future<float>> futures;
-  for (const auto& q : queries) futures.push_back(engine.submit(q));
+  const auto keys = seq_keys(queries.size());
 
-  graph::DynamicTCSR g_static(full);
-  serve::InferenceSession ref(g_static, sc);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    std::vector<float> one;
-    ref.score_links({queries[i]}, one);
-    EXPECT_EQ(futures[i].get(), one[0]) << "query " << i;
+  for (auto policy : {sampling::FinderPolicy::kMostRecent, sampling::FinderPolicy::kUniform}) {
+    for (int num_shards : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << to_string(policy) << ", " << num_shards
+                                        << " shards");
+      serve::SessionConfig sc = tiny_session_config();
+      sc.policy = policy;
+      sc.time_scale = 1.0;  // pin: engine sessions derive theirs from the prefix
+
+      serve::EpochConfig epoch_cfg;
+      epoch_cfg.compact_threshold = 100;
+      epoch_cfg.num_shards = num_shards;
+      serve::GraphEpochManager mgr(prefix_dataset(full, cut), epoch_cfg);
+      serve::EngineConfig ec;
+      ec.num_workers = 2;
+      ec.max_batch = 6;
+      ec.max_delay_ms = 1.0;
+      serve::ServingEngine engine(mgr, sc, ec);
+
+      for (std::int64_t e = cut; e < full.num_edges(); ++e)
+        engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+      engine.drain();
+
+      std::vector<std::future<float>> futures;
+      for (const auto& q : queries) futures.push_back(engine.submit(q));
+
+      serve::GraphEpochManager static_graphs(full);
+      serve::InferenceSession ref(static_graphs, sc);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        std::vector<float> one;
+        ref.score_links({queries[i]}, &keys[i], one);
+        EXPECT_EQ(futures[i].get(), one[0]) << "query " << i;
+      }
+      EXPECT_GE(mgr.compactions(), 1u);
+    }
   }
-  EXPECT_GE(mgr.compactions(), 1u);
 }
 
 // Concurrency fuzz: hammer submit/ingest/stats/drain from several client

@@ -16,12 +16,12 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "graph/dynamic_tcsr.h"
 #include "graph/synthetic.h"
 #include "obs/metrics.h"
 #include "sampling/dynamic_finder.h"
@@ -695,6 +695,44 @@ TEST_F(FaultTest, ExpiredRequestsShedAtDequeueWithTypedError) {
   EXPECT_EQ(s.expired, 1u);
   EXPECT_EQ(s.requests, 2u);
   EXPECT_EQ(s.requests + s.rejected + s.expired + s.faulted, s.submitted);
+}
+
+// A deadline or coalescing window past what steady_clock can represent
+// saturates: the deadline never lapses and the window lasts until the
+// batch is full. Converted without saturating, such a value overflows
+// into a point in the past and sheds the request at its first dequeue.
+// A plain TEST, not the FaultTest fixture: it needs no failpoint, so the
+// failpoints-OFF build runs it too.
+TEST(Deadlines, InfiniteAndHugeDeadlinesNeverShed) {
+  const graph::Dataset data = small_dataset(17);
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto queries = tiny_queries(data, 3);
+  struct Variant {
+    double default_ms;
+    double per_query_ms;
+  };
+  for (const Variant v : {Variant{inf, 0}, Variant{0, inf}, Variant{0, 1e16}}) {
+    SCOPED_TRACE(::testing::Message() << "default " << v.default_ms << " ms, per query "
+                                      << v.per_query_ms << " ms");
+    serve::GraphEpochManager mgr(data);
+    serve::EngineConfig ec;
+    ec.num_workers = 1;
+    ec.max_batch = static_cast<std::int64_t>(queries.size());
+    ec.max_delay_ms = inf;  // the window closes only on a full batch
+    ec.default_deadline_ms = v.default_ms;
+    serve::ServingEngine engine(mgr, tiny_session_config(), ec);
+    std::vector<std::future<float>> futures;
+    for (serve::LinkQuery q : queries) {
+      q.deadline_ms = v.per_query_ms;
+      futures.push_back(engine.submit(q));
+    }
+    for (auto& f : futures) EXPECT_TRUE(std::isfinite(f.get()));
+    engine.drain();
+    const serve::ServingStats s = engine.stats();
+    EXPECT_EQ(s.expired, 0u);
+    EXPECT_EQ(s.requests, queries.size());
+    EXPECT_EQ(s.batches, 1u);
+  }
 }
 
 // ---- the standing invariant, fuzzed ----------------------------------------
