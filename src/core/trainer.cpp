@@ -39,6 +39,13 @@ void TrainerConfig::validate() const {
                   "eval_negatives must be >= 1 (got " << eval_negatives << ")");
   TASER_CHECK_MSG(max_eval_edges >= 1,
                   "max_eval_edges must be >= 1 (got " << max_eval_edges << ")");
+  TASER_CHECK_MSG(hidden_dim >= 1, "hidden_dim must be >= 1 (got " << hidden_dim << ")");
+  TASER_CHECK_MSG(time_dim >= 1, "time_dim must be >= 1 (got " << time_dim << ")");
+  TASER_CHECK_MSG(sampler_dim >= 1, "sampler_dim must be >= 1 (got " << sampler_dim << ")");
+  TASER_CHECK_MSG(decoder_hidden >= 1,
+                  "decoder_hidden must be >= 1 (got " << decoder_hidden << ")");
+  // False for NaN too.
+  TASER_CHECK_MSG(grad_clip > 0.f, "grad_clip must be > 0 (got " << grad_clip << ")");
 }
 
 Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
@@ -161,10 +168,7 @@ graph::TargetBatch Trainer::make_roots(const std::vector<std::int64_t>& edge_ids
 Tensor Trainer::embed(const graph::TargetBatch& roots, util::PhaseAccumulator& phases) {
   auto built = builder_->build(roots, model_->num_hops(), phases, rng_);
   util::ScopedPhase pp(phases, phase::kPP);
-  Tensor h = model_->compute_embeddings(built.inputs);
-  // Stash selections for the sample-loss step of the caller.
-  last_selections_ = std::move(built.selections);
-  return h;
+  return model_->compute_embeddings(built.inputs);
 }
 
 EpochStats Trainer::train_epoch() {
@@ -277,8 +281,9 @@ EpochStats Trainer::train_epoch() {
     ++staleness_hist[observed];
     const auto b = static_cast<std::int64_t>(edge_ids.size());
 
+    // The batch's inputs and selections (the sampler's autograd graph)
+    // die with this loop body.
     auto built = std::move(prep.built);
-    last_selections_ = std::move(built.selections);
     phases.merge(prep.phases);
 
     util::WallTimer pp_timer;
@@ -334,7 +339,7 @@ EpochStats Trainer::train_epoch() {
       util::ScopedPhase as(phases, phase::kAS);
       tensor::ThreadOpCounterSnapshot loss_snap;  // see pp_snap
       Tensor sample_loss =
-          build_sample_loss(model_->records(), last_selections_, config_.sample_loss);
+          build_sample_loss(model_->records(), built.selections, config_.sample_loss);
       if (sample_loss.defined()) {
         sample_loss.backward();
         // Stale mode: backward() just left ∇θ on the frozen snapshot this
@@ -355,6 +360,8 @@ EpochStats Trainer::train_epoch() {
       phases.add(phase::kASSim,
                  device_.model().nn_time(loss_snap.flops(), loss_snap.launches()).seconds);
     }
+    // The records hold the model's graph; the step is done with it.
+    model_->clear_records();
     // The batch's backward is done; nothing can touch its frozen θ again,
     // so its pool slot may be recycled (and, in debug builds, poisoned).
     // This is the success-path release point; the lease destructor is the
@@ -394,6 +401,8 @@ EpochStats Trainer::train_epoch() {
 
 double Trainer::evaluate_mrr(std::int64_t first_edge, std::int64_t last_edge) {
   TASER_CHECK(first_edge >= 0 && last_edge <= data_.num_edges() && first_edge < last_edge);
+  // Evaluation backpropagates nothing: no forward below records a tape.
+  tensor::NoGradGuard no_grad;
   model_->set_training(false);
   predictor_->set_training(false);
   if (sampler_) sampler_->set_training(false);

@@ -77,8 +77,9 @@ struct TrainerConfig {
 
   /// Rejects out-of-range settings (throws std::runtime_error):
   /// prefetch_depth < 0, builder_workers < 1, batch_size < 1,
-  /// eval_negatives < 1 or max_eval_edges < 1. Trainer calls this on
-  /// construction.
+  /// eval_negatives < 1, max_eval_edges < 1, hidden_dim, time_dim,
+  /// sampler_dim or decoder_hidden < 1, and grad_clip not > 0 (NaN
+  /// included). Trainer calls this on construction.
   void validate() const;
 
   std::int64_t batch_size = 600;
@@ -240,7 +241,6 @@ class Trainer {
   std::unique_ptr<nn::Adam> opt_model_;
   std::unique_ptr<nn::Adam> opt_sampler_;
   util::Rng rng_;
-  std::vector<SelectionResult> last_selections_;
   graph::NodeId dst_begin_, dst_end_;
   obs::Scope books_{{"taser.train.epochs", "taser.train.iterations",
                      "taser.train.stale_builds"},

@@ -21,7 +21,9 @@ struct ModelConfig {
 
 /// Common interface of the two backbone TGNNs. `compute_embeddings`
 /// appends one AggregationRecord per temporal aggregation it performs;
-/// records stay valid until the next call.
+/// records stay valid until the next call or clear_records(). A record
+/// holds the forward's autograd graph, so the trainer clears them when a
+/// training step ends.
 class TgnnModel : public nn::Module {
  public:
   explicit TgnnModel(ModelConfig config) : config_(config) {}
@@ -36,6 +38,7 @@ class TgnnModel : public nn::Module {
 
   const ModelConfig& config() const { return config_; }
   const std::vector<AggregationRecord>& records() const { return records_; }
+  void clear_records() { records_.clear(); }
 
  protected:
   ModelConfig config_;

@@ -17,6 +17,10 @@ class LayerNorm : public Module {
     return tensor::layer_norm_lastdim(x, gamma_, beta_, eps_);
   }
 
+  Tensor gamma() const { return gamma_; }
+  Tensor beta() const { return beta_; }
+  float eps() const { return eps_; }
+
  private:
   float eps_;
   Tensor gamma_, beta_;

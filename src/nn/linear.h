@@ -23,18 +23,6 @@ class Linear : public Module {
     return tensor::linear_gelu(x, weight_, bias_);
   }
 
-  /// Applies the layer to the permute_021 view of x:[B,in,c] (the layer's
-  /// input dim on dim 1) without materializing the transpose; returns
-  /// [B, c, out].
-  Tensor forward_from_021(const Tensor& x) const {
-    return tensor::linear_from_021(x, weight_, bias_);
-  }
-
-  /// gelu(forward_from_021(x)) as one fused node.
-  Tensor forward_gelu_from_021(const Tensor& x) const {
-    return tensor::linear_gelu_from_021(x, weight_, bias_);
-  }
-
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
   Tensor weight() const { return weight_; }

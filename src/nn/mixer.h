@@ -32,20 +32,24 @@ class MixerBlock : public Module {
     register_module("channel_mlp", channel_mlp_);
   }
 
-  /// x: [B, tokens, channels] -> same shape.
-  Tensor forward(const Tensor& x) const {
-    TASER_CHECK_MSG(x.dim() == 3 && x.size(1) == tokens_ && x.size(2) == channels_,
-                    "MixerBlock expects [B," << tokens_ << "," << channels_ << "], got "
-                                             << tensor::shape_str(x.shape()));
-    // Token mixing: the MLP consumes the [B, channels, tokens] view of
-    // the normed input directly — the GEMM packing reads the strided
-    // permute_021 view, so no transpose is materialized on the way in.
-    Tensor t = token_mlp_.forward_from_021(ln_token_.forward(x));
-    Tensor x1 = tensor::add(x, tensor::permute_021(t));
-    // Channel mixing.
-    Tensor c = channel_mlp_.forward(ln_channel_.forward(x1));
-    return tensor::add(x1, c);
-  }
+  /// x: [B, tokens, channels] -> same shape, as ONE autograd node:
+  ///   x1  = x + permute_021(token_mlp(permute_021(ln_token(x))))
+  ///   out = x1 + channel_mlp(ln_channel(x1))
+  /// The node saves the block input x (by reference: it is a parent),
+  /// the two layer norms' row statistics (mean, rstd), the token-MLP
+  /// pre-activation u1 = fc1 output before GELU, the residual midpoint
+  /// x1 and the channel-MLP pre-activation u2. Its backward recomputes
+  /// both layer-norm outputs (from x and x1 with their statistics) and
+  /// both GELU outputs (from u1 and u2) through the kernels the forward
+  /// ran, and frees that scratch when it returns. Under NoGradGuard (or
+  /// when nothing requires grad) it saves nothing.
+  ///
+  /// Output, input grad and all 12 parameter grads are bit-identical to
+  /// the composition of layer_norm_lastdim, permute_021, linear_gelu,
+  /// linear and add it replaces (same GEMM calls, operand views and
+  /// reduction orders), and the FLOP ledger counts what that composition
+  /// counted; tests/test_nn.cpp keeps the composition as the reference.
+  Tensor forward(const Tensor& x) const;
 
   std::int64_t tokens() const { return tokens_; }
   std::int64_t channels() const { return channels_; }

@@ -20,12 +20,8 @@ class Mlp : public Module {
     return fc2_.forward(fc1_.forward_gelu(x));
   }
 
-  /// Runs the MLP on the permute_021 view of x:[B,in,c] without
-  /// materializing the transpose: fc2(gelu(fc1(permute_021(x)))),
-  /// returning [B, c, out]. Token-mixing entry for MixerBlock.
-  Tensor forward_from_021(const Tensor& x) const {
-    return fc2_.forward(fc1_.forward_gelu_from_021(x));
-  }
+  const Linear& fc1() const { return fc1_; }
+  const Linear& fc2() const { return fc2_; }
 
  private:
   Linear fc1_, fc2_;

@@ -354,4 +354,19 @@ void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
   }
 }
 
+void bias_grad_acc(const float* g, float* db, std::int64_t rows, std::int64_t n) {
+  constexpr std::int64_t kChunk = 16;
+  const std::int64_t chunks = (n + kChunk - 1) / kChunk;
+  const bool par = !omp_in_parallel() && chunks > 1 && rows * n > (1 << 14);
+#pragma omp parallel for schedule(static) if (par)
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    const std::int64_t j0 = c * kChunk;
+    const std::int64_t j1 = std::min<std::int64_t>(j0 + kChunk, n);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const float* g_row = g + i * n;
+      for (std::int64_t j = j0; j < j1; ++j) db[j] += g_row[j];
+    }
+  }
+}
+
 }  // namespace taser::tensor::gemm

@@ -82,4 +82,10 @@ void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
                       MatView B, float* C, std::int64_t c_stride, std::int64_t m,
                       std::int64_t k, std::int64_t n, const Epilogue& ep = {});
 
+/// The bias gradient of a linear layer: db[j] += Σ_i g[i,j] over a
+/// row-major g:[rows, n], parallel over column chunks. Each element's
+/// accumulation order is the serial one (rows ascending) no matter the
+/// thread count: a chunk is owned by exactly one thread.
+void bias_grad_acc(const float* g, float* db, std::int64_t rows, std::int64_t n);
+
 }  // namespace taser::tensor::gemm

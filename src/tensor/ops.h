@@ -47,13 +47,6 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 /// GELU derivative into the gradient stream before the two grad GEMMs.
 /// Numerically identical to gelu(linear(x, w, b)) bit for bit.
 Tensor linear_gelu(const Tensor& x, const Tensor& w, const Tensor& b);
-/// linear applied to the permute_021 view of x: for x:[B,t,c] returns
-/// linear(permute_021(x), w, b) : [B,c,out] without materializing the
-/// transpose (the GEMM packing canonicalizes the strided view). This is
-/// the token-mixing entry of MLP-Mixer blocks.
-Tensor linear_from_021(const Tensor& x, const Tensor& w, const Tensor& b);
-/// gelu(linear_from_021(x, w, b)) as one node — both fusions combined.
-Tensor linear_gelu_from_021(const Tensor& x, const Tensor& w, const Tensor& b);
 
 // ---- reductions ------------------------------------------------------------
 Tensor sum_all(const Tensor& a);

@@ -21,24 +21,6 @@ using gemm::transposed;
 // with the previous kernels. Fused ops count the same flops their
 // unfused decomposition did, so the ledger is invariant under fusion.
 
-/// db[j] += Σ_i g[i,j], parallel over column chunks. Each element's
-/// accumulation order is the serial one (rows ascending) no matter the
-/// thread count: a chunk is owned by exactly one thread.
-void bias_grad_acc(const float* g, float* gb, std::int64_t rows, std::int64_t n) {
-  constexpr std::int64_t kChunk = 16;
-  const std::int64_t chunks = (n + kChunk - 1) / kChunk;
-  const bool par = !omp_in_parallel() && chunks > 1 && rows * n > (1 << 14);
-#pragma omp parallel for schedule(static) if (par)
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t j0 = c * kChunk;
-    const std::int64_t j1 = std::min<std::int64_t>(j0 + kChunk, n);
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const float* g_row = g + i * n;
-      for (std::int64_t j = j0; j < j1; ++j) gb[j] += g_row[j];
-    }
-  }
-}
-
 /// g_u = g ⊙ gelu'(u) into a fresh buffer: the fused equivalent of the
 /// gelu node's backward, one streaming pass instead of a tape node.
 std::unique_ptr<float[]> gelu_grad_buffer(const float* g, const float* u,
@@ -112,85 +94,7 @@ Tensor linear_impl(const Tensor& x, const Tensor& w, const Tensor& b,
       }
       if (ibias && ibias->requires_grad) {
         ibias->ensure_grad();
-        bias_grad_acc(g, ibias->grad.data(), rows, outdim);
-      }
-    };
-  }
-  return out;
-}
-
-/// linear applied to the permute_021 view of x:[B,t,c] — i.e.
-/// linear(permute_021(x), w, b) : [B,c,out] — without materializing the
-/// transpose. The packing step canonicalizes the strided per-batch view,
-/// and w is packed once for all batches.
-Tensor linear_021_impl(const Tensor& x, const Tensor& w, const Tensor& b,
-                       bool fuse_gelu) {
-  TASER_CHECK_MSG(x.dim() == 3, "linear_from_021 expects 3-d, got "
-                                    << shape_str(x.shape()));
-  TASER_CHECK_MSG(w.dim() == 2, "linear weight must be 2-d");
-  const std::int64_t nb = x.size(0), t = x.size(1), c = x.size(2);
-  const std::int64_t outdim = w.size(1);
-  TASER_CHECK_MSG(w.size(0) == t, "linear_from_021: x " << shape_str(x.shape())
-                                                        << " vs w "
-                                                        << shape_str(w.shape()));
-  if (b.defined()) TASER_CHECK(b.dim() == 1 && b.size(0) == outdim);
-
-  std::vector<Tensor> inputs = {x, w};
-  if (b.defined()) inputs.push_back(b);
-  Tensor out = make_result({nb, c, outdim}, inputs);
-
-  gemm::Epilogue ep;
-  ep.bias = b.defined() ? b.data() : nullptr;
-  ep.gelu = fuse_gelu;
-  ep.beta_zero = true;  // `out` is fresh zeros from make_result
-  std::shared_ptr<float[]> preact;  // uninitialized — the epilogue fills it
-  if (fuse_gelu && out.requires_grad()) {
-    preact = std::shared_ptr<float[]>(
-        new float[static_cast<std::size_t>(nb * c * outdim)]);
-    ep.preact = preact.get();
-  }
-  OpCounters::add_flops(static_cast<std::uint64_t>(2 * nb * c * t * outdim) +
-                        (fuse_gelu ? static_cast<std::uint64_t>(nb * c * outdim) : 0));
-  // A_b = x_bᵀ: element (i=channel, p=token) at x[b, p, i] → rs=1, cs=c.
-  gemm::gemm_batched_acc({x.data(), 1, c}, t * c, nb, row_major(w.data(), outdim),
-                         out.data(), c * outdim, c, t, outdim, ep);
-
-  if (out.requires_grad()) {
-    ImplPtr ix = x.impl(), iw = w.impl();
-    ImplPtr ibias = b.defined() ? b.impl() : nullptr;
-    out.node().backward_fn = [ix, iw, ibias, preact, nb, t, c, outdim,
-                              fuse_gelu](TensorImpl& self) {
-      const float* g = self.grad.data();
-      std::unique_ptr<float[]> gu_buf;
-      if (fuse_gelu) {
-        gu_buf = gelu_grad_buffer(g, preact.get(), nb * c * outdim);
-        g = gu_buf.get();
-      }
-      if (ix->requires_grad) {
-        ix->ensure_grad();
-        // dX_b = W · g_bᵀ : [t,out] x [out,c] — batches are disjoint, so
-        // the loop parallelizes; the inner gemm stays serial (no nesting).
-        OpCounters::add_flops(static_cast<std::uint64_t>(2 * nb * t * outdim * c));
-        float* gx = ix->grad.data();
-        const float* wv = iw->data.data();
-        const bool par = !omp_in_parallel() && nb > 1 && 2 * t * outdim * c > 1024;
-#pragma omp parallel for schedule(static) if (par)
-        for (std::int64_t bi = 0; bi < nb; ++bi)
-          gemm::gemm_acc(row_major(wv, outdim), transposed(g + bi * c * outdim, outdim),
-                         gx + bi * t * c, t, outdim, c);
-      }
-      if (iw->requires_grad) {
-        iw->ensure_grad();
-        // dW += Σ_b x_b · g_b : [t,c] x [c,out], batch order fixed.
-        OpCounters::add_flops(static_cast<std::uint64_t>(2 * nb * t * c * outdim));
-        const float* xv = ix->data.data();
-        for (std::int64_t bi = 0; bi < nb; ++bi)
-          gemm::gemm_acc(row_major(xv + bi * t * c, c), row_major(g + bi * c * outdim, outdim),
-                         iw->grad.data(), t, c, outdim);
-      }
-      if (ibias && ibias->requires_grad) {
-        ibias->ensure_grad();
-        bias_grad_acc(g, ibias->grad.data(), nb * c, outdim);
+        gemm::bias_grad_acc(g, ibias->grad.data(), rows, outdim);
       }
     };
   }
@@ -287,14 +191,6 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
 
 Tensor linear_gelu(const Tensor& x, const Tensor& w, const Tensor& b) {
   return linear_impl(x, w, b, /*fuse_gelu=*/true);
-}
-
-Tensor linear_from_021(const Tensor& x, const Tensor& w, const Tensor& b) {
-  return linear_021_impl(x, w, b, /*fuse_gelu=*/false);
-}
-
-Tensor linear_gelu_from_021(const Tensor& x, const Tensor& w, const Tensor& b) {
-  return linear_021_impl(x, w, b, /*fuse_gelu=*/true);
 }
 
 }  // namespace taser::tensor

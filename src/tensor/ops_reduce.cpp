@@ -1,5 +1,6 @@
 #include <cmath>
 
+#include "tensor/layer_norm_kernel.h"
 #include "tensor/ops.h"
 
 namespace taser::tensor {
@@ -187,70 +188,22 @@ Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma, const Tensor& be
 
   Tensor out = make_result(x.shape(), {x, gamma, beta});
   // Cache per-row mean and inverse stddev for the backward pass.
-  auto stats = std::make_shared<std::vector<float>>(static_cast<std::size_t>(rows * 2));
-  const float* xv = x.data();
-  const float* gv = gamma.data();
-  const float* bv = beta.data();
-  float* ov = out.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = xv + r * d;
-    float mean = 0.f;
-    for (std::int64_t i = 0; i < d; ++i) mean += xr[i];
-    mean /= static_cast<float>(d);
-    float var = 0.f;
-    for (std::int64_t i = 0; i < d; ++i) {
-      const float c = xr[i] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float rstd = 1.f / std::sqrt(var + eps);
-    (*stats)[static_cast<std::size_t>(2 * r)] = mean;
-    (*stats)[static_cast<std::size_t>(2 * r + 1)] = rstd;
-    float* yr = ov + r * d;
-    for (std::int64_t i = 0; i < d; ++i) yr[i] = (xr[i] - mean) * rstd * gv[i] + bv[i];
-  }
+  std::shared_ptr<std::vector<float>> stats;
+  if (out.requires_grad())
+    stats = std::make_shared<std::vector<float>>(static_cast<std::size_t>(rows * 2));
+  kernels::layer_norm(x.data(), gamma.data(), beta.data(), out.data(),
+                      stats ? stats->data() : nullptr, rows, d, eps);
 
   if (out.requires_grad()) {
     ImplPtr ix = x.impl(), ig = gamma.impl(), ib = beta.impl();
     out.node().backward_fn = [ix, ig, ib, stats, rows, d](TensorImpl& self) {
-      const float* g = self.grad.data();
-      const float* xv2 = ix->data.data();
-      const float* gv2 = ig->data.data();
       if (ix->requires_grad) ix->ensure_grad();
       if (ig->requires_grad) ig->ensure_grad();
       if (ib->requires_grad) ib->ensure_grad();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const float mean = (*stats)[static_cast<std::size_t>(2 * r)];
-        const float rstd = (*stats)[static_cast<std::size_t>(2 * r + 1)];
-        const float* xr = xv2 + r * d;
-        const float* gr = g + r * d;
-        // xhat_i = (x_i - mean) * rstd
-        if (ig->requires_grad || ib->requires_grad) {
-          float* gg = ig->requires_grad ? ig->grad.data() : nullptr;
-          float* gb = ib->requires_grad ? ib->grad.data() : nullptr;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xhat = (xr[i] - mean) * rstd;
-            if (gg) gg[i] += gr[i] * xhat;
-            if (gb) gb[i] += gr[i];
-          }
-        }
-        if (ix->requires_grad) {
-          float sum_gy = 0.f, sum_gy_xhat = 0.f;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xhat = (xr[i] - mean) * rstd;
-            const float gy = gr[i] * gv2[i];
-            sum_gy += gy;
-            sum_gy_xhat += gy * xhat;
-          }
-          float* gx = ix->grad.data() + r * d;
-          const float invd = 1.f / static_cast<float>(d);
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xhat = (xr[i] - mean) * rstd;
-            const float gy = gr[i] * gv2[i];
-            gx[i] += rstd * (gy - invd * sum_gy - xhat * invd * sum_gy_xhat);
-          }
-        }
-      }
+      kernels::layer_norm_grad(self.grad.data(), ix->data.data(), ig->data.data(),
+                               stats->data(), ix->requires_grad ? ix->grad.data() : nullptr,
+                               ig->requires_grad ? ig->grad.data() : nullptr,
+                               ib->requires_grad ? ib->grad.data() : nullptr, rows, d);
     };
   }
   return out;

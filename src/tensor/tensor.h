@@ -70,7 +70,9 @@ class Tensor {
   void zero_grad();
   /// Run reverse-mode AD from this scalar (numel()==1) tensor.
   void backward();
-  /// A view of the same data cut off from the autograd graph.
+  /// A copy of the data cut off from the autograd graph. Not a view: it
+  /// deep-copies, so later writes to either tensor do not show in the
+  /// other.
   Tensor detach() const;
   /// Deep copy (does not copy the autograd history).
   Tensor clone() const;

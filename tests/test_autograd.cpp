@@ -156,20 +156,6 @@ TEST(GradCheck, LinearGeluAllThree) {
             {x, w, b});
 }
 
-TEST(GradCheck, LinearFrom021AllThree) {
-  // The strided-view backward: dX scattered back through the permuted
-  // view, dW accumulated per batch in fixed order.
-  Rng rng(48);
-  Tensor x = randn_param({2, 3, 4}, rng);  // [B, t, c]
-  Tensor w = randn_param({3, 2}, rng);     // [t, out]
-  Tensor b = randn_param({2}, rng);
-  run_check([&] { return tt::mean_all(tt::square(tt::linear_from_021(x, w, b))); },
-            {x, w, b});
-  run_check(
-      [&] { return tt::mean_all(tt::square(tt::linear_gelu_from_021(x, w, b))); },
-      {x, w, b});
-}
-
 TEST(GradCheck, LinearGeluNoBias) {
   Rng rng(49);
   Tensor x = randn_param({3, 4}, rng);

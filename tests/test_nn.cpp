@@ -2,9 +2,12 @@
 // shapes and gradients, time/frequency encodings (Eq. 3, 8, 12), Adam
 // convergence and gradient clipping.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
 
 #include "nn/adam.h"
 #include "nn/layer_norm.h"
@@ -12,6 +15,7 @@
 #include "nn/mixer.h"
 #include "nn/mlp.h"
 #include "nn/time_encoding.h"
+#include "tensor/counters.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 
@@ -96,19 +100,6 @@ TEST(MlpLayer, ForwardMatchesUnfusedCompositionBitwise) {
     EXPECT_EQ(fused.data()[i], unfused.data()[i]) << "at " << i;
 }
 
-TEST(MlpLayer, ForwardFrom021MatchesPermutedForwardBitwise) {
-  // The token-mixing entry: running the MLP on the permute_021 view must
-  // equal materializing the transpose first.
-  util::Rng rng(33);
-  Mlp mlp(4, 6, 4, rng);
-  Tensor x = Tensor::randn({3, 4, 5}, rng);  // [B, t=in, c]
-  Tensor fused = mlp.forward_from_021(x);
-  Tensor unfused = mlp.forward(tt::permute_021(x));
-  ASSERT_EQ(fused.shape(), unfused.shape());
-  for (std::int64_t i = 0; i < fused.numel(); ++i)
-    EXPECT_EQ(fused.data()[i], unfused.data()[i]) << "at " << i;
-}
-
 TEST(MixerBlock, RejectsWrongTokenCount) {
   util::Rng rng(6);
   MixerBlock mixer(4, 6, rng);
@@ -123,6 +114,213 @@ TEST(MixerBlock, GradCheck) {
       [&] { return tt::mean_all(tt::square(mixer.forward(x))); }, {x}, 1e-2f, 3e-2f,
       8e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
+}
+
+TEST(MixerBlock, GradCheckParameters) {
+  // The hand-written backward's parameter grads against finite
+  // differences (GradCheck above covers the input grad).
+  util::Rng rng(17);
+  MixerBlock mixer(3, 4, rng);
+  Tensor x = Tensor::randn({2, 3, 4}, rng, 0.5f, true);
+  auto res = tt::grad_check(
+      [&] { return tt::mean_all(tt::square(mixer.forward(x))); }, mixer.parameters(), 1e-2f,
+      3e-2f, 8e-2f);
+  EXPECT_TRUE(res.ok) << res.detail;
+}
+
+// ---- MixerBlock's one node against the composition it replaced -----------
+
+/// MixerBlock as the composition of public ops that its autograd node
+/// replaced: the reference for its bits and its FLOP ledger. Token fc1
+/// reads the materialized permute_021 of ln_token(x). The replaced op ran
+/// it as one [C, T]·[T, Ht] product per block, so it summed W1's
+/// gradient block by block; one GEMM over all B·C rows rounds that sum
+/// differently. With `per_block_fc1` token fc1 is therefore a bmm against
+/// W1 broadcast over blocks, plus the bias, then GELU: the replaced op's
+/// values and gradient sums, though not its FLOP count (the broadcast and
+/// the bias add count as ops). Without it, linear_gelu: the FLOP count.
+Tensor unfused_mixer(const MixerBlock& mixer, const Tensor& x, bool per_block_fc1) {
+  std::map<std::string, Tensor> p;
+  for (auto& [name, t] : mixer.named_parameters()) p[name] = t;
+  const std::int64_t B = x.size(0), T = x.size(1);
+  Tensor w1 = p["token_mlp.fc1.weight"], b1 = p["token_mlp.fc1.bias"];
+  Tensor ln1 = tt::layer_norm_lastdim(x, p["ln_token.gamma"], p["ln_token.beta"]);
+  Tensor h1 = per_block_fc1
+                  ? tt::gelu(tt::add(tt::bmm(tt::permute_021(ln1),
+                                             tt::add(Tensor::zeros({B, T, w1.size(1)}), w1)),
+                                     b1))
+                  : tt::linear_gelu(tt::permute_021(ln1), w1, b1);
+  Tensor t = tt::linear(h1, p["token_mlp.fc2.weight"], p["token_mlp.fc2.bias"]);
+  Tensor x1 = tt::add(x, tt::permute_021(t));
+  Tensor ln2 = tt::layer_norm_lastdim(x1, p["ln_channel.gamma"], p["ln_channel.beta"]);
+  Tensor c = tt::linear(
+      tt::linear_gelu(ln2, p["channel_mlp.fc1.weight"], p["channel_mlp.fc1.bias"]),
+      p["channel_mlp.fc2.weight"], p["channel_mlp.fc2.bias"]);
+  return tt::add(x1, c);
+}
+
+using BlockFn = std::function<Tensor(const Tensor&)>;
+
+/// Backpropagates a loss over one or more applications of `block` and
+/// returns collect() of it.
+using Scenario = std::function<std::vector<float>(MixerBlock&, const BlockFn&)>;
+
+/// The block outputs' values, the grad of the leaf `x0` the inputs derive
+/// from and every parameter's grad, concatenated.
+std::vector<float> collect(const std::vector<Tensor>& outputs, const Tensor& x0,
+                           const MixerBlock& mixer) {
+  std::vector<float> v;
+  auto put = [&v](const Tensor& t) {
+    ASSERT_TRUE(t.defined());
+    v.insert(v.end(), t.data(), t.data() + t.numel());
+  };
+  for (const Tensor& y : outputs) put(y);
+  put(x0.grad());
+  for (auto& [name, p] : mixer.named_parameters()) put(p.grad());
+  return v;
+}
+
+/// Runs `scenario` through the fused node and through the reference, at
+/// OpenMP team sizes 1 and 4, and requires all four to agree bit for bit.
+void expect_fused_matches_unfused(std::int64_t B, std::int64_t T, std::int64_t C,
+                                  const Scenario& scenario) {
+  SCOPED_TRACE(testing::Message() << "[" << B << ", " << T << ", " << C << "]");
+  util::Rng rng(101);
+  MixerBlock mixer(T, C, rng);
+  // Non-trivial affine parameters, so every LayerNorm term is exercised.
+  for (auto& [name, p] : mixer.named_parameters())
+    if (name.find("ln_") == 0)
+      for (std::int64_t i = 0; i < p.numel(); ++i) p.data()[i] += 0.3f * rng.next_normal();
+  const BlockFn fused = [&mixer](const Tensor& x) { return mixer.forward(x); };
+  const BlockFn unfused = [&mixer](const Tensor& x) { return unfused_mixer(mixer, x, true); };
+
+  const int saved_threads = omp_get_max_threads();
+  std::vector<std::vector<float>> runs;
+  for (int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const BlockFn* f : {&fused, &unfused}) {
+      mixer.zero_grad();
+      runs.push_back(scenario(mixer, *f));
+    }
+  }
+  omp_set_num_threads(saved_threads);
+  const char* names[] = {"fused@1", "unfused@1", "fused@4", "unfused@4"};
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size()) << names[r];
+    ASSERT_EQ(0, std::memcmp(runs[r].data(), runs[0].data(), runs[0].size() * sizeof(float)))
+        << names[r] << " differs from fused@1";
+  }
+}
+
+/// loss = Σ y ⊙ R for a fixed random R, so dL/dy = R.
+Tensor weighted_sum(const Tensor& y, std::uint64_t seed) {
+  util::Rng rng(seed);
+  return tt::sum_all(tt::mul(y, Tensor::randn(y.shape(), rng)));
+}
+
+// The sampler-trunk and GraphMixer shapes use enough blocks that every
+// weight-gradient GEMM takes the streamed (k-blocked) regime, as at the
+// training shapes ([1920, 10, 58] and [1800, 10, 100]).
+const std::int64_t kShapes[][3] = {{5, 3, 13}, {840, 10, 58}, {480, 10, 100}};
+
+TEST(MixerBlock, FusedMatchesUnfusedBitwise) {
+  for (const auto& s : kShapes) {
+    const std::int64_t B = s[0], T = s[1], C = s[2];
+    expect_fused_matches_unfused(B, T, C, [B](MixerBlock& m, const BlockFn& block) {
+      util::Rng rng(3);
+      Tensor x = Tensor::randn({B, m.tokens(), m.channels()}, rng, 1.f, true);
+      Tensor y = block(x);
+      weighted_sum(y, 4).backward();
+      return collect({y}, x, m);
+    });
+  }
+}
+
+TEST(MixerBlock, FusedMatchesUnfusedWithSharedParameters) {
+  // Two applications in one loss, as the sampler's two hops share one
+  // trunk in the sample loss: each parameter's two contributions must
+  // land in the order the unfused graph's DFS reaches them.
+  for (const auto& s : kShapes) {
+    const std::int64_t B = s[0], T = s[1], C = s[2];
+    expect_fused_matches_unfused(B, T, C, [B](MixerBlock& m, const BlockFn& block) {
+      util::Rng rng(5);
+      Tensor x0 = Tensor::randn({2 * B, m.tokens(), m.channels()}, rng, 1.f, true);
+      std::vector<std::int64_t> first(static_cast<std::size_t>(B)), second(first.size());
+      for (std::int64_t i = 0; i < B; ++i) {
+        first[static_cast<std::size_t>(i)] = i;
+        second[static_cast<std::size_t>(i)] = B + i;
+      }
+      Tensor ya = block(tt::index_select0(x0, first));
+      Tensor yb = block(tt::index_select0(x0, second));
+      tt::add(weighted_sum(ya, 6), weighted_sum(yb, 7)).backward();
+      return collect({ya, yb}, x0, m);
+    });
+  }
+}
+
+TEST(MixerBlock, FusedMatchesUnfusedWhenInputHasSecondConsumer) {
+  // x feeds the block and another op: x's grad gathers three shares (the
+  // residual, ln_token and the other consumer), in the unfused order,
+  // whichever side of the loss the other consumer sits on.
+  for (bool other_first : {false, true}) {
+    SCOPED_TRACE(other_first ? "other consumer first" : "block first");
+    for (const auto& s : kShapes) {
+      const std::int64_t B = s[0], T = s[1], C = s[2];
+      expect_fused_matches_unfused(B, T, C, [B, other_first](MixerBlock& m,
+                                                             const BlockFn& block) {
+        util::Rng rng(8);
+        Tensor x0 = Tensor::randn({B, m.tokens(), m.channels()}, rng, 1.f, true);
+        Tensor x = tt::mul_scalar(x0, 1.5f);
+        Tensor y = block(x);
+        Tensor other = weighted_sum(tt::square(x), 9);
+        Tensor mine = weighted_sum(y, 10);
+        (other_first ? tt::add(other, mine) : tt::add(mine, other)).backward();
+        return collect({y}, x0, m);
+      });
+    }
+  }
+}
+
+TEST(MixerBlock, FusedKeepsTheCompositionsFlopLedger) {
+  for (const auto& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << "[" << s[0] << ", " << s[1] << ", " << s[2] << "]");
+    util::Rng rng(11);
+    MixerBlock mixer(s[1], s[2], rng);
+    Tensor x = Tensor::randn({s[0], s[1], s[2]}, rng, 1.f, true);
+    std::uint64_t fwd[2], bwd[2];
+    for (int unfused = 0; unfused < 2; ++unfused) {
+      tt::OpCounterSnapshot f;
+      Tensor y = unfused ? unfused_mixer(mixer, x, false) : mixer.forward(x);
+      fwd[unfused] = f.flops();
+      tt::OpCounterSnapshot b;
+      tt::sum_all(y).backward();
+      bwd[unfused] = b.flops();
+    }
+    EXPECT_EQ(fwd[0], fwd[1]);
+    EXPECT_EQ(bwd[0], bwd[1]);
+  }
+}
+
+TEST(MixerBlock, OneTapeNodeAndNoneUnderNoGrad) {
+  util::Rng rng(12);
+  MixerBlock mixer(10, 58, rng);
+  Tensor x = Tensor::randn({64, 10, 58}, rng, 1.f, true);
+  const std::uint64_t n0 = tt::OpCounters::thread_tape_nodes();
+  Tensor taped = mixer.forward(x);
+  EXPECT_EQ(tt::OpCounters::thread_tape_nodes() - n0, 1u);
+  Tensor plain;
+  {
+    tt::NoGradGuard no_grad;
+    const std::uint64_t n1 = tt::OpCounters::thread_tape_nodes();
+    plain = mixer.forward(x);
+    EXPECT_EQ(tt::OpCounters::thread_tape_nodes(), n1);
+  }
+  EXPECT_FALSE(plain.requires_grad());
+  EXPECT_TRUE(plain.node().parents.empty());
+  EXPECT_FALSE(plain.node().backward_fn);
+  ASSERT_EQ(plain.numel(), taped.numel());
+  EXPECT_EQ(0, std::memcmp(plain.data(), taped.data(),
+                           static_cast<std::size_t>(taped.numel()) * sizeof(float)));
 }
 
 TEST(TimeEncoding, LearnableMatchesCosForm) {

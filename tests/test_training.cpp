@@ -293,9 +293,10 @@ TEST(Training, ConfigValidateRejectsOutOfRangeSettings) {
   // Each bad value would otherwise reach the trainer: a negative ring
   // depth, no builder, a zero batch (train_epoch divides the training set
   // by it), a negative count that zeroes evaluate_mrr's 2 + K chunk
-  // divisor, and an evaluation cap below 1 (evaluate_mrr would rank no
-  // edge and report MRR 0.0). Every one must throw at validate() and at
-  // Trainer construction.
+  // divisor, an evaluation cap below 1 (evaluate_mrr would rank no edge
+  // and report MRR 0.0), a zero layer width, and a clip norm that is not
+  // positive. Every one must throw at validate() and at Trainer
+  // construction.
   auto data = small_data();
   const std::vector<std::function<void(TrainerConfig&)>> bad_settings = {
       [](TrainerConfig& c) { c.prefetch_depth = -1; },
@@ -306,6 +307,15 @@ TEST(Training, ConfigValidateRejectsOutOfRangeSettings) {
       [](TrainerConfig& c) { c.eval_negatives = -2; },
       [](TrainerConfig& c) { c.max_eval_edges = 0; },
       [](TrainerConfig& c) { c.max_eval_edges = -1; },
+      // Zero widths reach the models and the sampler: they crashed in
+      // the first forward (SIGSEGV, SIGFPE), and a zero grad_clip only
+      // threw after a whole forward and backward.
+      [](TrainerConfig& c) { c.hidden_dim = 0; },
+      [](TrainerConfig& c) { c.time_dim = 0; },
+      [](TrainerConfig& c) { c.sampler_dim = 0; },
+      [](TrainerConfig& c) { c.decoder_hidden = 0; },
+      [](TrainerConfig& c) { c.grad_clip = 0.f; },
+      [](TrainerConfig& c) { c.grad_clip = std::nanf(""); },
   };
   for (std::size_t i = 0; i < bad_settings.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "bad setting " << i);
