@@ -28,6 +28,9 @@ class PlainFeatureSource : public FeatureSource {
  public:
   PlainFeatureSource(const graph::Dataset& data, gpusim::Device& device)
       : store_(data, device) {}
+  /// Serving: rows from an event log (HostFeatureStore's log binding).
+  PlainFeatureSource(const graph::EventLog& log, gpusim::Device& device)
+      : store_(log, device) {}
 
   void gather_edges(const std::vector<EdgeId>& ids, float* out) override {
     store_.gather_edge_feats(ids, out);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "graph/dataset.h"
+#include "graph/event_log.h"
 #include "gpusim/device.h"
 
 namespace taser::cache {
@@ -18,6 +19,10 @@ class HostFeatureStore {
  public:
   HostFeatureStore(const graph::Dataset& data, gpusim::Device& device)
       : data_(data), device_(device) {}
+  /// Serving: edge rows from the event log (base and streamed rows
+  /// alike), node rows and dims from its base.
+  HostFeatureStore(const graph::EventLog& log, gpusim::Device& device)
+      : data_(log.base()), log_(&log), device_(device) {}
 
   std::int64_t edge_dim() const { return data_.edge_feat_dim; }
   std::int64_t node_dim() const { return data_.node_feat_dim; }
@@ -34,6 +39,7 @@ class HostFeatureStore {
 
  private:
   const graph::Dataset& data_;
+  const graph::EventLog* log_ = nullptr;  ///< edge rows come from here when set
   gpusim::Device& device_;
 };
 

@@ -1,7 +1,6 @@
 #include "graph/dynamic_tcsr.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -34,26 +33,26 @@ class DynamicTCSR::WriteScope {
   DynamicTCSR& g_;
 };
 
-DynamicTCSR::DynamicTCSR(const Dataset& shared_log, int shard_id, int num_shards)
-    : log_(shared_log),
+DynamicTCSR::DynamicTCSR(const EventLog& log, int shard_id, int num_shards)
+    : log_(log),
       shard_id_(shard_id),
       num_shards_(num_shards),
-      base_(shared_log, shard_id, num_shards),
-      delta_(static_cast<std::size_t>(shared_log.num_nodes)),
-      applied_through_(static_cast<EdgeId>(shared_log.num_edges())),
-      last_time_(shared_log.ts.empty() ? -std::numeric_limits<Time>::infinity()
-                                       : shared_log.ts.back()) {
+      base_(log.base(), shard_id, num_shards),
+      delta_(static_cast<std::size_t>(log.num_nodes())),
+      applied_through_(static_cast<EdgeId>(log.base().num_edges())) {
   TASER_CHECK_MSG(num_shards >= 1 && shard_id >= 0 && shard_id < num_shards,
                   "DynamicTCSR shard (" << shard_id << ", " << num_shards
                                         << "): shard_id must lie in [0, num_shards)");
 }
 
-int DynamicTCSR::apply_event(NodeId u, NodeId v, Time t, EdgeId eid) {
+int DynamicTCSR::apply_event(EdgeId eid) {
   TASER_CHECK_MSG(eid == applied_through_,
                   "apply_event: row " << eid << " out of order — this shard has "
                       "replayed through " << applied_through_
                       << "; slices must be driven gaplessly in log order "
                          "(apply_slice_to_shard clamps retries for you)");
+  const NodeId u = log_.src(eid);
+  const NodeId v = log_.dst(eid);
   const bool own_u = shard_of(u, num_shards_) == shard_id_;
   const bool own_v = shard_of(v, num_shards_) == shard_id_;
   // Unowned rows skip the writer guard entirely: that is what lets every
@@ -66,21 +65,11 @@ int DynamicTCSR::apply_event(NodeId u, NodeId v, Time t, EdgeId eid) {
     return 0;
   }
   WriteScope write(*this);
-  TASER_CHECK_MSG(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes(),
-                  "apply_event(" << u << ", " << v
-                                 << "): node id out of range [0, " << num_nodes()
-                                 << ")");
-  TASER_CHECK_MSG(t >= last_time_,
-                  "apply_event at t=" << t
-                                      << " regresses behind the latest event t="
-                                      << last_time_
-                                      << " — a globally time-ordered log stays "
-                                         "time-ordered within every shard slice");
+  const Time t = log_.ts(eid);
   if (own_u) delta_[static_cast<std::size_t>(u)].push_back({v, t, eid});
   if (own_v) delta_[static_cast<std::size_t>(v)].push_back({u, t, eid});
   ++delta_edge_count_;
   applied_through_ = eid + 1;
-  last_time_ = t;
   return (own_u ? 1 : 0) + (own_v ? 1 : 0);
 }
 

@@ -3,17 +3,19 @@
 #include <atomic>
 #include <cstdint>
 
+#include "graph/event_log.h"
 #include "graph/tcsr.h"
 #include "util/check.h"
 
 namespace taser::graph {
 
 /// One shard of a ShardedDynamicTCSR: a streaming T-CSR over the
-/// container's shared event log that keeps only the adjacency lists of
-/// the nodes it owns (`shard_of(v, num_shards) == shard_id`). It holds a
+/// container's event log that keeps only the adjacency lists of the
+/// nodes it owns (`shard_of(v, num_shards) == shard_id`). It holds a
 /// base TCSR (shard-filtered) plus per-node, timestamp-ordered delta
-/// buffers that `apply_event` grows by replaying log rows the container
-/// has appended, and `compact` folds the delta back into the base.
+/// buffers that `apply_event` grows by replaying log rows, and `compact`
+/// folds the delta back into the base. The log holds the rows; a shard
+/// holds only its index over them.
 /// Queries see one *merged* per-node neighbor list — the base prefix
 /// followed by the delta suffix — which is exactly the list a static TCSR
 /// built from the log would hold for an owned node (test_serve's
@@ -24,7 +26,7 @@ namespace taser::graph {
 ///
 /// Why the concatenation is already sorted: the log's timestamps are
 /// globally non-decreasing (the natural order interaction events arrive
-/// in; the container rejects a regression at append), so every delta
+/// in; EventLog::append rejects a regression), so every delta
 /// entry of a node is >= every base entry of that node, and the delta
 /// itself grows in time order — ties at a shared timestamp keep row
 /// (= EdgeId) order, matching TCSR's fill pass.
@@ -45,19 +47,19 @@ namespace taser::graph {
 ///     released.
 class DynamicTCSR {
  public:
-  /// A replica over `shared_log` (not owned — the container appends rows
-  /// and replays them here via `apply_event`) that keeps only nodes with
-  /// `shard_of(v, num_shards) == shard_id`.
-  DynamicTCSR(const Dataset& shared_log, int shard_id, int num_shards);
+  /// A shard over `log` (not owned; it must outlive the shard) that keeps
+  /// only nodes with `shard_of(v, num_shards) == shard_id`. Indexes the
+  /// log's base rows; streamed rows arrive through `apply_event`.
+  DynamicTCSR(const EventLog& log, int shard_id, int num_shards);
 
-  /// Replays one shared-log row: pushes the directions this shard owns
-  /// (0, 1, or 2 — a non-self-loop event whose endpoints hash to the
-  /// same shard contributes both) and returns that count. The row
-  /// `eid` must already be present in the shared log. Unowned events are
-  /// a cheap no-op *before* the writer guard, so distinct shards of one
-  /// container can replay disjoint slices concurrently. Writer-exclusive
-  /// per shard; bumps version() when any direction lands.
-  int apply_event(NodeId u, NodeId v, Time t, EdgeId eid);
+  /// Replays log row `eid` (read through the log, which validated it at
+  /// append): pushes the directions this shard owns (0, 1, or 2 — a
+  /// non-self-loop event whose endpoints hash to the same shard
+  /// contributes both) and returns that count. Unowned events are a cheap
+  /// no-op *before* the writer guard, so distinct shards of one container
+  /// can replay disjoint slices concurrently. Writer-exclusive per shard;
+  /// bumps version() when any direction lands.
+  int apply_event(EdgeId eid);
 
   /// Folds the delta into the base CSR and clears the delta buffers
   /// (capacity retained). A merge, not a rebuild: each node's base
@@ -73,7 +75,7 @@ class DynamicTCSR {
   /// that touched this shard (an event split across two shards counts
   /// once in each).
   std::int64_t delta_edges() const { return delta_edge_count_; }
-  /// The exclusive upper bound of shared-log rows this shard has already
+  /// The exclusive upper bound of log rows this shard has already
   /// replayed (owned or not — unowned rows advance it too).
   /// ShardedDynamicTCSR::apply_slice_to_shard clamps its slice start to
   /// this watermark, which is what makes a publish-time catch-up retry
@@ -82,8 +84,6 @@ class DynamicTCSR {
   EdgeId applied_through() const { return applied_through_; }
   int shard_id() const { return shard_id_; }
   int num_shards() const { return num_shards_; }
-  /// Latest event timestamp in the graph (base or delta).
-  Time last_time() const { return last_time_; }
 
   /// Monotone mutation counter: bumped by every owned apply_event() and
   /// every compact(). Readers snapshot it to assert no write landed
@@ -144,10 +144,6 @@ class DynamicTCSR {
                  : delta_[static_cast<std::size_t>(v)][static_cast<std::size_t>(j - b)].eid;
   }
 
-  /// The container's shared event log + features. Stable reference:
-  /// feature sources and builders constructed against it keep seeing
-  /// appended rows.
-  const Dataset& dataset() const { return log_; }
   const TCSR& base() const { return base_; }
 
  private:
@@ -176,14 +172,13 @@ class DynamicTCSR {
         "DynamicTCSR: slot " << j << " out of range [0, degree(" << v << "))");
   }
 
-  const Dataset& log_;  ///< the container's shared event log
+  const EventLog& log_;
   int shard_id_ = 0;
   int num_shards_ = 1;
   TCSR base_;
   std::vector<std::vector<DeltaEntry>> delta_;  ///< per-node, ts-ordered
   std::int64_t delta_edge_count_ = 0;
   EdgeId applied_through_ = 0;  ///< replayed-row watermark
-  Time last_time_;
   std::atomic<std::uint64_t> version_{0};
   std::atomic<bool> writing_{false};
   std::atomic<bool> frozen_{false};

@@ -7,16 +7,25 @@
 
 namespace taser::graph {
 
-ShardedDynamicTCSR::ShardedDynamicTCSR(Dataset base, int num_shards)
-    : data_(std::move(base)),
-      num_shards_(num_shards),
-      last_time_(data_.ts.empty() ? -std::numeric_limits<Time>::infinity()
-                                  : data_.ts.back()) {
+ShardedDynamicTCSR::ShardedDynamicTCSR(const EventLog& log, int num_shards)
+    : log_(log), num_shards_(num_shards) {
   TASER_CHECK_MSG(num_shards_ >= 1,
                   "ShardedDynamicTCSR: num_shards must be >= 1, got " << num_shards_);
   shards_.reserve(static_cast<std::size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s)
-    shards_.push_back(std::make_unique<DynamicTCSR>(data_, s, num_shards_));
+    shards_.push_back(std::make_unique<DynamicTCSR>(log_, s, num_shards_));
+}
+
+std::int64_t ShardedDynamicTCSR::num_edges() const {
+  EdgeId rows = shards_.front()->applied_through();
+  for (const auto& s : shards_) rows = std::min(rows, s->applied_through());
+  return rows;
+}
+
+Time ShardedDynamicTCSR::last_time() const {
+  const std::int64_t rows = num_edges();
+  return rows == 0 ? -std::numeric_limits<Time>::infinity()
+                   : log_.ts(static_cast<EdgeId>(rows - 1));
 }
 
 std::int64_t ShardedDynamicTCSR::delta_edges() const {
@@ -42,54 +51,24 @@ void ShardedDynamicTCSR::set_frozen(bool frozen) {
   for (auto& s : shards_) s->set_frozen(frozen);
 }
 
-EdgeId ShardedDynamicTCSR::append_event(NodeId u, NodeId v, Time t,
-                                        const float* edge_feat) {
-  TASER_CHECK_MSG(!frozen(),
-                  "append_event on a frozen ShardedDynamicTCSR — this replica "
-                  "is a published epoch; thaw via the publish path only");
-  TASER_CHECK_MSG(u >= 0 && u < data_.num_nodes && v >= 0 && v < data_.num_nodes,
-                  "append_event(" << u << ", " << v
-                                  << "): node id out of range [0, "
-                                  << data_.num_nodes << ")");
-  TASER_CHECK_MSG(t >= last_time_,
-                  "append_event at t=" << t
-                                       << " regresses behind the latest event t="
-                                       << last_time_
-                                       << " — streamed events must arrive in "
-                                          "time order");
-  const auto eid = static_cast<EdgeId>(data_.num_edges());
-  data_.src.push_back(u);
-  data_.dst.push_back(v);
-  data_.ts.push_back(t);
-  if (data_.edge_feat_dim > 0) {
-    const auto de = static_cast<std::size_t>(data_.edge_feat_dim);
-    if (edge_feat != nullptr) {
-      data_.edge_feats.insert(data_.edge_feats.end(), edge_feat, edge_feat + de);
-    } else {
-      data_.edge_feats.resize(data_.edge_feats.size() + de, 0.f);
-    }
-  }
-  last_time_ = t;
-  return eid;
-}
-
 std::int64_t ShardedDynamicTCSR::apply_slice_to_shard(int s, EdgeId e0, EdgeId e1) {
+  TASER_CHECK_MSG(!frozen(),
+                  "apply_slice_to_shard on a frozen ShardedDynamicTCSR — this "
+                  "replica is a published epoch; thaw via the publish path only");
   TASER_CHECK_MSG(s >= 0 && s < num_shards_, "apply_slice_to_shard: shard "
                                                  << s << " out of range [0, "
                                                  << num_shards_ << ")");
-  TASER_CHECK_MSG(e0 >= 0 && e1 <= static_cast<EdgeId>(data_.num_edges()) && e0 <= e1,
+  TASER_CHECK_MSG(e0 >= 0 && e1 <= log_.size() && e0 <= e1,
                   "apply_slice_to_shard: slice [" << e0 << ", " << e1
                                                   << ") outside the log of "
-                                                  << data_.num_edges() << " rows");
+                                                  << log_.size() << " rows");
   DynamicTCSR& g = *shards_[static_cast<std::size_t>(s)];
   // Clamp to the shard's replay watermark: re-driving a slice after a
   // mid-replay fault (the epoch manager's publish retry) skips rows this
   // shard already indexed instead of double-applying them.
   std::int64_t directions = 0;
-  for (EdgeId e = std::max(e0, g.applied_through()); e < e1; ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    directions += g.apply_event(data_.src[i], data_.dst[i], data_.ts[i], e);
-  }
+  for (EdgeId e = std::max(e0, g.applied_through()); e < e1; ++e)
+    directions += g.apply_event(e);
   return directions;
 }
 
@@ -102,13 +81,6 @@ void ShardedDynamicTCSR::compact_shard(int s) {
 
 void ShardedDynamicTCSR::compact() {
   for (int s = 0; s < num_shards_; ++s) compact_shard(s);
-}
-
-EdgeId ShardedDynamicTCSR::ingest(NodeId u, NodeId v, Time t,
-                                  const float* edge_feat) {
-  const EdgeId eid = append_event(u, v, t, edge_feat);
-  for (int s = 0; s < num_shards_; ++s) apply_slice_to_shard(s, eid, eid + 1);
-  return eid;
 }
 
 }  // namespace taser::graph

@@ -10,12 +10,14 @@
 namespace taser::graph {
 
 /// Hash-partitioned streaming graph, the one growing temporal graph that
-/// serving reads: ONE dense global event log plus S DynamicTCSR shards
-/// over it, where shard s keeps exactly the adjacency lists of nodes with
-/// `shard_of(v, S) == s`. An event (u, v) lands in both endpoints' shards
-/// — the sharded analogue of TCSR inserting both directions — while
-/// EdgeIds stay dense and global, so EdgeId-indexed feature sources keep
-/// working unchanged.
+/// serving reads: S DynamicTCSR shards indexing ONE event log, where
+/// shard s keeps exactly the adjacency lists of nodes with
+/// `shard_of(v, S) == s`. The container binds the log and owns only the
+/// shard indexes; the rows (and their features) live once in the log,
+/// however many containers bind it. An event (u, v) lands in both
+/// endpoints' shards — the sharded analogue of TCSR inserting both
+/// directions — while EdgeIds stay dense and global, so EdgeId-indexed
+/// feature sources keep working unchanged.
 ///
 /// Why this shape: every merged-view query (degree / pivot_count / nbr*)
 /// routes to the single shard owning the root, and that shard's list is
@@ -25,21 +27,24 @@ namespace taser::graph {
 /// every list of a static TCSR over the log, and any S answers every
 /// query identically — the conformance anchor test_serve pins.
 ///
-/// Writer model (the parallel-ingest payoff): appending to the log
-/// (`append_event`) is serial and cheap; *indexing* the appended rows —
-/// the per-direction work that event-driven models (TGN-style memory
-/// updates) make expensive — is `apply_slice_to_shard`, safe to run on S
-/// threads concurrently because shards touch disjoint state and unowned
-/// rows are filtered before the per-shard writer guard. The
-/// GraphEpochManager's publish() is the intended driver. The container
-/// itself keeps the single-writer orchestration contract: one thread
-/// calls append/compact/frozen at a time (the epoch manager's shard crew,
-/// which runs apply and compact waves split by shard, is the one
-/// sanctioned exception).
+/// Visibility: a container sees the log rows it has indexed into every
+/// shard (`num_edges()`), never the rows appended after them. Rows are
+/// appended by the log's writer; *indexing* them — the per-direction
+/// work that event-driven models (TGN-style memory updates) make
+/// expensive — is `apply_slice_to_shard`, safe to run on S threads
+/// concurrently because shards touch disjoint state and unowned rows are
+/// filtered before the per-shard writer guard; the GraphEpochManager's
+/// publish() runs it in shard waves. The container itself keeps the
+/// single-writer orchestration contract: one thread calls
+/// apply/compact/frozen at a time (the epoch manager's shard crew, which
+/// runs apply and compact waves split by shard, is the one sanctioned
+/// exception).
 class ShardedDynamicTCSR {
  public:
-  /// Takes the base event log by value; `num_shards` >= 1.
-  explicit ShardedDynamicTCSR(Dataset base, int num_shards = 1);
+  /// Binds `log` (not owned; it must outlive the container) and indexes
+  /// its base rows into `num_shards` >= 1 shards. Rows streamed into the
+  /// log become visible as apply_slice_to_shard indexes them.
+  explicit ShardedDynamicTCSR(const EventLog& log, int num_shards = 1);
 
   int num_shards() const { return num_shards_; }
   const DynamicTCSR& shard(int s) const { return *shards_[static_cast<std::size_t>(s)]; }
@@ -48,10 +53,15 @@ class ShardedDynamicTCSR {
     return *shards_[static_cast<std::size_t>(shard_of(v, num_shards_))];
   }
 
-  std::int64_t num_nodes() const { return data_.num_nodes; }
-  /// The shared global event log + features. Stable reference.
-  const Dataset& dataset() const { return data_; }
-  Time last_time() const { return last_time_; }
+  /// The bound event log: rows and features for every EdgeId this
+  /// container returns.
+  const EventLog& log() const { return log_; }
+  std::int64_t num_nodes() const { return log_.num_nodes(); }
+  /// Log rows indexed into every shard: the rows this container's
+  /// queries see.
+  std::int64_t num_edges() const;
+  /// Time of the latest visible row (-inf when there is none).
+  Time last_time() const;
   /// Compaction backlog summed over shards — the value
   /// EpochConfig::compact_threshold is compared against, after which
   /// every shard compacts in the same wave. Note the cross-S wobble: an
@@ -80,34 +90,23 @@ class ShardedDynamicTCSR {
 
   // ---- writer API (publish-time catch-up) ---------------------------------
 
-  /// Appends one event row (+ feature row) to the shared log WITHOUT
-  /// indexing it into any shard; returns its dense global EdgeId. Serial
-  /// phase of a catch-up: must not run concurrently with apply slices
-  /// (appends can reallocate the log vectors the shard threads read).
-  EdgeId append_event(NodeId u, NodeId v, Time t, const float* edge_feat = nullptr);
-
-  /// Replays log rows [e0, e1) into shard s (owned directions only);
-  /// returns the number of directions applied. Safe to call concurrently
-  /// for distinct shards over the same slice — the parallel phase.
+  /// Indexes log rows [e0, e1) into shard s (owned directions only);
+  /// returns the number of directions applied. The rows must already be
+  /// in the log. Safe to call concurrently for distinct shards over the
+  /// same slice — the parallel phase. A frozen container rejects it.
   std::int64_t apply_slice_to_shard(int s, EdgeId e0, EdgeId e1);
 
   /// Folds shard s's delta into its base (DynamicTCSR::compact: a merge
-  /// over the shard's own slots; the shared log is not read). Safe to
-  /// call concurrently for distinct shards.
+  /// over the shard's own slots; the log is not read). Safe to call
+  /// concurrently for distinct shards.
   void compact_shard(int s);
   /// Serial all-shard compaction.
   void compact();
 
-  /// Serial convenience: append + index into every shard in one call
-  /// (tests and single-threaded callers; the epoch manager uses the
-  /// split append/apply phases instead).
-  EdgeId ingest(NodeId u, NodeId v, Time t, const float* edge_feat = nullptr);
-
  private:
-  Dataset data_;  ///< the one shared event log; shards hold pointers into it
+  const EventLog& log_;
   int num_shards_ = 1;
   std::vector<std::unique_ptr<DynamicTCSR>> shards_;
-  Time last_time_;
   std::atomic<bool> frozen_{false};
 };
 

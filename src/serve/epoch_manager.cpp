@@ -123,6 +123,7 @@ class GraphEpochManager::ShardCrew {
 
 GraphEpochManager::GraphEpochManager(graph::Dataset base, EpochConfig config)
     : config_(config),
+      log_(std::move(base)),
       books_({"taser.epoch.published", "taser.epoch.compactions"},
              {"taser.epoch.publish_ms"}) {
   TASER_CHECK_MSG(config_.compact_threshold >= 0,
@@ -133,17 +134,15 @@ GraphEpochManager::GraphEpochManager(graph::Dataset base, EpochConfig config)
   TASER_CHECK_MSG(config_.modeled_apply_us >= 0.0,
                   "modeled_apply_us must be >= 0 (got "
                       << config_.modeled_apply_us << ")");
-  sides_[0] = std::make_unique<graph::ShardedDynamicTCSR>(base, config_.num_shards);
-  sides_[1] =
-      std::make_unique<graph::ShardedDynamicTCSR>(std::move(base), config_.num_shards);
+  sides_[0] = std::make_unique<graph::ShardedDynamicTCSR>(log_, config_.num_shards);
+  sides_[1] = std::make_unique<graph::ShardedDynamicTCSR>(log_, config_.num_shards);
   // Both replicas start frozen: epoch 0 is the base snapshot, and the
   // write side thaws only inside publish() once it has retired.
   sides_[0]->set_frozen(true);
   sides_[1]->set_frozen(true);
   published_version_[0] = sides_[0]->version();
   published_version_[1] = sides_[1]->version();
-  base_edges_ = static_cast<std::uint64_t>(sides_[0]->dataset().num_edges());
-  last_time_ = sides_[0]->last_time();
+  base_edges_ = static_cast<std::uint64_t>(log_.size());
   crew_ = std::make_unique<ShardCrew>(config_.num_shards);
 }
 
@@ -168,13 +167,11 @@ void GraphEpochManager::release(int side) {
 
 void GraphEpochManager::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                                std::vector<float> edge_feat) {
-  // Full client-boundary validation here: a buffered event must never be
-  // the thing that throws later inside publish() (where it would fail the
-  // ingest thread, not the producer of the bad event).
-  TASER_CHECK_MSG(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes(),
-                  "streamed event (" << u << ", " << v
-                                     << "): node id out of range [0, "
-                                     << num_nodes() << ")");
+  // Full client-boundary validation here — these checks, then the log's
+  // append (node range, time order, EdgeId range), all before any state
+  // changes: an ingested event must never be the thing that throws later
+  // inside publish() (where it would fail the ingest thread, not the
+  // producer of the bad event).
   TASER_CHECK_MSG(std::isfinite(t), "streamed event (" << u << ", " << v << ") at t=" << t
                                                        << ": event time must be finite");
   TASER_CHECK_MSG(edge_feat.empty() ||
@@ -182,11 +179,7 @@ void GraphEpochManager::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                   "streamed edge feature row has " << edge_feat.size()
                       << " floats, dataset expects " << edge_feat_dim());
   std::lock_guard<std::mutex> lock(mu_);
-  TASER_CHECK_MSG(t >= last_time_,
-                  "streamed event at t=" << t << " regresses behind t="
-                      << last_time_ << " — events must arrive in time order");
-  last_time_ = t;
-  log_.push_back(Event{u, v, t, std::move(edge_feat)});
+  log_.append(u, v, t, edge_feat.empty() ? nullptr : edge_feat.data());
 }
 
 std::uint64_t GraphEpochManager::publish() {
@@ -202,17 +195,16 @@ std::uint64_t GraphEpochManager::publish() {
   std::uint64_t target;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    target = log_offset_ + log_.size();
+    target = streamed();
     w = 1 - current_;
     if (applied_[current_] == target) {
       // Nothing unpublished — the current epoch stays. But the *lagging*
       // replica may still be behind: before the PR 7 fix this branch
       // returned unconditionally, so once the stream went quiescent the
-      // laggard never caught up and the inter-epoch log tail (entries
-      // above min(applied_)) was retained forever. Catch it up now when
-      // it is unpinned (never block a no-op publish on a straggling
-      // reader; its pin count can only fall, so the next quiescent
-      // publish gets it) and trim the log to empty.
+      // laggard never caught up on the inter-epoch tail (events above
+      // min(applied_)). Catch it up now when it is unpinned (never block
+      // a no-op publish on a straggling reader; its pin count can only
+      // fall, so the next quiescent publish gets it).
       if (applied_[w] == target || pins_[w] != 0) return epoch_id_;
       lock.unlock();
       catch_up(w, target);
@@ -220,7 +212,6 @@ std::uint64_t GraphEpochManager::publish() {
       lock.lock();
       applied_[w] = target;
       published_version_[w] = version;
-      trim_log_locked();
       return epoch_id_;
     }
     // RCU retirement: the write side may still be pinned by readers that
@@ -247,7 +238,6 @@ std::uint64_t GraphEpochManager::publish() {
     current_ = w;
     epoch = ++epoch_id_;
     swap_span.set_tag(epoch);
-    trim_log_locked();
   }
   books_.add(kPublished);
   books_.observe(kPublishMs, publish_timer.seconds() * 1e3);
@@ -256,17 +246,15 @@ std::uint64_t GraphEpochManager::publish() {
 
 void GraphEpochManager::catch_up(int w, std::uint64_t target) {
   // Runs unlocked: the retired side is unreachable for readers (acquire
-  // only pins `current_`), and log entries [applied_[w], target) are
-  // stable — only this thread appends, and trimming never passes the
-  // minimum applied watermark.
+  // only pins `current_`), and log rows below `target` never change —
+  // only this thread appends, and only above them.
   //
   // Fault containment: this function is safe to re-drive after a throw
   // anywhere inside it. The replica re-freezes on every exit path (scope
-  // guard), the append phase resumes from the replica's own appended-row
-  // count, and the replay phase is idempotent per shard (each shard
-  // clamps to its applied_through watermark) — so the engine's ingest
-  // loop can simply retry publish() after a fault and converge instead
-  // of serving a permanently torn write side.
+  // guard), and the replay is idempotent per shard (each shard clamps to
+  // its applied_through watermark) — so the engine's ingest loop can
+  // simply retry publish() after a fault and converge instead of serving
+  // a permanently torn write side.
   TASER_FAILPOINT("serve.epoch.publish");
   // Nested under the engine's serve.publish span (same thread); the
   // crew threads' spans parent to it explicitly across the hop.
@@ -279,28 +267,16 @@ void GraphEpochManager::catch_up(int w, std::uint64_t target) {
     ~Refreeze() { g.set_frozen(true); }
   } refreeze{g};
 
-  // Phase 1, serial: append the pending rows to the replica's shared log.
-  // Cheap (a few vector pushes per event) and must not overlap phase 2 —
-  // appends can reallocate the log vectors the crew threads read. A
-  // prior faulted catch-up may have appended past applied_[w] already;
-  // resume from what this replica's log actually holds.
-  const std::uint64_t appended =
-      static_cast<std::uint64_t>(g.dataset().num_edges()) - base_edges_;
-  for (std::uint64_t i = appended; i < target; ++i) {
-    const Event& ev = log_[static_cast<std::size_t>(i - log_offset_)];
-    g.append_event(ev.u, ev.v, ev.t, ev.feat.empty() ? nullptr : ev.feat.data());
-  }
-  // Replay everything between the durable watermark and the log end —
-  // not just this call's appends: a faulted predecessor may have left
-  // appended rows unindexed (per-shard clamps skip any already done).
+  // Replay from the durable watermark: a faulted predecessor may have
+  // indexed part of the slice already (per-shard clamps skip it).
   const auto e0 = static_cast<graph::EdgeId>(base_edges_ + applied_[w]);
-  const auto e1 = static_cast<graph::EdgeId>(g.dataset().num_edges());
+  const auto e1 = static_cast<graph::EdgeId>(base_edges_ + target);
 
-  // Phase 2, parallel: index the slice into every shard in one crew
-  // wave — disjoint node sets, disjoint state. The modeled apply cost
-  // (per owned direction) sleeps concurrently across shards, standing in
-  // for per-event device work exactly like the engine's modeled_device_ms
-  // stands in for forward-pass time.
+  // Index the slice into every shard in one crew wave — disjoint node
+  // sets, disjoint state. The modeled apply cost (per owned direction)
+  // sleeps concurrently across shards, standing in for per-event device
+  // work exactly like the engine's modeled_device_ms stands in for
+  // forward-pass time.
   crew_->run([&](int s) {
     // Cross-thread parentage: shards 1..S-1 run on crew threads, where
     // the RAII stack can't see catch_up — parent passed explicitly.
@@ -325,17 +301,13 @@ void GraphEpochManager::catch_up(int w, std::uint64_t target) {
   }
 }
 
-void GraphEpochManager::trim_log_locked() {
-  const std::uint64_t keep_from = std::min(applied_[0], applied_[1]);
-  while (log_offset_ < keep_from) {
-    log_.pop_front();
-    ++log_offset_;
-  }
+std::uint64_t GraphEpochManager::streamed() const {
+  return static_cast<std::uint64_t>(log_.size()) - base_edges_;
 }
 
 bool GraphEpochManager::has_unpublished() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return applied_[current_] != log_offset_ + log_.size();
+  return applied_[current_] != streamed();
 }
 
 std::uint64_t GraphEpochManager::current_epoch() const {
@@ -345,7 +317,7 @@ std::uint64_t GraphEpochManager::current_epoch() const {
 
 std::uint64_t GraphEpochManager::events_ingested() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return log_offset_ + log_.size();
+  return streamed();
 }
 
 std::uint64_t GraphEpochManager::events_published() const {
@@ -359,7 +331,7 @@ std::uint64_t GraphEpochManager::compactions() const {
 
 std::size_t GraphEpochManager::log_size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return log_.size();
+  return static_cast<std::size_t>(streamed() - std::min(applied_[0], applied_[1]));
 }
 
 std::int64_t GraphEpochManager::pins(int side) const {
@@ -369,7 +341,7 @@ std::int64_t GraphEpochManager::pins(int side) const {
 
 graph::Time GraphEpochManager::last_ingest_time() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_time_;
+  return log_.last_time();
 }
 
 }  // namespace taser::serve

@@ -3,11 +3,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "graph/event_log.h"
 #include "graph/sharded_tcsr.h"
 #include "obs/metrics.h"
 
@@ -42,16 +42,18 @@ struct EpochConfig {
 
 /// Left-right epoch manager: promotes the PR 5 single-writer/snapshot-read
 /// contract from a structural accident of one thread into a concurrency
-/// design. Two ShardedDynamicTCSR replicas of the same event log alternate
-/// between two roles:
+/// design. The manager owns ONE graph::EventLog, which ingest() appends
+/// to, and two ShardedDynamicTCSR replicas that both bind it and hold only
+/// their shard indexes. The replicas alternate between two roles:
 ///
 ///   - the *current epoch*: frozen (DynamicTCSR::set_frozen), served
 ///     read-only to any number of concurrent InferenceSession readers,
 ///     each of which pins it with a ReadGuard for the duration of one
 ///     micro-batch;
 ///   - the *write side*: invisible to readers, caught up with newly
-///     ingested events by the single ingest thread and then published,
-///     atomically becoming the next current epoch.
+///     ingested events (indexing their log rows) by the single ingest
+///     thread and then published, atomically becoming the next current
+///     epoch.
 ///
 /// Reclamation is RCU-style: publish() blocks until every reader pin on
 /// the write side (stragglers from its previous life as the current
@@ -62,25 +64,28 @@ struct EpochConfig {
 /// the finder, and any write landing inside a pinned epoch hard-fails the
 /// reader (and, via the freeze flag, the writer) rather than racing.
 ///
-/// Cost model: every event is applied once per replica (O(1) amortized,
-/// twice total) instead of the graph being copied per epoch; publish is
-/// O(new events) plus a pointer swap, and a due compaction adds one merge
-/// pass over each shard's own slots (never a re-read of the log). Memory
-/// is two full replicas — the price of lock-free-shaped reads with zero
-/// reader-visible mutation.
+/// Cost model: every event is stored once, in the log, at ingest, and
+/// indexed once per replica (O(1) amortized, twice total) instead of the
+/// graph being copied per epoch; publish is O(new events) plus a pointer
+/// swap, and a due compaction adds one merge pass over each shard's own
+/// slots (never a re-read of the log). Memory is one log plus two sets of
+/// shard indexes — the price of lock-free-shaped reads with zero
+/// reader-visible mutation is the second index, not a second copy of the
+/// rows. A pinned epoch sees only the log rows below its watermark: rows
+/// appended after its publish are outside every list it serves.
 ///
 /// Sharded catch-up (PR 7): each replica is hash-partitioned into
-/// `num_shards` disjoint DynamicTCSR shards over ONE shared log. publish()
-/// appends the pending log slice serially (cheap), then replays it into
-/// the S shards in one wave (the indexing + modeled per-direction device
-/// work, embarrassingly parallel because shards own disjoint node sets),
-/// then compacts in a second wave when due, then swaps ALL shards
-/// atomically behind the single epoch id — one epoch counter, one pin
-/// counter per side, one event log, so the read-side contract is
-/// unchanged at any S. A wave runs shard 0 on the publishing thread and
-/// shards 1..S-1 on a crew of S - 1 threads that the constructor starts
-/// once and the destructor joins (no thread start-up per publish); a
-/// shard's exception is captured and rethrown after the whole wave.
+/// `num_shards` disjoint DynamicTCSR shards over the one log. publish()
+/// indexes the unapplied log slice into the S shards in one wave (the
+/// indexing + modeled per-direction device work, embarrassingly parallel
+/// because shards own disjoint node sets), then compacts in a second wave
+/// when due, then swaps ALL shards atomically behind the single epoch id
+/// — one epoch counter, one pin counter per side, one event log, so the
+/// read-side contract is unchanged at any S. A wave runs shard 0 on the
+/// publishing thread and shards 1..S-1 on a crew of S - 1 threads that
+/// the constructor starts once and the destructor joins (no thread
+/// start-up per publish); a shard's exception is captured and rethrown
+/// after the whole wave.
 ///
 /// Threading contract (hard checks where cheap):
 ///   - ingest() and publish() are single-ingest-thread only (concurrent
@@ -139,43 +144,43 @@ class GraphEpochManager {
 
   // ---- writer side (single ingest thread) -----------------------------------
 
-  /// Buffers one interaction event (validated here: node range, finite
-  /// and globally non-decreasing time, feature width). The event becomes
-  /// visible to readers only at the next publish().
+  /// Appends one interaction event to the log (validated here: node
+  /// range, finite and globally non-decreasing time, feature width). The
+  /// event becomes visible to readers only at the next publish().
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});
 
-  /// Catches the write side up with every buffered event and publishes it
+  /// Catches the write side up with every ingested event and publishes it
   /// as the new current epoch. Blocks until the write side has retired
   /// (reader pins released). Returns the new current epoch id. When
   /// nothing is unpublished, keeps the current epoch (id unchanged) but
-  /// still catches the *lagging* replica up — if it is unpinned — and
-  /// trims the log, so a quiescent stream converges to both replicas
-  /// fully applied and an empty log instead of retaining the inter-epoch
-  /// tail forever (the PR 7 idle-stream fix).
+  /// still catches the *lagging* replica up — if it is unpinned — so a
+  /// quiescent stream converges to both replicas fully applied
+  /// (log_size() == 0) instead of leaving the inter-epoch tail unindexed
+  /// forever.
   std::uint64_t publish();
 
-  /// True when buffered events are not yet visible in the current epoch.
+  /// True when ingested events are not yet visible in the current epoch.
   bool has_unpublished() const;
 
   // ---- introspection --------------------------------------------------------
 
   std::uint64_t current_epoch() const;
-  /// Total events ingested (buffered + published).
+  /// Total events ingested (unpublished + published).
   std::uint64_t events_ingested() const;
   /// Events visible in the current epoch.
   std::uint64_t events_published() const;
   std::uint64_t compactions() const;
-  /// Entries currently retained in the pending/replay log (unpublished
-  /// events plus the tail kept for the lagging replica). An idle, fully
-  /// caught-up manager holds zero.
+  /// Ingested events not yet indexed into both replicas (unpublished
+  /// events plus the tail the lagging replica has not replayed). An idle,
+  /// fully caught-up manager reads zero.
   std::size_t log_size() const;
   /// Reader pins currently held on replica `side` (tests assert the
   /// no-reclaim-while-held invariant with this).
   std::int64_t pins(int side) const;
 
-  std::int64_t num_nodes() const { return sides_[0]->num_nodes(); }
-  std::int64_t edge_feat_dim() const { return sides_[0]->dataset().edge_feat_dim; }
+  std::int64_t num_nodes() const { return log_.num_nodes(); }
+  std::int64_t edge_feat_dim() const { return log_.edge_feat_dim(); }
   /// Latest ingested event time (ordering guard for callers).
   graph::Time last_ingest_time() const;
 
@@ -183,29 +188,31 @@ class GraphEpochManager {
   /// replica addresses are stable for the manager's lifetime; treat the
   /// graphs as read-only.
   const graph::ShardedDynamicTCSR& side(int i) const { return *sides_[i]; }
+  /// The one event log both replicas bind (stable address). Its base
+  /// never changes; a reader touches streamed rows only below the
+  /// watermark of the epoch it pinned.
+  const graph::EventLog& log() const { return log_; }
 
  private:
-  struct Event {
-    graph::NodeId u, v;
-    graph::Time t;
-    std::vector<float> feat;
-  };
-
   void release(int side);
-  /// Replays log entries [applied_[w], target) into replica w: serial
-  /// append to the shared log, a per-shard indexing wave (+ modeled
-  /// apply cost), optional compaction wave (counted in books_),
-  /// re-freeze. Runs unlocked. Caller must hold the publishing_ flag and
-  /// have verified pins_[w] == 0. Exception-safe and re-drivable: on a
-  /// throw (a shard's exception is rethrown once its whole wave has
-  /// finished) the replica is re-frozen and a later call resumes —
-  /// appends from the replica's log length, replays from per-shard
-  /// watermarks — so a faulted publish retries to convergence.
+  /// Events appended to the log since construction. Caller holds mu_ or
+  /// is the ingest thread.
+  std::uint64_t streamed() const;
+  /// Indexes streamed events [applied_[w], target) into replica w: a
+  /// per-shard indexing wave (+ modeled apply cost), optional compaction
+  /// wave (counted in books_), re-freeze. Runs unlocked. Caller must hold
+  /// the publishing_ flag and have verified pins_[w] == 0.
+  /// Exception-safe and re-drivable: on a throw (a shard's exception is
+  /// rethrown once its whole wave has finished) the replica is re-frozen
+  /// and a later call resumes from the per-shard replay watermarks, so a
+  /// faulted publish retries to convergence.
   void catch_up(int w, std::uint64_t target);
-  /// Drops log entries below min(applied_). Caller holds mu_.
-  void trim_log_locked();
 
   EpochConfig config_;
+  /// The one event log. Appended under mu_ by the ingest thread; read
+  /// below applied watermarks by catch-up and by readers of pinned
+  /// epochs. Declared before the replicas that bind it.
+  graph::EventLog log_;
   std::unique_ptr<graph::ShardedDynamicTCSR> sides_[2];
 
   mutable std::mutex mu_;
@@ -215,28 +222,18 @@ class GraphEpochManager {
   std::int64_t pins_[2] = {0, 0};
   /// Replica versions captured at publish (ReadGuard fence values).
   std::uint64_t published_version_[2];
-  /// Absolute applied-event watermark per replica into the logical log.
-  /// Advances only when a catch-up completes; a faulted catch-up leaves
-  /// it put, and the retry resumes from it (per-shard clamps make the
-  /// overlap idempotent).
+  /// Streamed events indexed into each replica. Advances only when a
+  /// catch-up completes; a faulted catch-up leaves it put, and the retry
+  /// resumes from it (per-shard clamps make the overlap idempotent).
   std::uint64_t applied_[2] = {0, 0};
-  /// Rows in the base log at construction: replica EdgeId of streamed
-  /// event i is base_edges_ + i, the anchor the resumable append phase
-  /// and the replay slice bounds are computed from.
+  /// Rows in the log's base: streamed event i is log row base_edges_ + i.
   std::uint64_t base_edges_ = 0;
-  graph::Time last_time_;
   /// `taser.epoch.{published,compactions,publish_ms}`, written by the
   /// publishing thread.
   enum BookCounter : std::size_t { kPublished, kCompactions };
   enum BookHistogram : std::size_t { kPublishMs };
   obs::Scope books_;
 
-  /// Pending-event log. Appended under mu_ by the ingest thread; replayed
-  /// lock-free by publish() — safe because ingest and publish share the
-  /// single ingest thread (asserted via publishing_). Entries below both
-  /// applied watermarks are trimmed (log_offset_ keeps indices absolute).
-  std::deque<Event> log_;
-  std::uint64_t log_offset_ = 0;
   std::atomic<bool> publishing_{false};
 
   /// Runs catch_up's per-shard waves; declared last so it is joined

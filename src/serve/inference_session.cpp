@@ -20,16 +20,16 @@ InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
                                      gpusim::Device& device,
                                      const SessionConfig& config, double time_scale)
     : finder(graph, config.seed ^ 0xd1f1ULL) {
-  // Feature source and builder bind the container's shared log — EdgeIds
-  // are dense and global regardless of shard count, so feature lookups
-  // are untouched by sharding.
-  features = std::make_unique<cache::PlainFeatureSource>(graph.dataset(), device);
+  // Edge rows come from the log both replicas bind — EdgeIds are dense
+  // and global regardless of shard count, so feature lookups are
+  // untouched by sharding. The builder reads only dims from the base.
+  features = std::make_unique<cache::PlainFeatureSource>(graph.log(), device);
   core::BuilderConfig bc;
   bc.n = config.n_neighbors;
   bc.m = config.n_neighbors;  // non-adaptive: the finder samples n directly
   bc.policy = config.policy;
   bc.time_scale = time_scale;
-  builder = std::make_unique<core::BatchBuilder>(graph.dataset(), finder, *features,
+  builder = std::make_unique<core::BatchBuilder>(graph.log().base(), finder, *features,
                                                  device, /*sampler=*/nullptr, bc);
 }
 
@@ -38,7 +38,9 @@ InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig conf
       config_(config),
       device_(config.device_spec),
       rng_(config.seed) {
-  const graph::Dataset& data = graphs.side(0).dataset();
+  // The log's base never changes, so neither do the dims and the ∆t
+  // normalisation derived from it, whenever the session is built.
+  const graph::Dataset& data = graphs.log().base();
   util::Rng init_rng(config_.seed ^ 0xabcdef12345ULL);
   models::ModelConfig mc;
   mc.node_feat_dim = data.node_feat_dim;

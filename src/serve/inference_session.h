@@ -33,8 +33,10 @@ struct LinkQuery {
 /// Model-side serving configuration. The architecture fields must match
 /// the training run that produced the checkpoint (load_checkpoint's
 /// strict name/shape matching enforces it); `time_scale` must match the
-/// trainer's ∆t normalisation — 0 derives it from the base event log with
-/// the same Dataset::mean_inter_event_gap() formula the Trainer uses.
+/// trainer's ∆t normalisation — 0 derives it from the base dataset of the
+/// manager's event log (EventLog::base(), which streamed events never
+/// change) with the same Dataset::mean_inter_event_gap() formula the
+/// Trainer uses.
 struct SessionConfig {
   core::BackboneKind backbone = core::BackboneKind::kGraphMixer;
   std::int64_t n_neighbors = 10;
@@ -45,7 +47,7 @@ struct SessionConfig {
   /// policies (uniform / inverse-timespan) draw from per-query keyed
   /// streams, so they are batching-independent too.
   sampling::FinderPolicy policy = sampling::FinderPolicy::kMostRecent;
-  double time_scale = 0;  ///< 0 = Dataset::mean_inter_event_gap()
+  double time_scale = 0;  ///< 0 = the log base's mean_inter_event_gap()
   std::uint64_t seed = 11;
   gpusim::DeviceSpec device_spec = gpusim::rtx6000ada();
 };

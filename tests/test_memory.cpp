@@ -1,6 +1,7 @@
 // Live-heap budgets of the training graphs: the bytes a MixerBlock node
 // and a sampler selection keep for their backward, that nothing of a
 // training step outlives train_epoch(), and that evaluation tapes nothing.
+// And of serving: a streamed event costs one log row plus its index slots.
 // Bytes are counted by a replacement operator new/delete, local to this
 // binary: every allocation carries a 16-byte header with its size.
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 
 #include "core/adaptive_sampler.h"
 #include "core/trainer.h"
+#include "graph/event_log.h"
 #include "graph/synthetic.h"
 #include "nn/mixer.h"
+#include "serve/epoch_manager.h"
 #include "tensor/counters.h"
 
 namespace {
@@ -264,6 +267,65 @@ TEST(MemoryBudget, EvaluationTapesNothing) {
   std::printf("evaluation: started at %.1f MB of live heap, peaked %.1f MB above it\n",
               before / kMB, (peak_bytes() - before) / kMB);
   EXPECT_EQ(tt::OpCounters::thread_tape_nodes(), nodes);
+}
+
+// The serving event log stores each streamed row once, for both epoch
+// replicas: a manager's live heap grows by one row (src, dst, ts and the
+// feature row) plus both replicas' compacted index slots per event, and
+// the log never copies a row to grow. (With a row per replica, a pending
+// queue entry per event and doubling vectors, growth was 427 B per event
+// on this stream, and the peak rose 7.4 MB above the end.)
+TEST(MemoryBudget, ServingLogStoresEachRowOnce) {
+  graph::SyntheticConfig sc = graph::movielens_like(0.01, 32);
+  sc.seed = 1;
+  const graph::Dataset data = graph::generate_synthetic(sc);
+  serve::EpochConfig ec;  // serve-ingest's epoch settings
+  ec.num_shards = 4;
+  ec.compact_threshold = 2000;
+  serve::GraphEpochManager mgr(data, ec);
+  constexpr std::int64_t kEvents = 120000, kBlock = 1000;
+  const std::int64_t d = data.edge_feat_dim;
+  const std::int64_t before = reset_peak();
+  graph::Time t = data.ts.back();
+  for (std::int64_t k = 0; k < kEvents; ++k) {
+    const auto e = static_cast<graph::EdgeId>(k % data.num_edges());
+    const float* row = data.edge_feat(e);
+    t += 1.0;
+    mgr.ingest(data.src[static_cast<std::size_t>(e)], data.dst[static_cast<std::size_t>(e)], t,
+               std::vector<float>(row, row + d));
+    if ((k + 1) % kBlock == 0) mgr.publish();
+  }
+  mgr.publish();  // idle: the lagging replica indexes the last block too
+  ASSERT_EQ(mgr.log_size(), 0u);
+  const std::int64_t growth = live_bytes() - before;
+  const std::int64_t peak_over_end = peak_bytes() - live_bytes();
+
+  const std::int64_t row_bytes = 2 * sizeof(graph::NodeId) + sizeof(graph::Time) +
+                                 d * static_cast<std::int64_t>(sizeof(float));
+  // A compacted index slot: neighbor, time and EdgeId.
+  const std::int64_t slot_bytes = sizeof(graph::NodeId) + sizeof(graph::Time) +
+                                  sizeof(graph::EdgeId);
+  const std::int64_t per_event = row_bytes + 2 * 2 * slot_bytes;  // 2 replicas x 2 directions
+  const std::int64_t chunk = graph::EventLog::kChunkRows * row_bytes;
+  // The delta lists keep their capacity across compactions (a few entries
+  // per node), and the slots of the events after the last compaction sit
+  // in them at 24 B rather than 16 B.
+  constexpr std::int64_t kMargin = 1'000'000;
+  // One replica's compaction holds its new shard arrays beside the old:
+  // S indptr arrays and a slot per direction of every row.
+  const std::int64_t rows = data.num_edges() + kEvents;
+  const std::int64_t transient =
+      ec.num_shards * (data.num_nodes + 1) * static_cast<std::int64_t>(sizeof(std::int64_t)) +
+      2 * rows * slot_bytes;
+  std::printf("serving log: %lld events grew the live heap %.1f MB (%.0f B per event; a row and "
+              "its slots are %lld B), peak %.1f MB above the end (compaction transient %.1f MB, "
+              "chunk %.2f MB)\n",
+              static_cast<long long>(kEvents), growth / kMB,
+              static_cast<double>(growth) / static_cast<double>(kEvents),
+              static_cast<long long>(per_event), peak_over_end / kMB, transient / kMB,
+              chunk / kMB);
+  EXPECT_LE(growth, kEvents * per_event + chunk + kMargin);
+  EXPECT_LE(peak_over_end, transient + chunk);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <thread>
 #include <tuple>
 
+#include "graph/event_log.h"
 #include "graph/sharded_tcsr.h"
 #include "graph/synthetic.h"
 #include "obs/trace.h"
@@ -65,14 +66,24 @@ graph::Dataset prefix_dataset(const graph::Dataset& full, std::int64_t keep) {
   return d;
 }
 
-/// Streams events [from, full.num_edges()) of `full` into `g`, compacting
-/// at every index in `compact_at`.
-void stream_rest(graph::ShardedDynamicTCSR& g, const graph::Dataset& full, std::int64_t from,
-                 std::initializer_list<std::int64_t> compact_at = {}) {
+/// Appends one event to `log`, then indexes every log row `g` has not
+/// indexed yet into each of its shards: the serial single-writer catch-up
+/// the graph-level tests drive (the epoch manager runs it as shard waves).
+graph::EdgeId ingest(graph::EventLog& log, graph::ShardedDynamicTCSR& g, graph::NodeId u,
+                     graph::NodeId v, graph::Time t, const float* feat = nullptr) {
+  const graph::EdgeId eid = log.append(u, v, t, feat);
+  for (int s = 0; s < g.num_shards(); ++s) g.apply_slice_to_shard(s, 0, eid + 1);
+  return eid;
+}
+
+/// Streams events [from, full.num_edges()) of `full` into `log` and `g`,
+/// compacting at every index in `compact_at`.
+void stream_rest(graph::EventLog& log, graph::ShardedDynamicTCSR& g, const graph::Dataset& full,
+                 std::int64_t from, std::initializer_list<std::int64_t> compact_at = {}) {
   for (std::int64_t e = from; e < full.num_edges(); ++e) {
     const float* feat = full.edge_feat_dim > 0 ? full.edge_feat(static_cast<graph::EdgeId>(e))
                                                : nullptr;
-    const graph::EdgeId eid = g.ingest(full.src[e], full.dst[e], full.ts[e], feat);
+    const graph::EdgeId eid = ingest(log, g, full.src[e], full.dst[e], full.ts[e], feat);
     EXPECT_EQ(eid, static_cast<graph::EdgeId>(e));
     for (std::int64_t c : compact_at)
       if (e == c) g.compact();
@@ -86,14 +97,25 @@ std::vector<float> feat_row(const graph::Dataset& d, std::int64_t e) {
   return std::vector<float>(f, f + d.edge_feat_dim);
 }
 
-/// Compares two containers' merged views (any shard counts) list by list.
+/// Compares two containers' merged views (any shard counts) list by
+/// list, and the log rows each one sees, row by row.
 void expect_query_identical(const graph::ShardedDynamicTCSR& a,
                             const graph::ShardedDynamicTCSR& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.dataset().num_edges(), b.dataset().num_edges());
-  EXPECT_EQ(a.dataset().src, b.dataset().src);
-  EXPECT_EQ(a.dataset().ts, b.dataset().ts);
-  EXPECT_EQ(a.dataset().edge_feats, b.dataset().edge_feats);
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  const graph::EventLog& la = a.log();
+  const graph::EventLog& lb = b.log();
+  ASSERT_EQ(la.edge_feat_dim(), lb.edge_feat_dim());
+  const auto d = static_cast<std::size_t>(la.edge_feat_dim());
+  for (graph::EdgeId e = 0; e < a.num_edges(); ++e) {
+    ASSERT_EQ(la.src(e), lb.src(e)) << "row " << e;
+    ASSERT_EQ(la.dst(e), lb.dst(e)) << "row " << e;
+    ASSERT_EQ(la.ts(e), lb.ts(e)) << "row " << e;
+    if (d > 0) {
+      ASSERT_EQ(std::memcmp(la.edge_feat(e), lb.edge_feat(e), d * sizeof(float)), 0)
+          << "row " << e;
+    }
+  }
   for (graph::NodeId v = 0; v < a.num_nodes(); ++v) {
     ASSERT_EQ(a.degree(v), b.degree(v)) << "node " << v;
     for (std::int64_t j = 0; j < a.degree(v); ++j) {
@@ -115,10 +137,12 @@ TEST(DynamicGraph, IncrementalEqualsStaticAcrossCompactions) {
   const graph::Dataset full = small_dataset();
   const std::int64_t cut = full.num_edges() * 2 / 3;
 
-  graph::ShardedDynamicTCSR statically_built(full);
-  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
+  graph::EventLog log(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR grown(log);
   // Two compactions at arbitrary points, plus a tail left in the delta.
-  stream_rest(grown, full, cut, {cut + 37, cut + 120});
+  stream_rest(log, grown, full, cut, {cut + 37, cut + 120});
   ASSERT_GT(grown.delta_edges(), 0);
 
   expect_query_identical(grown, statically_built);
@@ -139,9 +163,11 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
   full.ts = {1, 2, 2, 2, 3};
   full.train_end = full.val_end = full.num_edges();
 
-  graph::ShardedDynamicTCSR statically_built(full);
-  graph::ShardedDynamicTCSR grown(prefix_dataset(full, 2));
-  stream_rest(grown, full, 2);
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
+  graph::EventLog log(prefix_dataset(full, 2));
+  graph::ShardedDynamicTCSR grown(log);
+  stream_rest(log, grown, full, 2);
 
   expect_query_identical(grown, statically_built);
   // Strictly-earlier semantics at the duplicated timestamp itself.
@@ -154,9 +180,11 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
 TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
   const graph::Dataset full = small_dataset(7);
   const std::int64_t cut = full.num_edges() / 2;
-  graph::ShardedDynamicTCSR statically_built(full);
-  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
-  stream_rest(grown, full, cut, {cut + 50});
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
+  graph::EventLog log(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR grown(log);
+  stream_rest(log, grown, full, cut, {cut + 50});
 
   // Queries spread over the timeline, including early times served purely
   // from the base and late times reaching into the delta.
@@ -191,7 +219,8 @@ TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
 TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
   const graph::Dataset full = small_dataset(21);
   graph::TCSR tcsr(full);
-  graph::ShardedDynamicTCSR dyn(full);
+  const graph::EventLog log(full);
+  graph::ShardedDynamicTCSR dyn(log);
 
   graph::TargetBatch targets;
   for (std::int64_t e = 0; e < full.num_edges(); e += 31)
@@ -215,7 +244,8 @@ TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
 
 TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   const graph::Dataset full = small_dataset(9);
-  graph::ShardedDynamicTCSR g(prefix_dataset(full, full.num_edges() / 2));
+  graph::EventLog log(prefix_dataset(full, full.num_edges() / 2));
+  graph::ShardedDynamicTCSR g(log);
   sampling::DynamicNeighborFinder finder(g, 1);
   graph::TargetBatch targets;
   targets.push(full.src[0], full.ts.back());
@@ -230,7 +260,7 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
 
   // A write inside the sampling window trips the version check...
   const std::uint64_t v0 = g.version();
-  g.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
+  ingest(log, g, full.src[0], full.dst[0], full.ts.back() + 1);
   EXPECT_GT(g.version(), v0);
   EXPECT_THROW(finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out),
                std::runtime_error);
@@ -239,28 +269,30 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out);
 
   // Ingest guards: time regression and unknown nodes are hard errors.
-  EXPECT_THROW(g.ingest(0, 1, full.ts.front() - 1), std::runtime_error);
-  EXPECT_THROW(g.ingest(static_cast<graph::NodeId>(g.num_nodes()), 0,
-                        full.ts.back() + 2),
+  EXPECT_THROW(ingest(log, g, 0, 1, full.ts.front() - 1), std::runtime_error);
+  EXPECT_THROW(ingest(log, g, static_cast<graph::NodeId>(g.num_nodes()), 0,
+                      full.ts.back() + 2),
                std::runtime_error);
 }
 
 TEST(DynamicGraph, FrozenReplicaRejectsMutation) {
   const graph::Dataset data = small_dataset(23);
-  graph::ShardedDynamicTCSR g(data);
+  graph::EventLog log(data);
+  graph::ShardedDynamicTCSR g(log);
   g.set_frozen(true);
   // A published epoch is immutable: both mutation entry points hard-fail
   // instead of racing concurrent readers.
-  EXPECT_THROW(g.ingest(data.src[0], data.dst[0], data.ts.back() + 1),
+  EXPECT_THROW(ingest(log, g, data.src[0], data.dst[0], data.ts.back() + 1),
                std::runtime_error);
   EXPECT_THROW(g.compact(), std::runtime_error);
   g.set_frozen(false);
-  EXPECT_NO_THROW(g.ingest(data.src[0], data.dst[0], data.ts.back() + 1));
+  EXPECT_NO_THROW(ingest(log, g, data.src[0], data.dst[0], data.ts.back() + 1));
 }
 
 TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
   const graph::Dataset data = small_dataset(25);
-  graph::ShardedDynamicTCSR g(data);
+  graph::EventLog log(data);
+  graph::ShardedDynamicTCSR g(log);
   sampling::DynamicNeighborFinder finder(g, 1);
 
   // Matching expectation passes and is one-shot.
@@ -271,7 +303,7 @@ TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
   // A write landing between epoch acquisition (version capture) and
   // sampling hard-fails the next begin_batch.
   const std::uint64_t stale = g.version();
-  g.ingest(data.src[0], data.dst[0], data.ts.back() + 1);
+  ingest(log, g, data.src[0], data.dst[0], data.ts.back() + 1);
   finder.expect_version(stale);
   EXPECT_THROW(finder.begin_batch(data.ts.back() + 1), std::runtime_error);
 }
@@ -283,7 +315,8 @@ TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
 // is set (debug builds and the sanitizer CI jobs).
 TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
   const graph::Dataset data = small_dataset(45);
-  graph::ShardedDynamicTCSR g(data);
+  const graph::EventLog log(data);
+  const graph::ShardedDynamicTCSR g(log);
   const auto n = static_cast<graph::NodeId>(g.num_nodes());
 
   EXPECT_THROW(g.degree(n), std::runtime_error);
@@ -313,16 +346,19 @@ TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
 TEST(ShardedGraph, MergedViewMatchesUnshardedAcrossShardCounts) {
   const graph::Dataset full = small_dataset(47);
   const std::int64_t cut = full.num_edges() * 2 / 3;
-  const graph::ShardedDynamicTCSR reference(full);
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR reference(full_log);
 
   for (int num_shards : {1, 2, 4, 7}) {
-    graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
+    graph::EventLog log(prefix_dataset(full, cut));
+    graph::ShardedDynamicTCSR sharded(log, num_shards);
     EXPECT_EQ(sharded.num_shards(), num_shards);
     for (std::int64_t e = cut; e < full.num_edges(); ++e) {
       const float* feat = full.edge_feat_dim > 0
                               ? full.edge_feat(static_cast<graph::EdgeId>(e))
                               : nullptr;
-      const graph::EdgeId eid = sharded.ingest(full.src[e], full.dst[e], full.ts[e], feat);
+      const graph::EdgeId eid =
+          ingest(log, sharded, full.src[e], full.dst[e], full.ts[e], feat);
       EXPECT_EQ(eid, static_cast<graph::EdgeId>(e));  // EdgeIds stay dense + global
       if (e == cut + 100) sharded.compact();
     }
@@ -337,12 +373,13 @@ TEST(ShardedGraph, MergedViewMatchesUnshardedAcrossShardCounts) {
 
 TEST(ShardedGraph, ShardOwnershipAndModeGuards) {
   const graph::Dataset data = small_dataset(49);
-  graph::ShardedDynamicTCSR sharded(data, 4);
+  graph::EventLog log(data);
+  graph::ShardedDynamicTCSR sharded(log, 4);
 
   // Version is summed over shards and strictly grows per event.
   const std::uint64_t v0 = sharded.version();
   const graph::Time t1 = data.ts.back() + 1;
-  sharded.ingest(data.src[0], data.dst[0], t1);
+  ingest(log, sharded, data.src[0], data.dst[0], t1);
   EXPECT_GT(sharded.version(), v0);
 
   // Every node's list lives in exactly the shard shard_of names, and the
@@ -360,12 +397,12 @@ TEST(ShardedGraph, ShardOwnershipAndModeGuards) {
     EXPECT_EQ(graph::shard_of(v, 1), 0);
   }
 
-  // Mode guard: a frozen sharded container rejects appends (published
+  // Mode guard: a frozen sharded container rejects indexing (published
   // epochs stay immutable at any shard count).
   sharded.set_frozen(true);
-  EXPECT_THROW(sharded.ingest(data.src[0], data.dst[0], t1 + 2), std::runtime_error);
+  EXPECT_THROW(ingest(log, sharded, data.src[0], data.dst[0], t1 + 2), std::runtime_error);
   sharded.set_frozen(false);
-  EXPECT_NO_THROW(sharded.ingest(data.src[0], data.dst[0], t1 + 2));
+  EXPECT_NO_THROW(ingest(log, sharded, data.src[0], data.dst[0], t1 + 2));
 }
 
 template <class T>
@@ -374,6 +411,19 @@ void expect_same_bytes(const std::vector<T>& a, const std::vector<T>& b, const c
   if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0) << what;
   }
+}
+
+/// The rows `g` sees, copied out of its log: the input of a static TCSR
+/// build over the log.
+graph::Dataset visible_rows(const graph::ShardedDynamicTCSR& g) {
+  graph::Dataset d;
+  d.num_nodes = g.num_nodes();
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    d.src.push_back(g.log().src(e));
+    d.dst.push_back(g.log().dst(e));
+    d.ts.push_back(g.log().ts(e));
+  }
+  return d;
 }
 
 void expect_same_csr(const graph::TCSR& got, const graph::TCSR& want) {
@@ -406,18 +456,21 @@ TEST(ShardedGraph, CompactionIsByteIdenticalToStaticBuild) {
   full.train_end = full.val_end = full.num_edges();
   const std::int64_t cut = full.num_edges() - 120;
   const std::int64_t compact_after[] = {cut + 40, loop_at, loop_at + 2};
-  const graph::ShardedDynamicTCSR statically_built(full);
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
 
   for (int num_shards : {1, 2, 4, 7}) {
     SCOPED_TRACE(::testing::Message() << num_shards << " shards");
-    graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
+    graph::EventLog log(prefix_dataset(full, cut));
+    graph::ShardedDynamicTCSR sharded(log, num_shards);
     auto expect_static_bases = [&] {
+      const graph::Dataset rows = visible_rows(sharded);
       for (int s = 0; s < num_shards; ++s)
-        expect_same_csr(sharded.shard(s).base(), graph::TCSR(sharded.dataset(), s, num_shards));
+        expect_same_csr(sharded.shard(s).base(), graph::TCSR(rows, s, num_shards));
     };
     for (std::int64_t e = cut; e < full.num_edges(); ++e) {
-      sharded.ingest(full.src[e], full.dst[e], full.ts[e],
-                     full.edge_feat(static_cast<graph::EdgeId>(e)));
+      ingest(log, sharded, full.src[e], full.dst[e], full.ts[e],
+             full.edge_feat(static_cast<graph::EdgeId>(e)));
       for (std::int64_t at : compact_after)
         if (e == at) {
           sharded.compact();
@@ -431,6 +484,149 @@ TEST(ShardedGraph, CompactionIsByteIdenticalToStaticBuild) {
     }
     expect_query_identical(sharded, statically_built);
   }
+}
+
+// ---- the event log ----------------------------------------------------------
+
+/// Feature value j of streamed row e in the log tests (exact in float).
+float row_value(std::int64_t e, std::int64_t j) { return static_cast<float>(e * 8 + j); }
+
+// Rows read back bit-equal across chunk boundaries: base rows from the
+// base dataset, streamed rows from the chunks, featureless appends as zero
+// rows. A row's address never changes as later chunks are added.
+TEST(EventLog, RowsReadBackBitEqualAcrossChunkBoundaries) {
+  const graph::Dataset data = small_dataset(63);
+  graph::EventLog log(data);
+  const std::int64_t base = data.num_edges();
+  const std::int64_t n = data.num_nodes;
+  const std::int64_t d = data.edge_feat_dim;
+  ASSERT_GT(d, 0);
+  ASSERT_EQ(log.size(), base);
+
+  std::vector<float> feat(static_cast<std::size_t>(d));
+  auto append = [&](std::int64_t e) {
+    for (std::int64_t j = 0; j < d; ++j) feat[static_cast<std::size_t>(j)] = row_value(e, j);
+    const bool featureless = e % 5 == 0;
+    return log.append(static_cast<graph::NodeId>(e % n), static_cast<graph::NodeId>(e * 7 % n),
+                      data.ts.back() + static_cast<double>(e / 3),
+                      featureless ? nullptr : feat.data());
+  };
+  // One streamed row first: its address is taken before the log grows.
+  ASSERT_EQ(append(base), base);
+  const float* base_row = log.edge_feat(0);
+  const float* first_row = log.edge_feat(static_cast<graph::EdgeId>(base));
+  const std::int64_t end = base + 2 * graph::EventLog::kChunkRows + 100;  // 2 boundaries
+  for (std::int64_t e = base + 1; e < end; ++e) ASSERT_EQ(append(e), e);
+  ASSERT_EQ(log.size(), end);
+  EXPECT_EQ(log.last_time(), data.ts.back() + static_cast<double>((end - 1) / 3));
+
+  EXPECT_EQ(log.edge_feat(0), base_row);
+  EXPECT_EQ(log.edge_feat(static_cast<graph::EdgeId>(base)), first_row);
+  for (std::int64_t e = 0; e < base; ++e) {
+    const auto i = static_cast<graph::EdgeId>(e);
+    ASSERT_EQ(log.src(i), data.src[static_cast<std::size_t>(e)]);
+    ASSERT_EQ(log.dst(i), data.dst[static_cast<std::size_t>(e)]);
+    ASSERT_EQ(log.ts(i), data.ts[static_cast<std::size_t>(e)]);
+    ASSERT_EQ(std::memcmp(log.edge_feat(i), data.edge_feat(i),
+                          static_cast<std::size_t>(d) * sizeof(float)),
+              0);
+  }
+  for (std::int64_t e = base; e < end; ++e) {
+    const auto i = static_cast<graph::EdgeId>(e);
+    ASSERT_EQ(log.src(i), e % n) << "row " << e;
+    ASSERT_EQ(log.dst(i), e * 7 % n) << "row " << e;
+    ASSERT_EQ(log.ts(i), data.ts.back() + static_cast<double>(e / 3)) << "row " << e;
+    for (std::int64_t j = 0; j < d; ++j)
+      ASSERT_EQ(log.edge_feat(i)[j], e % 5 == 0 ? 0.f : row_value(e, j))
+          << "row " << e << " feature " << j;
+  }
+}
+
+// A rejected row changes nothing: the next valid row takes the EdgeId the
+// rejected one would have had.
+TEST(EventLog, AppendRejectsBadRowsBeforeAnyStateChanges) {
+  const graph::Dataset data = small_dataset(65);
+  graph::EventLog log(data);
+  const graph::Time t = data.ts.back();
+  const auto n = static_cast<graph::NodeId>(data.num_nodes);
+  EXPECT_THROW(log.append(n, 0, t + 1), std::runtime_error);
+  EXPECT_THROW(log.append(0, -1, t + 1), std::runtime_error);
+  EXPECT_THROW(log.append(0, 1, t - 1), std::runtime_error);
+  EXPECT_THROW(log.append(0, 1, std::nan("")), std::runtime_error);
+  EXPECT_EQ(log.size(), data.num_edges());
+  EXPECT_EQ(log.last_time(), t);
+  EXPECT_EQ(log.append(0, 1, t), data.num_edges());  // an equal time is in order
+#ifdef TASER_DEBUG_CHECKS
+  // Per-row reads are bounds-checked in debug and sanitizer builds.
+  const auto past = static_cast<graph::EdgeId>(log.size());
+  EXPECT_THROW(log.src(past), std::runtime_error);
+  EXPECT_THROW(log.ts(-1), std::runtime_error);
+  EXPECT_THROW(log.edge_feat(past), std::runtime_error);
+#endif
+}
+
+// One writer appends across a chunk boundary while a reader gathers the
+// rows published to it (the watermark's release/acquire is the only
+// ordering, as the epoch manager's mutex is in serving). The TSan CI job
+// runs this suite on its own.
+TEST(EventLog, ReaderGathersPublishedRowsWhileWriterAppends) {
+  const graph::Dataset data = small_dataset(67);
+  graph::EventLog log(data);
+  const std::int64_t base = data.num_edges();
+  const std::int64_t n = data.num_nodes;
+  const std::int64_t d = data.edge_feat_dim;
+  const std::int64_t end = base + graph::EventLog::kChunkRows + 500;
+  std::atomic<std::int64_t> published{base};
+  std::atomic<bool> done{false};
+  std::atomic<std::int64_t> passes{0};  ///< reader loop passes, for the writer's handshakes
+  std::int64_t mismatches = 0, gathers = 0;
+
+  std::thread reader([&] {
+    gpusim::Device device;
+    cache::PlainFeatureSource features(log, device);
+    std::vector<graph::EdgeId> ids;
+    std::vector<float> out;
+    auto check = [&](std::int64_t lo, std::int64_t hi) {
+      ids.clear();
+      for (std::int64_t e = lo; e < hi; ++e) ids.push_back(static_cast<graph::EdgeId>(e));
+      out.resize(ids.size() * static_cast<std::size_t>(d));
+      features.gather_edges(ids, out.data());  // <= 256 ids: no OpenMP team
+      ++gathers;
+      for (std::int64_t e = lo; e < hi; ++e) {
+        const auto i = static_cast<graph::EdgeId>(e);
+        if (log.src(i) != e % n || log.ts(i) != data.ts.back() + static_cast<double>(e)) ++mismatches;
+        for (std::int64_t j = 0; j < d; ++j)
+          if (out[static_cast<std::size_t>((e - lo) * d + j)] != row_value(e, j)) ++mismatches;
+      }
+    };
+    for (;;) {
+      const bool last = done.load(std::memory_order_acquire);
+      const std::int64_t hi = published.load(std::memory_order_acquire);
+      check(std::max(base, hi - 64), hi);  // the newest published rows
+      passes.fetch_add(1, std::memory_order_release);
+      if (last) break;
+    }
+    for (std::int64_t lo = base; lo < end; lo += 256) check(lo, std::min(end, lo + 256));
+  });
+
+  // The writer waits for the reader to be running before it starts and
+  // again just before it opens the second chunk, so the two overlap there.
+  auto await_pass = [&] {
+    const std::int64_t seen = passes.load(std::memory_order_acquire);
+    while (passes.load(std::memory_order_acquire) == seen) std::this_thread::yield();
+  };
+  std::vector<float> feat(static_cast<std::size_t>(d));
+  for (std::int64_t e = base; e < end; ++e) {
+    if (e == base || e == base + graph::EventLog::kChunkRows) await_pass();
+    for (std::int64_t j = 0; j < d; ++j) feat[static_cast<std::size_t>(j)] = row_value(e, j);
+    log.append(static_cast<graph::NodeId>(e % n), static_cast<graph::NodeId>(e * 3 % n),
+               data.ts.back() + static_cast<double>(e), feat.data());
+    published.store(log.size(), std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(gathers, (end - base) / 256);
 }
 
 // ---- epoch-based reclamation ----------------------------------------------
@@ -450,7 +646,7 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
   EXPECT_TRUE(mgr.has_unpublished());
   {
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(), cut);
+    EXPECT_EQ(g.graph().num_edges(), cut);
     EXPECT_EQ(g.epoch(), 0u);
   }
 
@@ -459,7 +655,7 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
   EXPECT_EQ(mgr.events_published(), 10u);
   {
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(), cut + 10);
+    EXPECT_EQ(g.graph().num_edges(), cut + 10);
     EXPECT_EQ(g.epoch(), 1u);
     EXPECT_EQ(g.graph_version(), g.graph().version());
   }
@@ -478,7 +674,8 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
 TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
   const graph::Dataset full = small_dataset(29);
   const std::int64_t cut = full.num_edges() / 3;
-  const graph::ShardedDynamicTCSR statically_built(full);
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
 
   // Incremental ≡ static must hold at every shard count, S in {1, 2, 4}.
   for (int num_shards : {1, 2, 4}) {
@@ -511,8 +708,9 @@ TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
     // the next publish — the fresh current epoch was the laggard a moment
     // ago, and must now be query-identical to a static build of the same
     // extended log.
-    graph::ShardedDynamicTCSR static_plus(full);
-    static_plus.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
+    graph::EventLog plus_log(full);
+    graph::ShardedDynamicTCSR static_plus(plus_log);
+    ingest(plus_log, static_plus, full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.publish();
     {
@@ -623,7 +821,7 @@ TEST(EpochManager, EpochRetiresOnlyAfterEveryReaderReleases) {
   mgr.ingest(full.src[cut], full.dst[cut], full.ts[cut], feat_row(full, cut));
   EXPECT_EQ(mgr.publish(), 1u);
   // The pinned epoch-0 view is untouched by the publish.
-  EXPECT_EQ(pin->graph().dataset().num_edges(), cut);
+  EXPECT_EQ(pin->graph().num_edges(), cut);
   EXPECT_EQ(pin->graph().version(), pin->graph_version());
 
   // The second publish needs the pinned replica back — it must block
@@ -639,7 +837,7 @@ TEST(EpochManager, EpochRetiresOnlyAfterEveryReaderReleases) {
   EXPECT_FALSE(published.load(std::memory_order_acquire))
       << "publish() reclaimed an epoch that a reader still holds";
   EXPECT_EQ(mgr.current_epoch(), 1u);
-  EXPECT_EQ(pin->graph().dataset().num_edges(), cut);  // still intact
+  EXPECT_EQ(pin->graph().num_edges(), cut);  // still intact
 
   pin.reset();  // last release retires the epoch
   publisher.join();
@@ -678,7 +876,8 @@ TEST(EpochManager, ShardReplayFaultRethrowsOnceAndRetryConverges) {
   if (!fp::compiled_in()) GTEST_SKIP() << "failpoint harness compiled out";
   const graph::Dataset full = small_dataset(57);
   const std::int64_t cut = full.num_edges() / 2;
-  const graph::ShardedDynamicTCSR statically_built(full);
+  const graph::EventLog full_log(full);
+  const graph::ShardedDynamicTCSR statically_built(full_log);
   for (std::uint64_t faulty_shards : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << faulty_shards << " faulty shards");
     serve::EpochConfig ec;
@@ -823,16 +1022,17 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   // workspace builder, same time_scale), grad mode ON, training=true. The
   // most-recent policy draws nothing, so the finder's unkeyed stream
   // samples what the session's keyed streams did.
-  graph::ShardedDynamicTCSR g2(data);
+  const graph::EventLog log2(data);
+  graph::ShardedDynamicTCSR g2(log2);
   sampling::DynamicNeighborFinder finder(g2, 1);
   gpusim::Device device;
-  cache::PlainFeatureSource features(g2.dataset(), device);
+  cache::PlainFeatureSource features(log2, device);
   core::BuilderConfig bc;
   bc.n = 5;
   bc.m = 5;
   bc.policy = sampling::FinderPolicy::kMostRecent;
-  bc.time_scale = g2.dataset().mean_inter_event_gap();
-  core::BatchBuilder builder(g2.dataset(), finder, features, device, nullptr, bc);
+  bc.time_scale = log2.base().mean_inter_event_gap();
+  core::BatchBuilder builder(log2.base(), finder, features, device, nullptr, bc);
 
   graph::TargetBatch roots;
   for (const auto& q : queries) roots.push(q.src, q.t);
@@ -951,6 +1151,37 @@ TEST(KeyedStreams, ScoreIndependentOfBatchComposition) {
     session.score_links(queries, keys.data(), replay);
     EXPECT_EQ(replay, batched);
   }
+}
+
+// SessionConfig::time_scale = 0 derives the ∆t normalisation from the
+// log's base, which streamed events never change: a session built after a
+// stream scores exactly like one built before it.
+TEST(NoGradInference, DerivedTimeScaleDoesNotDependOnWhenTheSessionIsBuilt) {
+  const graph::Dataset data = small_dataset(69);
+  serve::GraphEpochManager mgr(data);
+  const serve::SessionConfig sc = tiny_session_config();  // time_scale = 0
+  serve::InferenceSession before(mgr, sc);
+
+  // Events far apart in time: the grown log's mean gap is not the base's.
+  graph::Time t = data.ts.back();
+  for (std::int64_t k = 0; k < 300; ++k) {
+    t += 5000.0;
+    const std::int64_t e = k % data.num_edges();
+    mgr.ingest(data.src[static_cast<std::size_t>(e)], data.dst[static_cast<std::size_t>(e)], t,
+               feat_row(data, e));
+  }
+  mgr.publish();
+  mgr.publish();  // idle: the other replica catches up too
+  ASSERT_EQ(mgr.log_size(), 0u);
+  serve::InferenceSession after(mgr, sc);
+
+  auto queries = tiny_queries(data, 16);
+  for (auto& q : queries) q.t = t + 1;
+  const auto keys = seq_keys(queries.size());
+  std::vector<float> a, b;
+  before.score_links(queries, keys.data(), a);
+  after.score_links(queries, keys.data(), b);
+  EXPECT_EQ(a, b);
 }
 
 // ---- sharded micro-batching engine -----------------------------------------
@@ -1128,7 +1359,7 @@ TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {
   {
     // drain() guarantees publication: all 24 events visible right now.
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(), edges_before + 24);
+    EXPECT_EQ(g.graph().num_edges(), edges_before + 24);
     EXPECT_EQ(g.graph().pivot_count(data.src[0], t + 1), g.graph().degree(data.src[0]));
   }
   EXPECT_GE(s.compactions, 1u);
@@ -1158,7 +1389,7 @@ TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {
   EXPECT_EQ(engine.stats().events_ingested, 25u);
   {
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(), edges_before + 25);
+    EXPECT_EQ(g.graph().num_edges(), edges_before + 25);
     EXPECT_EQ(g.graph().last_time(), t + 2);
   }
 }
@@ -1280,7 +1511,7 @@ void run_submit_ingest_drain_stress(std::int64_t workers, int num_shards) {
   EXPECT_EQ(per_worker_total, s.requests);
   {
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(), data.num_edges() + kEvents);
+    EXPECT_EQ(g.graph().num_edges(), data.num_edges() + kEvents);
   }
   EXPECT_EQ(mgr.pins(0), 0);
   EXPECT_EQ(mgr.pins(1), 0);

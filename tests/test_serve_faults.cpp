@@ -295,7 +295,7 @@ TEST_F(FaultTest, IngestApplyFaultDropsOneEventAndStreamContinues) {
   EXPECT_EQ(s.events_ingested, 19u);
   EXPECT_EQ(s.event_queue_depth, 0);
   auto g = mgr.acquire();
-  EXPECT_EQ(g.graph().dataset().num_edges(), full.num_edges() - 1);
+  EXPECT_EQ(g.graph().num_edges(), full.num_edges() - 1);
 }
 
 // stats().events_ingested counts what is visible to queries. While a
@@ -839,7 +839,7 @@ serve::ServingStats fuzz_engine(serve::GraphEpochManager& mgr,
   engine.drain();
   {
     auto g = mgr.acquire();
-    EXPECT_EQ(g.graph().dataset().num_edges(),
+    EXPECT_EQ(g.graph().num_edges(),
               data.num_edges() + static_cast<std::int64_t>(s.events_ingested));
   }
   return engine.stats();
