@@ -66,8 +66,8 @@ int DynamicTCSR::apply_event(EdgeId eid) {
   }
   WriteScope write(*this);
   const Time t = log_.ts(eid);
-  if (own_u) delta_[static_cast<std::size_t>(u)].push_back({v, t, eid});
-  if (own_v) delta_[static_cast<std::size_t>(v)].push_back({u, t, eid});
+  if (own_u) delta_[static_cast<std::size_t>(u)].push_back({t, v, eid});
+  if (own_v) delta_[static_cast<std::size_t>(v)].push_back({t, u, eid});
   ++delta_edge_count_;
   applied_through_ = eid + 1;
   return (own_u ? 1 : 0) + (own_v ? 1 : 0);

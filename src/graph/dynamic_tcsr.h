@@ -147,11 +147,13 @@ class DynamicTCSR {
   const TCSR& base() const { return base_; }
 
  private:
+  /// Time first: {ts, nbr, eid} packs into 16 bytes with no padding.
   struct DeltaEntry {
-    NodeId nbr;
     Time ts;
+    NodeId nbr;
     EdgeId eid;
   };
+  static_assert(sizeof(DeltaEntry) == 16, "DeltaEntry must stay padding-free");
 
   /// RAII writer-exclusivity guard: entering a second writer throws.
   class WriteScope;

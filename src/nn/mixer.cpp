@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "tensor/gelu_kernel.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/layer_norm_kernel.h"
+#include "util/check.h"
 
 namespace taser::nn {
 
@@ -23,7 +25,29 @@ using gemm::transposed;
 using tensor::ImplPtr;
 using tensor::OpCounters;
 using tensor::TensorImpl;
-using Buffer = std::vector<float>;
+
+/// A float array that is not zero-filled: the node writes every buffer in
+/// full before it reads it. Under TASER_DEBUG_CHECKS it starts as NaN, so
+/// a read before a write fails the bit-identity suites.
+class Buffer {
+ public:
+  Buffer() = default;
+  explicit Buffer(std::int64_t n) : data_(new float[static_cast<std::size_t>(n)]), size_(n) {
+#ifdef TASER_DEBUG_CHECKS
+    std::fill_n(data_.get(), n, std::numeric_limits<float>::quiet_NaN());
+#endif
+  }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
+  std::int64_t size() const { return size_; }
+
+ private:
+  std::unique_ptr<float[]> data_;
+  std::int64_t size_ = 0;
+};
+
+/// A GEMM that overwrites C instead of accumulating into it.
+constexpr gemm::Epilogue kOverwrite{.beta_zero = true};
 
 /// The node's parents after x, in module order.
 enum Param : std::size_t {
@@ -51,18 +75,26 @@ struct Saved {
 
 std::uint64_t u64(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
+/// Runs fn(b) for each of `blocks` blocks of `per` elements, split across
+/// the team when large. Every element is written by exactly one block, so
+/// the split never changes a bit.
+template <typename Fn>
+void for_blocks(std::int64_t blocks, std::int64_t per, Fn fn) {
+  const bool par = !omp_in_parallel() && blocks > 1 && blocks * per > (1 << 14);
+#pragma omp parallel for schedule(static) if (par)
+  for (std::int64_t b = 0; b < blocks; ++b) fn(b);
+}
+
 /// h = gelu(u): the GEMM epilogue's activation, recomputed.
 void gelu_from(const Buffer& u, Buffer& h) {
-  const auto n = static_cast<std::int64_t>(u.size());
-  kernels::for_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
+  kernels::for_chunks(u.size(), [&](std::int64_t lo, std::int64_t hi) {
     kernels::gelu(u.data() + lo, h.data() + lo, hi - lo);
   });
 }
 
 /// g ⊙= gelu'(u) in place: the fused linear_gelu backward's first step.
 void gelu_grad_inplace(Buffer& g, const Buffer& u) {
-  const auto n = static_cast<std::int64_t>(g.size());
-  kernels::for_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
+  kernels::for_chunks(g.size(), [&](std::int64_t lo, std::int64_t hi) {
     kernels::gelu_grad(g.data() + lo, u.data() + lo, g.data() + lo, hi - lo);
   });
 }
@@ -90,25 +122,25 @@ void mixer_backward(const float* g, TensorImpl& x, const Params& p, const Saved&
   const auto w = [&p](Param k) { return p[k]->data.data(); };
 
   // c = h2·W4 + b4. `h` holds h2 for dW4, then dL/dh2, then dL/du2.
-  Buffer gln(static_cast<std::size_t>(n));  // dL/d ln_channel(x1)
+  Buffer gln(n);  // dL/d ln_channel(x1)
   {
-    Buffer h(static_cast<std::size_t>(rows * Hc));
+    Buffer h(rows * Hc);
     if (float* gw = grad_of(*p[kCh2W])) {
       gelu_from(s.u2, h);
       OpCounters::add_flops(u64(2 * Hc * rows * C));
       gemm::gemm_acc(transposed(h.data(), Hc), row_major(g, C), gw, Hc, rows, C);
-      std::fill(h.begin(), h.end(), 0.f);
     }
     OpCounters::add_flops(u64(2 * rows * C * Hc));
-    gemm::gemm_acc(row_major(g, C), transposed(w(kCh2W), C), h.data(), rows, C, Hc);
+    gemm::gemm_acc(row_major(g, C), transposed(w(kCh2W), C), h.data(), rows, C, Hc, kOverwrite);
     if (float* gb = grad_of(*p[kCh2B])) gemm::bias_grad_acc(g, gb, rows, C);
 
     // h2 = gelu(u2), u2 = ln2·W3 + b3.
     gelu_grad_inplace(h, s.u2);
     OpCounters::add_flops(u64(2 * rows * Hc * C));
-    gemm::gemm_acc(row_major(h.data(), Hc), transposed(w(kCh1W), Hc), gln.data(), rows, Hc, C);
+    gemm::gemm_acc(row_major(h.data(), Hc), transposed(w(kCh1W), Hc), gln.data(), rows, Hc, C,
+                   kOverwrite);
     if (float* gw = grad_of(*p[kCh1W])) {
-      Buffer ln(static_cast<std::size_t>(n));
+      Buffer ln(n);
       kernels::layer_norm_apply(s.x1.data(), s.stats2.data(), w(kLn2Gamma), w(kLn2Beta),
                                 ln.data(), rows, C);
       OpCounters::add_flops(u64(2 * C * rows * Hc));
@@ -118,55 +150,67 @@ void mixer_backward(const float* g, TensorImpl& x, const Params& p, const Saved&
   }
 
   // ln2 = ln_channel(x1): γ2/β2 grads and x1's second share.
-  Buffer gx1(g, g + n);
+  Buffer gx1(n);
+  kernels::for_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
+    std::copy(g + lo, g + hi, gx1.data() + lo);
+  });
   kernels::layer_norm_grad(gln.data(), s.x1.data(), w(kLn2Gamma), s.stats2.data(), gx1.data(),
                            grad_of(*p[kLn2Gamma]), grad_of(*p[kLn2Beta]), rows, C);
 
   // x1 = x + pt: x takes its first share, pt = permute_021(t) all of it.
   if (float* gx = grad_of(x))
-    for (std::int64_t i = 0; i < n; ++i) gx[i] += gx1[static_cast<std::size_t>(i)];
-  Buffer gt(static_cast<std::size_t>(n));  // dL/dt, [B, C, T]
-  for (std::int64_t b = 0; b < d.B; ++b)
+    kernels::for_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) gx[i] += gx1.data()[i];
+    });
+  Buffer gt(n);  // dL/dt, [B, C, T]
+  for_blocks(d.B, T * C, [&](std::int64_t b) {
+    const float* src = gx1.data() + b * T * C;
+    float* dst = gt.data() + b * C * T;
     for (std::int64_t i = 0; i < T; ++i)
-      for (std::int64_t j = 0; j < C; ++j)
-        gt[static_cast<std::size_t>((b * C + j) * T + i)] =
-            gx1[static_cast<std::size_t>((b * T + i) * C + j)];
-  Buffer().swap(gx1);
+      for (std::int64_t j = 0; j < C; ++j) dst[j * T + i] = src[i * C + j];
+  });
+  gx1 = Buffer();
 
   // t = h1·W2 + b2 over the [B*C, Ht] rows of h1. `h` holds h1 for dW2,
   // then dL/dh1, then dL/du1.
-  Buffer h(static_cast<std::size_t>(cols * Ht));
+  Buffer h(cols * Ht);
   if (float* gw = grad_of(*p[kTok2W])) {
     gelu_from(s.u1, h);
     OpCounters::add_flops(u64(2 * Ht * cols * T));
     gemm::gemm_acc(transposed(h.data(), Ht), row_major(gt.data(), T), gw, Ht, cols, T);
-    std::fill(h.begin(), h.end(), 0.f);
   }
   OpCounters::add_flops(u64(2 * cols * T * Ht));
-  gemm::gemm_acc(row_major(gt.data(), T), transposed(w(kTok2W), T), h.data(), cols, T, Ht);
+  gemm::gemm_acc(row_major(gt.data(), T), transposed(w(kTok2W), T), h.data(), cols, T, Ht,
+                 kOverwrite);
   if (float* gb = grad_of(*p[kTok2B])) gemm::bias_grad_acc(gt.data(), gb, cols, T);
-  Buffer().swap(gt);
+  gt = Buffer();
 
-  // h1 = gelu(u1), u1_b = ln1_bᵀ·W1 + b1 per block b. dL/d ln1_b =
-  // W1 · g_bᵀ: blocks are disjoint, so that loop parallelizes (the inner
-  // gemm stays serial: no nesting); dW1 sums them in block order.
+  // h1 = gelu(u1), u1_b = ln1_bᵀ·W1 + b1 per block b. Blocks are
+  // disjoint, so the per-block GEMMs split across the team (each stays
+  // serial: no nesting): dL/d ln1_b = W1 · g_bᵀ lands in its own rows of
+  // `gln`, and block b's share of dW1 in its own partial, which are then
+  // folded into dW1 in block order.
   gelu_grad_inplace(h, s.u1);
-  std::fill(gln.begin(), gln.end(), 0.f);  // now dL/d ln_token(x)
   OpCounters::add_flops(u64(2 * d.B * T * Ht * C));
   const float* w1 = w(kTok1W);
   const bool par = !omp_in_parallel() && d.B > 1 && 2 * T * Ht * C > 1024;
 #pragma omp parallel for schedule(static) if (par)
   for (std::int64_t b = 0; b < d.B; ++b)
     gemm::gemm_acc(row_major(w1, Ht), transposed(h.data() + b * C * Ht, Ht),
-                   gln.data() + b * T * C, T, Ht, C);
+                   gln.data() + b * T * C, T, Ht, C, kOverwrite);
   if (float* gw = grad_of(*p[kTok1W])) {
-    Buffer ln(static_cast<std::size_t>(n));
+    Buffer ln(n);
     kernels::layer_norm_apply(x.data.data(), s.stats1.data(), w(kLn1Gamma), w(kLn1Beta),
                               ln.data(), rows, C);
     OpCounters::add_flops(u64(2 * d.B * T * C * Ht));
+    const std::int64_t wn = T * Ht;
+    Buffer part(d.B * wn);
+#pragma omp parallel for schedule(static) if (par)
     for (std::int64_t b = 0; b < d.B; ++b)
       gemm::gemm_acc(row_major(ln.data() + b * T * C, C), row_major(h.data() + b * C * Ht, Ht),
-                     gw, T, C, Ht);
+                     part.data() + b * wn, T, C, Ht, kOverwrite);
+    for (std::int64_t b = 0; b < d.B; ++b)
+      for (std::int64_t e = 0; e < wn; ++e) gw[e] += part.data()[b * wn + e];
   }
   if (float* gb = grad_of(*p[kTok1B])) gemm::bias_grad_acc(h.data(), gb, cols, Ht);
 
@@ -204,22 +248,22 @@ Tensor MixerBlock::forward(const Tensor& x) const {
 
   Saved s;
   if (grad) {
-    s.stats1.resize(static_cast<std::size_t>(2 * rows));
-    s.stats2.resize(static_cast<std::size_t>(2 * rows));
-    s.u1.resize(static_cast<std::size_t>(cols * Ht));
-    s.u2.resize(static_cast<std::size_t>(rows * Hc));
+    s.stats1 = Buffer(2 * rows);
+    s.stats2 = Buffer(2 * rows);
+    s.u1 = Buffer(cols * Ht);
+    s.u2 = Buffer(rows * Hc);
   }
-  s.x1.resize(static_cast<std::size_t>(n));
+  s.x1 = Buffer(n);
   // One [B, T, C] scratch serves ln_token(x), then t, then ln_channel(x1),
   // then c: each is dead before the next is written.
-  Buffer y(static_cast<std::size_t>(n));
+  Buffer y(n);
   {
     // Token mixing. fc1 reads the [B, C, T] view of ln_token(x) straight
     // from the GEMM packing (A_b = ln1_bᵀ: rs = 1, cs = C), so no
     // transpose is materialized on the way in.
     kernels::layer_norm(x.data(), p[kLn1Gamma].data(), p[kLn1Beta].data(), y.data(),
                         grad ? s.stats1.data() : nullptr, rows, C, ln_token_.eps());
-    Buffer h(static_cast<std::size_t>(cols * Ht));
+    Buffer h(cols * Ht);
     gemm::Epilogue ep;
     ep.bias = p[kTok1B].data();
     ep.gelu = true;
@@ -227,27 +271,25 @@ Tensor MixerBlock::forward(const Tensor& x) const {
     ep.preact = grad ? s.u1.data() : nullptr;
     gemm::gemm_batched_acc({y.data(), 1, C}, T * C, d.B, row_major(p[kTok1W].data(), Ht),
                            h.data(), C * Ht, C, T, Ht, ep);
-    std::fill(y.begin(), y.end(), 0.f);
     gemm::Epilogue ep2;
     ep2.bias = p[kTok2B].data();
     ep2.beta_zero = true;
     gemm::gemm_acc(row_major(h.data(), Ht), row_major(p[kTok2W].data(), T), y.data(), cols,
                    Ht, T, ep2);
     // x1 = x + permute_021(t), t = y as [B, C, T].
-    const float* xv = x.data();
-    for (std::int64_t b = 0; b < d.B; ++b)
+    for_blocks(d.B, T * C, [&](std::int64_t b) {
+      const float* xb = x.data() + b * T * C;
+      const float* tb = y.data() + b * C * T;
+      float* x1b = s.x1.data() + b * T * C;
       for (std::int64_t i = 0; i < T; ++i)
-        for (std::int64_t j = 0; j < C; ++j) {
-          const std::int64_t k = (b * T + i) * C + j;
-          s.x1[static_cast<std::size_t>(k)] =
-              xv[k] + y[static_cast<std::size_t>((b * C + j) * T + i)];
-        }
+        for (std::int64_t j = 0; j < C; ++j) x1b[i * C + j] = xb[i * C + j] + tb[j * T + i];
+    });
   }
   {
     // Channel mixing.
     kernels::layer_norm(s.x1.data(), p[kLn2Gamma].data(), p[kLn2Beta].data(), y.data(),
                         grad ? s.stats2.data() : nullptr, rows, C, ln_channel_.eps());
-    Buffer h(static_cast<std::size_t>(rows * Hc));
+    Buffer h(rows * Hc);
     gemm::Epilogue ep;
     ep.bias = p[kCh1B].data();
     ep.gelu = true;
@@ -255,15 +297,15 @@ Tensor MixerBlock::forward(const Tensor& x) const {
     ep.preact = grad ? s.u2.data() : nullptr;
     gemm::gemm_acc(row_major(y.data(), C), row_major(p[kCh1W].data(), Hc), h.data(), rows, C,
                    Hc, ep);
-    std::fill(y.begin(), y.end(), 0.f);
     gemm::Epilogue ep2;
     ep2.bias = p[kCh2B].data();
     ep2.beta_zero = true;
     gemm::gemm_acc(row_major(h.data(), Hc), row_major(p[kCh2W].data(), C), y.data(), rows, Hc,
                    C, ep2);
     float* ov = out.data();
-    for (std::int64_t k = 0; k < n; ++k)
-      ov[k] = s.x1[static_cast<std::size_t>(k)] + y[static_cast<std::size_t>(k)];
+    kernels::for_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t k = lo; k < hi; ++k) ov[k] = s.x1.data()[k] + y.data()[k];
+    });
   }
 
   if (grad) {

@@ -44,6 +44,13 @@ class MixerBlock : public Module {
   /// ran, and frees that scratch when it returns. Under NoGradGuard (or
   /// when nothing requires grad) it saves nothing.
   ///
+  /// No buffer is zero-filled: the saved set and the scratch are written
+  /// in full before they are read, and each GEMM into a fresh buffer
+  /// overwrites it (Epilogue::beta_zero). Every pass runs on the OpenMP
+  /// team: the GEMMs and layer norms, the permutes and residual adds in
+  /// fixed chunks, and token fc1's per-block GEMMs, whose dW1 shares are
+  /// computed into per-block partials and folded into dW1 in block order.
+  ///
   /// Output, input grad and all 12 parameter grads are bit-identical to
   /// the composition of layer_norm_lastdim, permute_021, linear_gelu,
   /// linear and add it replaces (same GEMM calls, operand views and

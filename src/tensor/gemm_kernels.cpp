@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "tensor/gelu_kernel.h"
@@ -14,11 +15,16 @@ namespace {
 /// 2·m·k·n above which a kernel is allowed to fork a thread team.
 constexpr std::int64_t kParFlops = 1 << 17;
 
+/// Regime S's fold group: the k blocks whose partial products are held
+/// at once (16·m·n floats) before they are folded into C.
+constexpr std::int64_t kFoldBlocks = 16;
+
 inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-/// Per-thread pack buffers, recycled across calls. B panels are packed by
-/// whichever thread drives the gemm (workers read them); A micro-panels
-/// are packed by the worker that owns the row panel.
+/// Per-thread pack buffers, recycled across calls. Regime P's B panels are
+/// packed by whichever thread drives the gemm (workers read them), regime
+/// S's by the worker that owns the k block; A micro-panels are packed by
+/// the worker that owns the row panel.
 struct PackScratch {
   std::vector<float> b_panels;
   std::vector<float> a_panel;
@@ -178,7 +184,8 @@ void run_packed(const MatView& A0, std::int64_t a_stride, std::int64_t batches,
       local.a_chunk_nonzero[static_cast<std::size_t>(c)] = !zero;
       any_nonzero |= !zero;
     }
-    if (!any_nonzero && ep.empty()) continue;  // C += 0 — nothing to write
+    // C += 0 — nothing to write, unless C's prior contents are not to be read.
+    if (!any_nonzero && ep.empty() && !ep.beta_zero) continue;
 
     for (std::int64_t jp = 0; jp < jpanels; ++jp) {
       float acc[kMR * kNR] = {};
@@ -199,35 +206,63 @@ void run_packed(const MatView& A0, std::int64_t a_stride, std::int64_t batches,
 }
 
 /// Regime S — k too large to pack B whole (e.g. the dW = Xᵀ·g backward,
-/// k = rows): stream kKC blocks of k, re-packing B per block and
-/// accumulating straight into C. Per output element the order is still
-/// "k ascending, blocked by kKC"; threads only split row panels.
+/// k = rows). The kKC blocks of k go in fold groups of kFoldBlocks, and
+/// the team splits a group's blocks: each packs its own block of B and
+/// computes that block's product from zero into its own partial. Each
+/// element of C then folds the group's partials in block order with the
+/// plain C + acc add of write_tile, so its sum is "k ascending, blocked by
+/// kKC" at any team size. A block whose A chunk is all zero is skipped,
+/// not added.
 template <int NRv>
 void run_streamed(const MatView& A, const MatView& B, float* C, std::int64_t m,
                   std::int64_t k, std::int64_t n) {
-  PackScratch& scratch = tls_scratch();
   const std::int64_t jpanels = ceil_div(n, NRv);
-  scratch.b_panels.resize(static_cast<std::size_t>(jpanels * kKC * NRv));
-  float* bpack = scratch.b_panels.data();
   const std::int64_t ipanels = ceil_div(m, kMR);
+  const std::int64_t blocks = ceil_div(k, kKC);
+  const std::int64_t group = std::min(kFoldBlocks, blocks);
+  const std::int64_t mn = m * n;
+  // Only computed panels are read back, and those are written in full.
+  const std::unique_ptr<float[]> partial(new float[static_cast<std::size_t>(group * mn)]);
+  std::vector<unsigned char> computed(static_cast<std::size_t>(group * ipanels));
+  const Epilogue store{.beta_zero = true};
 
-  for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
-    const std::int64_t kc = std::min<std::int64_t>(kKC, k - p0);
-    pack_b<NRv>(B, p0, kc, n, bpack);
-    const bool par = !omp_in_parallel() && ipanels > 1 && 2 * m * kc * n > kParFlops;
+  for (std::int64_t g0 = 0; g0 < blocks; g0 += group) {
+    const std::int64_t gb = std::min(group, blocks - g0);
+    const bool par = !omp_in_parallel() && gb > 1 && 2 * m * gb * kKC * n > kParFlops;
 #pragma omp parallel for schedule(static) if (par)
-    for (std::int64_t ip = 0; ip < ipanels; ++ip) {
-      const std::int64_t i0 = ip * kMR;
-      const std::int64_t mr = std::min<std::int64_t>(kMR, m - i0);
+    for (std::int64_t c = 0; c < gb; ++c) {
+      const std::int64_t p0 = (g0 + c) * kKC;
+      const std::int64_t kc = std::min<std::int64_t>(kKC, k - p0);
       PackScratch& local = tls_scratch();
+      local.b_panels.resize(static_cast<std::size_t>(jpanels * kKC * NRv));
       local.a_panel.resize(static_cast<std::size_t>(kKC * kMR));
-      if (pack_a_chunk(A, i0, mr, p0, kc, local.a_panel.data())) continue;
-      for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-        float acc[kMR * kNR] = {};
-        micro_kernel<NRv>(kc, local.a_panel.data(), bpack + jp * kc * NRv, acc);
-        const std::int64_t j0 = jp * NRv;
-        write_tile(C, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc,
-                   Epilogue{}, nullptr);
+      float* bpack = local.b_panels.data();
+      pack_b<NRv>(B, p0, kc, n, bpack);
+      float* part = partial.get() + c * mn;
+      for (std::int64_t ip = 0; ip < ipanels; ++ip) {
+        const std::int64_t i0 = ip * kMR;
+        const std::int64_t mr = std::min<std::int64_t>(kMR, m - i0);
+        const bool zero = pack_a_chunk(A, i0, mr, p0, kc, local.a_panel.data());
+        computed[static_cast<std::size_t>(c * ipanels + ip)] = !zero;
+        if (zero) continue;
+        for (std::int64_t jp = 0; jp < jpanels; ++jp) {
+          float acc[kMR * kNR] = {};
+          micro_kernel<NRv>(kc, local.a_panel.data(), bpack + jp * kc * NRv, acc);
+          const std::int64_t j0 = jp * NRv;
+          write_tile(part, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc, store,
+                     nullptr);
+        }
+      }
+    }
+    const bool fold_par = !omp_in_parallel() && m > 1 && gb * mn > (1 << 15);
+#pragma omp parallel for schedule(static) if (fold_par)
+    for (std::int64_t i = 0; i < m; ++i) {
+      float* c_row = C + i * n;
+      for (std::int64_t c = 0; c < gb; ++c) {
+        if (!computed[static_cast<std::size_t>(c * ipanels + i / kMR)]) continue;
+        const float* p_row = partial.get() + c * mn + i * n;
+#pragma omp simd
+        for (std::int64_t j = 0; j < n; ++j) c_row[j] += p_row[j];
       }
     }
   }
@@ -310,6 +345,8 @@ void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
       run_packed<kNR>(A, 0, 1, B, C, 0, m, k, n, ep);
     return;
   }
+  // Regime S (or k = 0) accumulates into C, then sweeps the epilogue.
+  if (ep.beta_zero) std::fill(C, C + m * n, 0.f);
   if (k > 0) {
     if (use_narrow(n))
       run_streamed<4>(A, B, C, m, k, n);
@@ -345,12 +382,9 @@ void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
   // Shared-B batched callers (token mixing) always have tiny k·n; keep a
   // correct fallback anyway.
   for (std::int64_t b = 0; b < batches; ++b) {
-    const MatView A{A0.data + b * a_stride, A0.rs, A0.cs};
     Epilogue bep = ep;
     if (bep.preact) bep.preact += b * m * n;
-    float* Cb = C + b * c_stride;
-    if (k > 0) gemm_acc(A, B, Cb, m, k, n, {});
-    if (!bep.empty()) epilogue_pass(Cb, m, n, bep);
+    gemm_acc({A0.data + b * a_stride, A0.rs, A0.cs}, B, C + b * c_stride, m, k, n, bep);
   }
 }
 

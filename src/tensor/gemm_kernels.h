@@ -14,9 +14,15 @@ namespace taser::tensor::gemm {
 //    A, A^T, B, B^T and the batched permute_021 view all hit the same
 //    inner loop.
 //  - The summation order over k is fixed per output element (k ascending,
-//    blocked by kKC) and never depends on the thread count: OpenMP only
-//    partitions disjoint row panels. Results are bit-identical for any
-//    OMP_NUM_THREADS — the repo's executable invariant.
+//    blocked by kKC) and never depends on the thread count. Results are
+//    bit-identical for any OMP_NUM_THREADS — the repo's executable
+//    invariant. Regime P (B packed whole) splits disjoint row panels.
+//    Regime S (the packed B would exceed kPackAllBytes: the dW = Xᵀ·g
+//    backward, k = rows) splits the kKC blocks of k: the team computes a
+//    fold group of 16 blocks, each block's product from zero into its own
+//    partial, and each element of C then adds the group's partials in
+//    block order, C + acc as a serial block loop would. The partials
+//    (16·m·n floats) live for one call.
 //  - All-zero A chunks (kMR rows x kKC cols of the packed panel) are
 //    skipped wholesale; skipping only elides exact-zero contributions, so
 //    values are unchanged and the FLOP ledger stays dense. The backend
@@ -59,17 +65,19 @@ struct Epilogue {
   const float* bias = nullptr;  ///< [n], broadcast over rows
   float* preact = nullptr;      ///< [m, n] row-major (per batch in batched)
   bool gelu = false;            ///< tanh-GELU on the stored output
-  /// C is known to be fresh zeros (a just-allocated output): skip reading
-  /// it and store acc(+bias) directly. Pure traffic optimization — the
-  /// value is bit-identical to accumulating into zeros. Ignored by the
-  /// streamed big-k regime, which must accumulate across k blocks.
+  /// Overwrite C: its prior contents are never read, in any regime (they
+  /// may be garbage or NaN), and the result is bit-identical to
+  /// accumulating into zeros. Regime P and the direct path store acc
+  /// (+bias) without reading C, a skipped all-zero row panel included;
+  /// regime S and k = 0 zero C first, then accumulate.
   bool beta_zero = false;
   bool empty() const { return bias == nullptr && preact == nullptr && !gelu; }
 };
 
 /// C[m,n] (row-major, contiguous) += op(A)[m,k] · op(B)[k,n], epilogue
 /// applied after the reduction. C must be initialized by the caller
-/// (zeros from a fresh tensor, or running gradients to accumulate into).
+/// (zeros from a fresh tensor, or running gradients to accumulate into),
+/// unless ep.beta_zero says to overwrite it.
 void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
               std::int64_t n, const Epilogue& ep = {});
 

@@ -12,6 +12,12 @@ namespace taser::tensor::kernels {
 // recomputes in its backward and its gradients equal the unfused op's bit
 // for bit. The TU builds with -ffp-contract=off: the forward and the
 // recompute round the same way whatever ISA the build selects.
+//
+// Each kernel splits its rows across the OpenMP team (serially when
+// called inside a parallel region). A row's result does not depend on
+// which thread computes it, and layer_norm_grad sums the γ/β grads by
+// column chunk, each column over the rows in ascending order, so every
+// output has the same bits at any team size.
 
 /// Normalises `rows` rows of x into y. `stats` may be null (no-grad).
 void layer_norm(const float* x, const float* gamma, const float* beta, float* y,

@@ -119,10 +119,12 @@ Tensor concat_lastdim(const std::vector<Tensor>& parts) {
   }
 
   if (out.requires_grad()) {
+    // The backward reads no part's data: it keeps only the parts that
+    // take a grad (null for the others).
     std::vector<ImplPtr> impls;
     std::vector<std::int64_t> widths;
     for (const auto& p : parts) {
-      impls.push_back(p.impl());
+      impls.push_back(p.requires_grad() ? p.impl() : nullptr);
       widths.push_back(p.size(-1));
     }
     out.node().backward_fn = [impls, widths, rows, total_last](TensorImpl& self) {
@@ -130,7 +132,7 @@ Tensor concat_lastdim(const std::vector<Tensor>& parts) {
       std::int64_t col2 = 0;
       for (std::size_t k = 0; k < impls.size(); ++k) {
         const std::int64_t w = widths[k];
-        if (impls[k]->requires_grad) {
+        if (impls[k]) {
           impls[k]->ensure_grad();
           float* gi = impls[k]->grad.data();
           for (std::int64_t r = 0; r < rows; ++r)
@@ -232,17 +234,18 @@ Tensor concat_dim0(const std::vector<Tensor>& parts) {
   }
 
   if (out.requires_grad()) {
+    // As concat_lastdim: only the parts that take a grad are kept.
     std::vector<ImplPtr> impls;
     std::vector<std::int64_t> sizes;
     for (const auto& p : parts) {
-      impls.push_back(p.impl());
+      impls.push_back(p.requires_grad() ? p.impl() : nullptr);
       sizes.push_back(p.numel());
     }
     out.node().backward_fn = [impls, sizes](TensorImpl& self) {
       const float* g = self.grad.data();
       std::int64_t off2 = 0;
       for (std::size_t k = 0; k < impls.size(); ++k) {
-        if (impls[k]->requires_grad) impls[k]->accumulate_grad(g + off2, sizes[k]);
+        if (impls[k]) impls[k]->accumulate_grad(g + off2, sizes[k]);
         off2 += sizes[k];
       }
     };

@@ -223,8 +223,10 @@ Tensor make_result(Shape shape, std::vector<Tensor> inputs) {
   impl->requires_grad = any_requires_grad(inputs);
   if (impl->requires_grad) {
     OpCounters::add_tape_node();  // grad-bearing node joins the tape
-    impl->parents.reserve(inputs.size());
-    for (auto& t : inputs) impl->parents.push_back(t.impl());
+    // Only inputs that take a grad are parents: a constant has no node to
+    // visit, and a backward that reads its data captures it itself.
+    for (auto& t : inputs)
+      if (t.defined() && t.requires_grad()) impl->parents.push_back(t.impl());
   }
   return Tensor(std::move(impl));
 }

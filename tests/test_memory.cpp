@@ -168,11 +168,12 @@ TEST(MemoryBudget, SamplerSelectTapeIsItsSavedSet) {
     const core::CandidateSet cands = full_candidates(T, m, de, rng);
     sampler.select(cands, n, rng);  // warm-up: sampler and GEMM scratch
     const std::int64_t N = T * m;
-    // The graph select() leaves, buffer by buffer (floats).
+    // The graph select() leaves, buffer by buffer (floats). The concat's
+    // constant inputs (TE(∆t), FE(freq), identity) are not kept: they
+    // take no grad and its backward reads none of them.
     const std::int64_t expected =
         N * de                           // edge features, w_edge's input
         + 2 * N * d                      // w_edge output and its GELU pre-activation
-        + 2 * N * d + N * m              // TE(∆t), FE(freq), identity: concat inputs
         + N * W                          // z, the trunk's input
         + mixer_saved_floats(T, m, W)    // the trunk
         + 2 * T * d + 2 * T * h          // z_v, proj_v(z_v) and its reshape
@@ -308,8 +309,7 @@ TEST(MemoryBudget, ServingLogStoresEachRowOnce) {
   const std::int64_t per_event = row_bytes + 2 * 2 * slot_bytes;  // 2 replicas x 2 directions
   const std::int64_t chunk = graph::EventLog::kChunkRows * row_bytes;
   // The delta lists keep their capacity across compactions (a few entries
-  // per node), and the slots of the events after the last compaction sit
-  // in them at 24 B rather than 16 B.
+  // per node).
   constexpr std::int64_t kMargin = 1'000'000;
   // One replica's compaction holds its new shard arrays beside the old:
   // S indptr arrays and a slot per direction of every row.

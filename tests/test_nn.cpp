@@ -181,7 +181,7 @@ std::vector<float> collect(const std::vector<Tensor>& outputs, const Tensor& x0,
 }
 
 /// Runs `scenario` through the fused node and through the reference, at
-/// OpenMP team sizes 1 and 4, and requires all four to agree bit for bit.
+/// OpenMP team sizes 1, 3 and 4, and requires all six to agree bit for bit.
 void expect_fused_matches_unfused(std::int64_t B, std::int64_t T, std::int64_t C,
                                   const Scenario& scenario) {
   SCOPED_TRACE(testing::Message() << "[" << B << ", " << T << ", " << C << "]");
@@ -196,7 +196,7 @@ void expect_fused_matches_unfused(std::int64_t B, std::int64_t T, std::int64_t C
 
   const int saved_threads = omp_get_max_threads();
   std::vector<std::vector<float>> runs;
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 3, 4}) {
     omp_set_num_threads(threads);
     for (const BlockFn* f : {&fused, &unfused}) {
       mixer.zero_grad();
@@ -204,7 +204,7 @@ void expect_fused_matches_unfused(std::int64_t B, std::int64_t T, std::int64_t C
     }
   }
   omp_set_num_threads(saved_threads);
-  const char* names[] = {"fused@1", "unfused@1", "fused@4", "unfused@4"};
+  const char* names[] = {"fused@1", "unfused@1", "fused@3", "unfused@3", "fused@4", "unfused@4"};
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].size(), runs[0].size()) << names[r];
     ASSERT_EQ(0, std::memcmp(runs[r].data(), runs[0].data(), runs[0].size() * sizeof(float)))

@@ -9,6 +9,8 @@
 
 #include "tensor/counters.h"
 #include "tensor/gelu_kernel.h"
+#include "tensor/gemm_kernels.h"
+#include "tensor/layer_norm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -390,8 +392,9 @@ void check_matmul_against_naive(std::int64_t m, std::int64_t k, std::int64_t n,
 }
 
 TEST(PackedGemm, AllVariantsMatchNaiveOnUnalignedShapes) {
-  // Odd shapes around the 6x16 register tile and the 256-wide k chunk;
-  // the last one crosses into the streamed (big packed-B) regime.
+  // Odd shapes around the 6x16 register tile and the 256-wide k chunk.
+  // Each packs B whole (regime P, or direct for n <= 4); the streamed
+  // regime has its own suite below (StreamedWeightGradients*).
   const std::int64_t shapes[][3] = {{1, 1, 1},   {3, 5, 17},  {5, 17, 33},
                                     {17, 33, 1}, {33, 65, 7}, {7, 300, 9},
                                     {6, 16, 16}, {4, 600, 5}};
@@ -433,6 +436,182 @@ TEST(PackedGemm, ThreadCountBitIdentity) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     ASSERT_EQ(serial[i], parallel[i]) << "thread-count divergence at " << i;
+}
+
+namespace gemm = taser::tensor::gemm;
+
+/// Runs fn() once at each OpenMP team size in `teams`; returns the results.
+template <typename Fn>
+std::vector<std::vector<float>> at_team_sizes(std::initializer_list<int> teams, Fn fn) {
+  const int saved = omp_get_max_threads();
+  std::vector<std::vector<float>> runs;
+  for (int t : teams) {
+    omp_set_num_threads(t);
+    runs.push_back(fn());
+  }
+  omp_set_num_threads(saved);
+  return runs;
+}
+
+void expect_same_bits(const std::vector<std::vector<float>>& runs) {
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    ASSERT_EQ(0, std::memcmp(runs[r].data(), runs[0].data(), runs[0].size() * sizeof(float)))
+        << "run " << r << " differs from run 0";
+  }
+}
+
+/// dW = Xᵀ·g at a shape whose packed g exceeds kPackAllBytes (regime S):
+/// X [k, m], g [k, n], accumulated into a C that starts non-zero.
+struct WeightGradCase {
+  std::int64_t m, k, n;
+  std::vector<float> x, g, c0;
+};
+
+WeightGradCase weight_grad_case(std::int64_t m, std::int64_t k, std::int64_t n,
+                                std::uint64_t seed) {
+  taser::util::Rng rng(seed);
+  WeightGradCase w{m, k, n, {}, {}, {}};
+  w.x.resize(static_cast<std::size_t>(k * m));
+  w.g.resize(static_cast<std::size_t>(k * n));
+  w.c0.resize(static_cast<std::size_t>(m * n));
+  for (auto& v : w.x) v = rng.next_uniform(-1.f, 1.f);
+  for (auto& v : w.g) v = rng.next_uniform(-1.f, 1.f);
+  for (auto& v : w.c0) v = rng.next_uniform(-1.f, 1.f);
+  // An all-zero A stripe: output rows 0..5 over the third k block.
+  for (std::int64_t p = 2 * gemm::kKC; p < std::min(k, 3 * gemm::kKC); ++p)
+    for (std::int64_t i = 0; i < std::min<std::int64_t>(m, gemm::kMR); ++i)
+      w.x[static_cast<std::size_t>(p * m + i)] = 0.f;
+  // With more than one row panel, the last one's A is all zero over all
+  // of k and its C starts at -0: a skipped block is not added, so -0
+  // survives.
+  if (m <= gemm::kMR) return w;
+  const std::int64_t last = (m - 1) / gemm::kMR * gemm::kMR;
+  for (std::int64_t p = 0; p < k; ++p)
+    for (std::int64_t i = last; i < m; ++i) w.x[static_cast<std::size_t>(p * m + i)] = 0.f;
+  for (std::int64_t i = last; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) w.c0[static_cast<std::size_t>(i * n + j)] = -0.f;
+  return w;
+}
+
+TEST(PackedGemm, StreamedWeightGradientsMatchNaiveAtEveryTeamSize) {
+  // More than one fold group of k blocks with a ragged last block, m not
+  // a multiple of 6; the second is train-taser's token fc2 dW shape, k
+  // cut down (n = 10 takes 16-wide panels).
+  const std::int64_t shapes[][3] = {{29, 2 * 16 * gemm::kKC + 2 * gemm::kKC + 37, 70},
+                                    {5, 33000, 10}};
+  std::uint64_t seed = 501;
+  for (const auto& s : shapes) {
+    const std::int64_t m = s[0], k = s[1], n = s[2];
+    SCOPED_TRACE(testing::Message() << "dW [" << m << "x" << k << " · " << k << "x" << n << "]");
+    const std::int64_t nr = n <= gemm::kNR / 2 ? 4 : gemm::kNR;
+    ASSERT_GT((n + nr - 1) / nr * nr * k * 4, gemm::kPackAllBytes) << "not regime S";
+    const WeightGradCase w = weight_grad_case(m, k, n, ++seed);
+    const auto runs = at_team_sizes({1, 2, 3, 4}, [&w] {
+      std::vector<float> c = w.c0;
+      gemm::gemm_acc(gemm::transposed(w.x.data(), w.m), gemm::row_major(w.g.data(), w.n),
+                     c.data(), w.m, w.k, w.n);
+      return c;
+    });
+    expect_same_bits(runs);
+    const std::vector<float>& c = runs[0];
+    const float tol = 1e-4f * static_cast<float>(k) / 64.f;
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < n; ++j) {
+        double acc = w.c0[static_cast<std::size_t>(i * n + j)];
+        for (std::int64_t p = 0; p < k; ++p)
+          acc += static_cast<double>(w.x[static_cast<std::size_t>(p * m + i)]) *
+                 w.g[static_cast<std::size_t>(p * n + j)];
+        ASSERT_NEAR(c[static_cast<std::size_t>(i * n + j)], acc, tol) << i << "," << j;
+      }
+    if (m > gemm::kMR)
+      for (std::int64_t j = 0; j < n; ++j)
+        ASSERT_TRUE(std::signbit(c[static_cast<std::size_t>((m - 1) * n + j)]))
+            << "a skipped block was added at column " << j;
+  }
+}
+
+TEST(PackedGemm, BetaZeroNeverReadsC) {
+  // beta_zero: C's prior contents are never read, in every regime. A
+  // NaN-filled C must give the bits of accumulating into zeros.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  taser::util::Rng rng(88);
+  auto uniform = [&rng](std::int64_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = rng.next_uniform(-1.f, 1.f);
+    return v;
+  };
+  const std::int64_t kBig = 6700;  // packed B of n = 70 exceeds kPackAllBytes
+  struct Case {
+    const char* name;
+    std::int64_t batches, m, k, n;
+    bool zero_panel, bias;
+  };
+  const Case cases[] = {
+      {"direct (n <= 4)", 1, 7, 9, 3, false, true},
+      {"packed, skipped panel", 1, 13, 20, 20, true, false},
+      {"streamed", 1, 7, kBig, 70, true, false},
+      {"streamed + bias", 1, 7, kBig, 70, false, true},
+      {"batched fallback", 2, 3, kBig, 70, false, true},
+      {"k = 0", 1, 5, 0, 20, false, false},
+      {"k = 0 + bias", 1, 5, 0, 20, false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<float> a = uniform(c.batches * c.m * c.k), b = uniform(c.k * c.n),
+                       bias = uniform(c.n);
+    if (c.zero_panel)  // A rows 0..5 all zero: regime P skips that panel
+      for (std::int64_t i = 0; i < gemm::kMR; ++i)
+        for (std::int64_t p = 0; p < c.k; ++p) a[static_cast<std::size_t>(i * c.k + p)] = 0.f;
+    auto run = [&](float fill, bool beta_zero) {
+      std::vector<float> out(static_cast<std::size_t>(c.batches * c.m * c.n), fill);
+      gemm::Epilogue ep;
+      ep.bias = c.bias ? bias.data() : nullptr;
+      ep.beta_zero = beta_zero;
+      if (c.batches > 1)
+        gemm::gemm_batched_acc(gemm::row_major(a.data(), c.k), c.m * c.k, c.batches,
+                               gemm::row_major(b.data(), c.n), out.data(), c.m * c.n, c.m, c.k,
+                               c.n, ep);
+      else
+        gemm::gemm_acc(gemm::row_major(a.data(), c.k), gemm::row_major(b.data(), c.n),
+                       out.data(), c.m, c.k, c.n, ep);
+      return out;
+    };
+    expect_same_bits({run(0.f, false), run(nan, true), run(0.f, true)});
+  }
+}
+
+TEST(LayerNormKernel, TeamSizeBitIdentity) {
+  // Rows split across the team; the γ/β grads by column chunk, each
+  // column summed over rows in ascending order. Every output accumulates
+  // into non-zero values.
+  const std::int64_t rows = 997, d = 58;
+  taser::util::Rng rng(61);
+  auto uniform = [&rng](std::int64_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = rng.next_uniform(-2.f, 2.f);
+    return v;
+  };
+  const std::vector<float> x = uniform(rows * d), g = uniform(rows * d), gamma = uniform(d),
+                           beta = uniform(d), gx0 = uniform(rows * d), gg0 = uniform(d),
+                           gb0 = uniform(d);
+  const auto runs = at_team_sizes({1, 3, 4}, [&] {
+    std::vector<float> y(static_cast<std::size_t>(rows * d)), y2(y.size()),
+        stats(static_cast<std::size_t>(2 * rows));
+    std::vector<float> gx = gx0, gg = gg0, gb = gb0;
+    taser::tensor::kernels::layer_norm(x.data(), gamma.data(), beta.data(), y.data(), stats.data(), rows,
+                              d, 1e-5f);
+    taser::tensor::kernels::layer_norm_apply(x.data(), stats.data(), gamma.data(), beta.data(),
+                                    y2.data(), rows, d);
+    taser::tensor::kernels::layer_norm_grad(g.data(), x.data(), gamma.data(), stats.data(), gx.data(),
+                                   gg.data(), gb.data(), rows, d);
+    EXPECT_EQ(0, std::memcmp(y.data(), y2.data(), y.size() * sizeof(float)))
+        << "apply differs from the forward";
+    std::vector<float> out;
+    for (const auto* v : {&y, &stats, &gx, &gg, &gb}) out.insert(out.end(), v->begin(), v->end());
+    return out;
+  });
+  expect_same_bits(runs);
 }
 
 TEST(PackedGemm, FusedLinearGeluMatchesUnfusedBitwise) {
