@@ -146,12 +146,12 @@ int main() {
   // The overload/fault ledger — all zero on this gentle workload, but
   // these are the counters an operator alarms on.
   std::printf(
-      "  shed: %llu rejected, %llu expired | faults: %llu batches, "
-      "%llu events, %llu publish retries\n",
+      "  shed: %llu rejected, %llu expired, %llu events rejected | faults: "
+      "%llu batches, %llu publish retries\n",
       static_cast<unsigned long long>(st.rejected),
       static_cast<unsigned long long>(st.expired),
+      static_cast<unsigned long long>(st.events_rejected),
       static_cast<unsigned long long>(st.faulted),
-      static_cast<unsigned long long>(st.events_faulted),
       static_cast<unsigned long long>(st.publish_faults));
 
   // ---- observability hand-off ----------------------------------------------

@@ -25,8 +25,9 @@ namespace taser::graph {
 /// actually stored.
 ///
 /// Contract:
-///   - One writer: `append` is called from one thread at a time (a second
-///     append overlapping the first throws).
+///   - One writer at a time: callers serialize `append` (the epoch
+///     manager appends under its mutex, from any producer thread); a
+///     second append overlapping the first throws.
 ///   - A row never changes once written.
 ///   - Readers touch only rows below a watermark the writer published to
 ///     them through a happens-before edge (the epoch manager's mutex, for

@@ -1,12 +1,19 @@
 #include "nn/serialize.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <utility>
 
 #include "util/check.h"
+#include "util/failpoint.h"
 
 namespace taser::nn {
 
@@ -23,9 +30,12 @@ constexpr std::uint32_t kMagic = 0x54535232;        // "TSR2"
 constexpr std::uint32_t kLegacyMagic = 0x54535231;  // "TSR1" (unversioned)
 constexpr std::uint32_t kFormatVersion = 2;
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void write_bytes(std::FILE* f, const void* data, std::size_t n) {
+  TASER_CHECK_MSG(std::fwrite(data, 1, n, f) == n,
+                  "checkpoint write failed: " << std::strerror(errno));
 }
+
+void write_u64(std::FILE* f, std::uint64_t v) { write_bytes(f, &v, sizeof(v)); }
 
 std::uint64_t read_u64(std::istream& is) {
   std::uint64_t v = 0;
@@ -33,9 +43,9 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+void write_string(std::FILE* f, const std::string& s) {
+  write_u64(f, s.size());
+  write_bytes(f, s.data(), s.size());
 }
 
 std::string read_string(std::istream& is) {
@@ -49,24 +59,46 @@ std::string read_string(std::istream& is) {
 }  // namespace
 
 void save_parameters(const Module& module, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  TASER_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
-  std::uint32_t magic = kMagic;
-  os.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  std::uint32_t version = kFormatVersion;
-  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  // Crash-safe replace: the checkpoint is written to a sibling temp file,
+  // forced to disk, and only then renamed over `path` (atomic within one
+  // file system). Until the rename the previous checkpoint at `path` is
+  // untouched; a failure before it (a full disk, an injected fault)
+  // removes the temp file, and a crash leaves at most a stray temp file.
+  static std::atomic<std::uint64_t> saves{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." + std::to_string(saves++);
+  struct TempFile {
+    const std::string& name;
+    std::FILE* f;
+    bool owned = false;  ///< created by this save and not yet renamed
+    ~TempFile() {
+      if (f != nullptr) std::fclose(f);
+      if (owned) std::remove(name.c_str());
+    }
+  } temp{tmp, std::fopen(tmp.c_str(), "wbx")};  // x: fail rather than reuse a file
+  TASER_CHECK_MSG(temp.f != nullptr,
+                  "cannot open " << tmp << " for writing: " << std::strerror(errno));
+  temp.owned = true;
+  const std::uint32_t header[2] = {kMagic, kFormatVersion};
+  write_bytes(temp.f, header, sizeof(header));
 
   const auto named = module.named_parameters();
-  write_u64(os, named.size());
+  write_u64(temp.f, named.size());
   for (const auto& [name, tensor] : named) {
-    write_string(os, name);
+    TASER_FAILPOINT("nn.save.write");
+    write_string(temp.f, name);
     const auto& shape = tensor.shape();
-    write_u64(os, shape.size());
-    for (auto d : shape) write_u64(os, static_cast<std::uint64_t>(d));
-    os.write(reinterpret_cast<const char*>(tensor.data()),
-             static_cast<std::streamsize>(tensor.numel() * sizeof(float)));
+    write_u64(temp.f, shape.size());
+    for (auto d : shape) write_u64(temp.f, static_cast<std::uint64_t>(d));
+    write_bytes(temp.f, tensor.data(), static_cast<std::size_t>(tensor.numel()) * sizeof(float));
   }
-  TASER_CHECK_MSG(os.good(), "write failed for " << path);
+  TASER_CHECK_MSG(std::fflush(temp.f) == 0 && ::fsync(::fileno(temp.f)) == 0,
+                  "cannot flush " << tmp << ": " << std::strerror(errno));
+  std::FILE* f = std::exchange(temp.f, nullptr);
+  TASER_CHECK_MSG(std::fclose(f) == 0, "cannot close " << tmp << ": " << std::strerror(errno));
+  TASER_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                  "cannot rename " << tmp << " over " << path << ": " << std::strerror(errno));
+  temp.owned = false;
 }
 
 ParameterBundle read_parameters(const std::string& path) {

@@ -169,23 +169,23 @@ void GraphEpochManager::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                                std::vector<float> edge_feat) {
   // Full client-boundary validation here — these checks, then the log's
   // append (node range, time order, EdgeId range), all before any state
-  // changes: an ingested event must never be the thing that throws later
-  // inside publish() (where it would fail the ingest thread, not the
-  // producer of the bad event).
+  // changes and on the producer's thread: an ingested event must never
+  // be the thing that throws later inside publish() (where it would fail
+  // the publishing thread, not the producer of the bad event).
   TASER_CHECK_MSG(std::isfinite(t), "streamed event (" << u << ", " << v << ") at t=" << t
                                                        << ": event time must be finite");
   TASER_CHECK_MSG(edge_feat.empty() ||
                       static_cast<std::int64_t>(edge_feat.size()) == edge_feat_dim(),
                   "streamed edge feature row has " << edge_feat.size()
                       << " floats, dataset expects " << edge_feat_dim());
+  TASER_FAILPOINT("serve.ingest.apply");
   std::lock_guard<std::mutex> lock(mu_);
   log_.append(u, v, t, edge_feat.empty() ? nullptr : edge_feat.data());
 }
 
 std::uint64_t GraphEpochManager::publish() {
   TASER_CHECK_MSG(!publishing_.exchange(true, std::memory_order_acq_rel),
-                  "concurrent publish() — the epoch manager is single-ingest-"
-                  "thread by contract");
+                  "concurrent publish() — publish runs on one thread at a time");
   struct PublishScope {
     std::atomic<bool>& flag;
     ~PublishScope() { flag.store(false, std::memory_order_release); }
@@ -247,7 +247,7 @@ std::uint64_t GraphEpochManager::publish() {
 void GraphEpochManager::catch_up(int w, std::uint64_t target) {
   // Runs unlocked: the retired side is unreachable for readers (acquire
   // only pins `current_`), and log rows below `target` never change —
-  // only this thread appends, and only above them.
+  // appends, under mu_ from any thread, land only above them.
   //
   // Fault containment: this function is safe to re-drive after a throw
   // anywhere inside it. The replica re-freezes on every exit path (scope
@@ -305,19 +305,14 @@ std::uint64_t GraphEpochManager::streamed() const {
   return static_cast<std::uint64_t>(log_.size()) - base_edges_;
 }
 
-bool GraphEpochManager::has_unpublished() const {
+std::uint64_t GraphEpochManager::unpublished() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return applied_[current_] != streamed();
+  return streamed() - applied_[current_];
 }
 
 std::uint64_t GraphEpochManager::current_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epoch_id_;
-}
-
-std::uint64_t GraphEpochManager::events_ingested() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return streamed();
 }
 
 std::uint64_t GraphEpochManager::events_published() const {
@@ -337,11 +332,6 @@ std::size_t GraphEpochManager::log_size() const {
 std::int64_t GraphEpochManager::pins(int side) const {
   std::lock_guard<std::mutex> lock(mu_);
   return pins_[side];
-}
-
-graph::Time GraphEpochManager::last_ingest_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return log_.last_time();
 }
 
 }  // namespace taser::serve

@@ -51,7 +51,7 @@ struct EpochConfig {
 ///     each of which pins it with a ReadGuard for the duration of one
 ///     micro-batch;
 ///   - the *write side*: invisible to readers, caught up with newly
-///     ingested events (indexing their log rows) by the single ingest
+///     ingested events (indexing their log rows) by the publishing
 ///     thread and then published, atomically becoming the next current
 ///     epoch.
 ///
@@ -88,8 +88,11 @@ struct EpochConfig {
 /// after the whole wave.
 ///
 /// Threading contract (hard checks where cheap):
-///   - ingest() and publish() are single-ingest-thread only (concurrent
-///     publish throws; ingest from two threads is caller error);
+///   - ingest() is safe from any thread: appends serialize on the
+///     manager's mutex, so the log sees one writer at a time;
+///   - publish() runs on one thread at a time (a concurrent publish
+///     throws) and may overlap ingest() calls: it indexes only the rows
+///     below the watermark it took under the mutex;
 ///   - acquire() is safe from any thread, any concurrency;
 ///   - both replicas answer queries identically at equal applied-event
 ///     watermarks (the test_serve equivalence suite pins this through
@@ -142,11 +145,14 @@ class GraphEpochManager {
   /// Pins and returns the current epoch. Any thread.
   ReadGuard acquire();
 
-  // ---- writer side (single ingest thread) -----------------------------------
+  // ---- writer side ----------------------------------------------------------
 
   /// Appends one interaction event to the log (validated here: node
-  /// range, finite and globally non-decreasing time, feature width). The
-  /// event becomes visible to readers only at the next publish().
+  /// range, finite and globally non-decreasing time, feature width). Any
+  /// thread. A rejected event, or a fault at the `serve.ingest.apply`
+  /// failpoint before the append, throws to the caller and changes
+  /// nothing. The event becomes visible to readers only at the next
+  /// publish().
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});
 
@@ -160,14 +166,12 @@ class GraphEpochManager {
   /// forever.
   std::uint64_t publish();
 
-  /// True when ingested events are not yet visible in the current epoch.
-  bool has_unpublished() const;
+  /// Ingested events not yet visible in the current epoch.
+  std::uint64_t unpublished() const;
 
   // ---- introspection --------------------------------------------------------
 
   std::uint64_t current_epoch() const;
-  /// Total events ingested (unpublished + published).
-  std::uint64_t events_ingested() const;
   /// Events visible in the current epoch.
   std::uint64_t events_published() const;
   std::uint64_t compactions() const;
@@ -181,8 +185,6 @@ class GraphEpochManager {
 
   std::int64_t num_nodes() const { return log_.num_nodes(); }
   std::int64_t edge_feat_dim() const { return log_.edge_feat_dim(); }
-  /// Latest ingested event time (ordering guard for callers).
-  graph::Time last_ingest_time() const;
 
   /// Direct replica access for session pipeline binding and tests. The
   /// replica addresses are stable for the manager's lifetime; treat the
@@ -195,8 +197,7 @@ class GraphEpochManager {
 
  private:
   void release(int side);
-  /// Events appended to the log since construction. Caller holds mu_ or
-  /// is the ingest thread.
+  /// Events appended to the log since construction. Caller holds mu_.
   std::uint64_t streamed() const;
   /// Indexes streamed events [applied_[w], target) into replica w: a
   /// per-shard indexing wave (+ modeled apply cost), optional compaction
@@ -209,9 +210,9 @@ class GraphEpochManager {
   void catch_up(int w, std::uint64_t target);
 
   EpochConfig config_;
-  /// The one event log. Appended under mu_ by the ingest thread; read
-  /// below applied watermarks by catch-up and by readers of pinned
-  /// epochs. Declared before the replicas that bind it.
+  /// The one event log. Appended under mu_, from any thread; read below
+  /// applied watermarks by catch-up and by readers of pinned epochs.
+  /// Declared before the replicas that bind it.
   graph::EventLog log_;
   std::unique_ptr<graph::ShardedDynamicTCSR> sides_[2];
 

@@ -14,9 +14,9 @@ class ServeError : public std::runtime_error {
 };
 
 /// Admission control turned the request away (kReject policy, full shard
-/// queue or full event queue). Delivered through the future for queries;
+/// queue or full event backlog). Delivered through the future for queries;
 /// thrown at the ingest() caller for events. The request was never
-/// enqueued — retry later or shed upstream.
+/// enqueued, the event never appended — retry later or shed upstream.
 class RejectedError : public ServeError {
  public:
   using ServeError::ServeError;

@@ -1,6 +1,5 @@
 #include "serve/serving_engine.h"
 
-#include <algorithm>
 #include <cmath>
 #include <exception>
 
@@ -27,15 +26,14 @@ Clock::time_point add_ms(Clock::time_point t, double ms) {
   return t + std::chrono::duration_cast<Clock::duration>(offset);
 }
 
-/// Interned span names for the request/event lifecycle (lazy: interning
-/// locks, so resolve once on first use, never per span).
+/// Interned span names for the request and publish lifecycle (lazy:
+/// interning locks, so resolve once on first use, never per span).
 struct SpanNames {
   obs::SpanName submit = obs::intern_span_name("serve.submit");
   obs::SpanName queue = obs::intern_span_name("serve.queue");
   obs::SpanName batch = obs::intern_span_name("serve.batch");
   obs::SpanName forward = obs::intern_span_name("serve.forward");
   obs::SpanName device = obs::intern_span_name("serve.device");
-  obs::SpanName event_apply = obs::intern_span_name("serve.event.apply");
   obs::SpanName publish = obs::intern_span_name("serve.publish");
 };
 const SpanNames& span_names() {
@@ -60,10 +58,10 @@ ServingEngine::ServingEngine(GraphEpochManager& graphs,
                              EngineConfig config)
     : graphs_(graphs), config_(config),
       front_books_({"taser.serve.submitted", "taser.serve.events.ingested",
-                    "taser.serve.events.rejected", "taser.serve.events.faulted",
-                    "taser.serve.publishes", "taser.serve.publish_faults"},
+                    "taser.serve.events.rejected", "taser.serve.publishes",
+                    "taser.serve.publish_faults"},
                    {}),
-      last_event_time_(graphs.last_ingest_time()) {
+      published_before_(graphs.events_published()) {
   TASER_CHECK_MSG(config_.num_workers >= 1,
                   "num_workers must be >= 1 (got " << config_.num_workers << ")");
   TASER_CHECK_MSG(config_.max_batch >= 1,
@@ -97,8 +95,8 @@ ServingEngine::ServingEngine(GraphEpochManager& graphs,
 ServingEngine::~ServingEngine() { shutdown(); }
 
 void ServingEngine::shutdown() {
-  // Stop the ingest thread first: it drains the event queue and runs a
-  // final publish, so late micro-batches score against the final epoch.
+  // Stop the ingest thread first: it runs a final publish covering every
+  // accepted event, so late micro-batches score against the final epoch.
   {
     std::lock_guard<std::mutex> lock(front_mu_);
     stop_ = true;
@@ -235,76 +233,56 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
 
 void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                            std::vector<float> edge_feat) {
-  // All GraphEpochManager::ingest preconditions are re-checked here, on
-  // the client thread: an event that passes cannot throw later on the
-  // ingest thread (where an escaped exception would std::terminate the
-  // server with every pending future unresolved). `last_event_time_`
-  // tracks ordering across the not-yet-applied queue tail.
-  const auto nodes = graphs_.num_nodes();
-  TASER_CHECK_MSG(u >= 0 && u < nodes && v >= 0 && v < nodes,
-                  "streamed event (" << u << ", " << v
-                                     << "): node id out of range [0, " << nodes
-                                     << ")");
-  TASER_CHECK_MSG(std::isfinite(t), "streamed event (" << u << ", " << v << ") at t=" << t
-                                                       << ": event time must be finite");
-  TASER_CHECK_MSG(edge_feat.empty() ||
-                      static_cast<std::int64_t>(edge_feat.size()) ==
-                          graphs_.edge_feat_dim(),
-                  "streamed edge feature row has " << edge_feat.size()
-                      << " floats, dataset expects " << graphs_.edge_feat_dim());
   {
     std::unique_lock<std::mutex> lock(front_mu_);
     if (stop_) throw EngineStoppedError("ingest after ServingEngine shutdown");
-    TASER_CHECK_MSG(t >= last_event_time_,
-                    "streamed event at t=" << t << " regresses behind t="
-                        << last_event_time_
-                        << " — events must arrive in time order");
-    // Admission before the time-order update: a shed event must not
-    // advance the ordering guard.
-    if (config_.max_pending_events > 0 &&
-        static_cast<std::int64_t>(events_.size()) >= config_.max_pending_events) {
+    // Admission bounds the events publishing has not caught up with.
+    const auto backlog_full = [this] {
+      return config_.max_pending_events > 0 &&
+             static_cast<std::int64_t>(graphs_.unpublished()) >=
+                 config_.max_pending_events;
+    };
+    if (backlog_full()) {
       if (config_.admission == EngineConfig::AdmissionPolicy::kReject) {
         front_books_.add(kEventsRejected);
-        throw RejectedError("event queue full: " +
-                            std::to_string(events_.size()) +
-                            " events pending ingest");
+        throw RejectedError("event backlog full: " +
+                            std::to_string(config_.max_pending_events) +
+                            " events ingested but not yet published");
       }
-      // kBlock: backpressure the producer until the ingest thread pops or
+      // kBlock: backpressure the producer until a publish frees space or
       // shutdown begins.
-      event_space_.wait(lock, [this] {
-        return stop_ || static_cast<std::int64_t>(events_.size()) <
-                            config_.max_pending_events;
-      });
+      event_space_.wait(lock, [&] { return stop_ || !backlog_full(); });
       if (stop_)
         throw EngineStoppedError(
-            "engine shut down while ingest was blocked on a full event queue");
-      TASER_CHECK_MSG(t >= last_event_time_,
-                      "streamed event at t=" << t << " regresses behind t="
-                          << last_event_time_
-                          << " — events must arrive in time order (re-checked "
-                             "after backpressure: another producer advanced "
-                             "the stream while this one was blocked)");
+            "engine shut down while ingest was blocked on a full event backlog");
     }
-    last_event_time_ = t;
-    ++events_submitted_;
-    events_.push_back(Event{u, v, t, std::move(edge_feat)});
+    // The append runs on this thread, under the lock that guards stop_:
+    // once shutdown sets it no append can start, so the ingest thread's
+    // last publish covers every accepted event. The manager validates
+    // the event before any state changes, so a malformed or faulted one
+    // throws to this caller and changes nothing.
+    graphs_.ingest(u, v, t, std::move(edge_feat));
   }
   ingest_ready_.notify_one();
 }
 
 void ServingEngine::drain() {
   std::unique_lock<std::mutex> lock(front_mu_);
-  // Published/completed counters, not just empty queues: a popped batch
-  // or event is in flight until its results land, and an applied event is
-  // invisible until the epoch containing it publishes.
+  // Completed counters, not just empty queues: a popped batch is in
+  // flight until its results land. Every accepted event is in the log
+  // before ingest() returns, and no append can start while this lock is
+  // held, so events are drained once none is unpublished and the ingest
+  // thread has counted the publish that made the last one visible.
   idle_.wait(lock, [this] {
     // publish_abandoned_: shutdown exhausted its bounded retries against
     // a persistently faulting publish and the ingest thread exited —
-    // events_visible_ can never advance again, so waiting on it would
-    // block forever. The stall stays observable via stats()
-    // (publish_abandoned / publish_faults).
+    // nothing can publish again, so waiting on it would block forever.
+    // The stall stays observable via stats() (publish_abandoned /
+    // publish_faults / event_queue_depth).
     if (!publish_abandoned_ &&
-        (events_visible_ != events_submitted_ || !events_.empty()))
+        (graphs_.unpublished() > 0 ||
+         front_books_.count(kEventsIngested) !=
+             graphs_.events_published() - published_before_))
       return false;
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> g(shard->mu);
@@ -323,41 +301,18 @@ void ServingEngine::ingest_loop() {
   std::uint64_t publish_backoff = 0;
   for (;;) {
     if (publish_backoff == 0) {
-      ingest_ready_.wait(lock, [this] { return stop_ || !events_.empty(); });
+      ingest_ready_.wait(lock, [this] { return stop_ || graphs_.unpublished() > 0; });
     } else {
-      // A publish fault left applied events invisible; keep waking to
-      // retry (catch_up is idempotent via the per-shard replay
-      // watermarks) without hot-spinning on a persistent fault.
-      ingest_ready_.wait_for(lock, std::chrono::milliseconds(1),
-                             [this] { return stop_ || !events_.empty(); });
+      // A publish fault left ingested events invisible; retry (catch_up
+      // is idempotent via the per-shard replay watermarks) without
+      // hot-spinning on a persistent fault.
+      ingest_ready_.wait_for(lock, std::chrono::milliseconds(1), [this] { return stop_; });
     }
-    // Apply everything queued to the write side, then publish once —
-    // natural adaptive batching: the busier the epoch manager, the more
-    // events amortize into each publish.
-    while (!events_.empty()) {
-      Event ev = std::move(events_.front());
-      events_.pop_front();
-      event_space_.notify_all();  // backpressured producers re-check
-      lock.unlock();
-      // Fault boundary: an apply fault drops exactly this event (it still
-      // advances events_applied_ so drain() terminates) and is counted —
-      // it must not kill the ingest thread and strand every later event.
-      bool ok = true;
-      try {
-        obs::TraceSpan apply_span(span_names().event_apply,
-                                  static_cast<std::uint64_t>(ev.t));
-        TASER_FAILPOINT("serve.ingest.apply");
-        graphs_.ingest(ev.u, ev.v, ev.t, std::move(ev.feat));
-      } catch (...) {
-        ok = false;
-      }
-      lock.lock();
-      ++events_applied_;
-      front_books_.add(ok ? kEventsIngested : kEventsFaulted);
-    }
-    const std::uint64_t applied_now = events_applied_;
-    const std::uint64_t ingested_now = front_books_.count(kEventsIngested);
-    const bool exiting = stop_ && events_.empty();
+    // Publish everything ingested so far at once — natural adaptive
+    // batching: the busier the epoch manager, the more events amortize
+    // into each publish. Once stop_ is seen here no append can start, so
+    // the publish that follows covers every accepted event.
+    const bool exiting = stop_;
     lock.unlock();
     // Publish fault boundary: catch_up throws propagate here with the
     // replay watermarks untouched, so the next publish retries the same
@@ -366,36 +321,33 @@ void ServingEngine::ingest_loop() {
     try {
       // The publish span parents the epoch manager's catch_up /
       // shard-replay spans (same thread → RAII stack nesting).
-      obs::TraceSpan publish_span(span_names().publish, applied_now);
-      graphs_.publish();  // no-op when nothing is unpublished
+      obs::TraceSpan publish_span(span_names().publish);
+      publish_span.set_tag(graphs_.publish());  // no-op when nothing is unpublished
     } catch (...) {
       published = false;
     }
     lock.lock();
     if (published) {
-      events_visible_ = std::max(events_visible_, applied_now);
-      events_visible_ingested_ = ingested_now;
+      // events.ingested grows by the events this publish made visible.
+      front_books_.add(kEventsIngested, graphs_.events_published() - published_before_ -
+                                            front_books_.count(kEventsIngested));
       publish_backoff = 0;
       front_books_.add(kPublishes);
     } else {
       ++publish_backoff;
       front_books_.add(kPublishFaults);
     }
-    idle_.notify_all();
+    event_space_.notify_all();  // backpressured producers re-check
     // A permanently faulting publish must not hang shutdown: give up after
     // a bounded number of retries. The abandonment is flagged so drain()
     // unblocks (nothing can ever advance visibility once this thread
     // exits) and stats() reports the stall (publish_abandoned +
     // publish_faults). Still under front_mu_, so concurrent drain()ers
     // re-check their predicate only after the flag is set.
-    if (exiting && events_.empty() &&
-        (published || publish_backoff > kShutdownPublishRetries)) {
-      if (!published) {
-        publish_abandoned_ = true;
-        idle_.notify_all();
-      }
-      return;
-    }
+    const bool done = exiting && (published || publish_backoff > kShutdownPublishRetries);
+    if (done && !published) publish_abandoned_ = true;
+    idle_.notify_all();
+    if (done) return;
   }
 }
 
@@ -555,12 +507,11 @@ ServingStats ServingEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(front_mu_);
     s.submitted = front_books_.count(kSubmitted);
-    s.events_ingested = events_visible_ingested_;
+    s.events_ingested = graphs_.events_published() - published_before_;
     s.events_rejected = front_books_.count(kEventsRejected);
-    s.events_faulted = front_books_.count(kEventsFaulted);
     s.publish_faults = front_books_.count(kPublishFaults);
     s.publish_abandoned = publish_abandoned_;
-    s.event_queue_depth = static_cast<std::int64_t>(events_.size());
+    s.event_queue_depth = static_cast<std::int64_t>(graphs_.unpublished());
     first_enqueue = first_enqueue_;
   }
   s.epochs_published = graphs_.current_epoch();

@@ -40,20 +40,20 @@ struct EngineConfig {
 
   // ---- overload policy (admission control + deadlines) --------------------
 
-  /// What a full queue does to the producer. kBlock backpressures: the
-  /// call waits for space (classic bounded-queue flow control). kReject
-  /// sheds at admission: submit() returns a future already failed with
-  /// RejectedError, ingest() throws it — the producer learns immediately
-  /// and can retry or drop.
+  /// What a full queue or event backlog does to the producer. kBlock
+  /// backpressures: the call waits for space (classic bounded-queue flow
+  /// control). kReject sheds at admission: submit() returns a future
+  /// already failed with RejectedError, ingest() throws it — the producer
+  /// learns immediately and can retry or drop.
   enum class AdmissionPolicy { kBlock, kReject };
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   /// Bound on each shard's pending-query queue (0 = unbounded, the
   /// pre-admission-control behavior).
   std::int64_t max_queue_per_worker = 0;
-  /// Bound on the pending-event queue feeding the ingest thread (0 =
-  /// unbounded). With a bound, ingest() backpressures (or rejects) the
-  /// producer instead of growing events_ without limit when the epoch
-  /// manager cannot keep up.
+  /// Bound on events ingested but not yet published
+  /// (GraphEpochManager::unpublished(); 0 = unbounded). With a bound,
+  /// ingest() backpressures (or rejects) the producer instead of letting
+  /// that backlog grow without limit when publishing cannot keep up.
   std::int64_t max_pending_events = 0;
   /// Default per-request deadline in ms from submit() (0 = none). A
   /// request still queued when its deadline passes is shed at dequeue
@@ -77,7 +77,8 @@ struct EngineConfig {
 struct ServingStats {
   std::uint64_t requests = 0;  ///< completed with a value
   std::uint64_t batches = 0;   ///< micro-batches scored (faulted ones excluded)
-  std::uint64_t events_ingested = 0;   ///< published & visible to queries
+  /// Events published & visible to queries since the engine was built.
+  std::uint64_t events_ingested = 0;
   std::uint64_t epochs_published = 0;
   std::uint64_t compactions = 0;
   // ---- overload + fault accounting (tentpole PR 8) ------------------------
@@ -91,13 +92,13 @@ struct ServingStats {
   std::uint64_t faulted = 0;    ///< failed by a worker-forward fault
   std::uint64_t torn_view_retries = 0;  ///< torn-view batches re-run once
   std::uint64_t events_rejected = 0;  ///< ingest() admission rejections
-  std::uint64_t events_faulted = 0;   ///< events dropped by an ingest-apply fault
   std::uint64_t publish_faults = 0;   ///< publish() attempts that threw (retried)
   /// Shutdown exhausted its bounded publish retries against a persistent
-  /// fault: applied events past events_ingested never became visible.
+  /// fault: the event_queue_depth ingested events never became visible.
   bool publish_abandoned = false;
-  std::int64_t queue_depth = 0;        ///< queries queued right now (gauge)
-  std::int64_t event_queue_depth = 0;  ///< events queued right now (gauge)
+  std::int64_t queue_depth = 0;  ///< queries queued right now (gauge)
+  /// Events ingested but not yet published right now (gauge).
+  std::int64_t event_queue_depth = 0;
   double p50_ms = 0, p95_ms = 0, p99_ms = 0, max_ms = 0;  ///< submit→complete latency
   double min_ms = 0;   ///< exact fastest completed request (0 when none)
   double mean_ms = 0;  ///< exact mean over all completed requests
@@ -112,13 +113,15 @@ struct ServingStats {
 /// Sharded online serving front: link-prediction queries fan out to
 /// `num_workers` independent worker shards, each coalescing its queue
 /// into micro-batches under the max-batch / max-delay policy and scoring
-/// them on its own InferenceSession replica; streamed edge events flow to
-/// a dedicated ingest thread that builds the next graph epoch in a
-/// GraphEpochManager and publishes it, RCU-style, while workers keep
-/// serving the current epoch (see epoch_manager.h for the reclamation
-/// contract). Queries see bounded staleness: each micro-batch pins the
-/// epoch current at its start; drain() guarantees everything submitted —
-/// queries and events — is processed and published.
+/// them on its own InferenceSession replica; streamed edge events are
+/// appended to the GraphEpochManager's log on the producer's thread, and
+/// a dedicated ingest thread publishes them as the next graph epoch,
+/// RCU-style, while workers keep serving the current epoch (see
+/// epoch_manager.h for the reclamation contract). Queries see bounded
+/// staleness: each micro-batch pins the epoch current at its start;
+/// drain() guarantees everything submitted — queries and events — is
+/// processed and published. While the engine runs, its ingest thread is
+/// the manager's one publisher.
 ///
 /// Determinism: every request carries a global submission sequence
 /// number, which keys its private sampling streams in the session's keyed
@@ -138,8 +141,8 @@ struct ServingStats {
 /// enqueue — in particular, kBlock backpressure wakes blocked producers
 /// in arbitrary order — so per-shard enqueue order is NOT guaranteed to
 /// be seq order under contention. Scores never depend on it (they are
-/// per-seq pure functions). Events apply in arrival order on the one
-/// ingest thread (single-ingest contract of the epoch manager).
+/// per-seq pure functions). Events append in the order their ingest()
+/// calls take the front lock; the log rejects one that regresses in time.
 ///
 /// Overload + faults (PR 8, see src/serve/README.md "Overload behavior"
 /// and "Fault model"): bounded queues admission-control submit()/ingest()
@@ -184,17 +187,19 @@ class ServingEngine {
   /// a full queue, blocks until the shard worker frees space.
   std::future<float> submit(const LinkQuery& query);
 
-  /// Enqueues one streamed edge event (applied by the ingest thread in
-  /// arrival order, visible to queries at the next epoch publish).
+  /// Appends one streamed edge event to the epoch manager's log on the
+  /// caller's thread; it is visible to queries at the next epoch publish.
   /// `edge_feat` may be empty (zero row) or must hold edge_feat_dim
-  /// floats. With max_pending_events bound: kBlock waits for queue space,
-  /// kReject throws RejectedError. Throws EngineStoppedError after
-  /// shutdown begins.
+  /// floats. A malformed event (node range, non-finite or regressing
+  /// time, feature width) or an injected fault throws here and changes
+  /// nothing. With max_pending_events bound: kBlock waits until a publish
+  /// frees space, kReject throws RejectedError. Throws EngineStoppedError
+  /// after shutdown begins.
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});
 
   /// Blocks until everything submitted so far has been processed: all
-  /// queries resolved (value or exception), all events applied AND
+  /// queries resolved (value or exception), all ingested events
   /// published. Correct with failed/shed requests in flight. If shutdown
   /// abandoned a persistently faulting final publish, drain() returns
   /// rather than waiting forever on visibility that can no longer
@@ -222,11 +227,6 @@ class ServingEngine {
     std::uint64_t trace_parent = 0; ///< the submit scope's span id
     std::int64_t trace_t0_ns = 0;   ///< enqueue time on the trace clock
   };
-  struct Event {
-    graph::NodeId u, v;
-    graph::Time t;
-    std::vector<float> feat;
-  };
 
   /// Slots of a worker shard's books: counters, then histograms.
   enum ShardCounter : std::size_t {
@@ -235,8 +235,7 @@ class ServingEngine {
   enum ShardHistogram : std::size_t { kLatencyMs, kBatchOccupancy };
   /// Slots of the front's books.
   enum FrontCounter : std::size_t {
-    kSubmitted, kEventsIngested, kEventsRejected, kEventsFaulted, kPublishes,
-    kPublishFaults
+    kSubmitted, kEventsIngested, kEventsRejected, kPublishes, kPublishFaults
   };
 
   /// One worker shard: queue + session replica + scoring thread, with its
@@ -281,37 +280,32 @@ class ServingEngine {
   obs::Gauge queue_depth_gauge_ = obs::gauge("taser.serve.queue_depth");
   obs::Gauge event_queue_depth_gauge_ = obs::gauge("taser.serve.event_queue_depth");
   /// FrontCounter slots under `taser.serve.*`, written under front_mu_.
+  /// `events.ingested` grows at each publish commit by the events it made
+  /// visible.
   obs::Scope front_books_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Front lock: submission sequencing, the event queue and drain
-  /// bookkeeping. Lock order is front → shard; no path takes them the
-  /// other way around.
+  /// Front lock: submission sequencing, event appends and drain
+  /// bookkeeping. Lock order is front → shard and front → manager; no
+  /// path takes them the other way around.
   mutable std::mutex front_mu_;
+  /// Wakes the ingest thread after an append, and on shutdown.
   std::condition_variable ingest_ready_;
   std::condition_variable idle_;
-  /// Signals bounded-event-queue space to kBlock producers (notified by
-  /// the ingest thread after every pop, and by shutdown).
+  /// Signals event-backlog space to kBlock producers (notified by the
+  /// ingest thread after every publish attempt, and by shutdown).
   std::condition_variable event_space_;
-  std::deque<Event> events_;
   bool stop_ = false;
   std::uint64_t seq_ = 0;  ///< next request sequence number
-  std::uint64_t events_submitted_ = 0;
-  std::uint64_t events_applied_ = 0;  ///< applied to the write side (or dropped faulted)
-  std::uint64_t events_visible_ = 0;  ///< published — visible to queries
-  /// The events_visible_ that reached the graph (not dropped by an apply
-  /// fault), recorded when their publish commits: stats' events_ingested.
-  std::uint64_t events_visible_ingested_ = 0;
+  /// graphs_.events_published() when the engine was built: stats'
+  /// events_ingested counts from here.
+  const std::uint64_t published_before_;
   /// Set by the ingest thread when shutdown gives up on a persistently
-  /// faulting final publish (bounded retries exhausted). Visibility can
-  /// never advance past events_visible_ again; drain() keys off this so
-  /// it cannot block forever on the dead watermark.
+  /// faulting final publish (bounded retries exhausted). Nothing is
+  /// published again; drain() keys off this so it cannot block forever
+  /// on events that can never become visible.
   bool publish_abandoned_ = false;
-  /// Ordering guard for streamed events, spanning the unapplied queue
-  /// tail (the manager's own check would only fire on the ingest thread,
-  /// too late to fail the caller).
-  graph::Time last_event_time_;
   std::chrono::steady_clock::time_point first_enqueue_;
 
   std::thread ingest_thread_;

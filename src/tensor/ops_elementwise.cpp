@@ -1,4 +1,5 @@
 #include <cmath>
+#include <type_traits>
 
 #include "tensor/broadcast.h"
 #include "tensor/counters.h"
@@ -15,32 +16,48 @@ using detail::broadcast_visit;
 using detail::make_broadcast_plan;
 
 /// Shared driver for broadcast binary ops. `fwd(a,b)` computes the value;
-/// `dfa(g,a,b)` / `dfb(g,a,b)` compute the per-element contribution to
-/// each input's gradient (accumulated through the broadcast plan, which
-/// realises the sum-over-broadcast-dims reduction for free).
+/// `dfa` / `dfb` compute the per-element contribution to each input's
+/// gradient (accumulated through the broadcast plan, which realises the
+/// sum-over-broadcast-dims reduction for free). A derivative that reads
+/// the operands takes `(g, a, b)` (mul, div) and the backward keeps both
+/// operands; one that takes `g` alone (add, sub) reads neither, and the
+/// backward keeps only the operands that take a grad, so a constant
+/// operand (a mask) is freed with its caller's last handle instead of
+/// living as long as the tape.
 template <typename Fwd, typename Dfa, typename Dfb>
 Tensor binary_op(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb) {
+  constexpr bool kReadsOperands = !std::is_invocable_v<Dfa, float>;
+  static_assert(kReadsOperands == !std::is_invocable_v<Dfb, float>,
+                "both derivatives read the operands, or neither does");
   BroadcastPlan plan = make_broadcast_plan(a.shape(), b.shape());
   OpCounters::add_flops(static_cast<std::uint64_t>(plan.out_numel));
   Tensor out = make_result(plan.out_shape, {a, b});
   broadcast_apply(plan, a.data(), b.data(), out.data(), fwd);
 
   if (out.requires_grad()) {
-    ImplPtr ia = a.impl(), ib = b.impl();
+    ImplPtr ia = kReadsOperands || a.requires_grad() ? a.impl() : nullptr;
+    ImplPtr ib = kReadsOperands || b.requires_grad() ? b.impl() : nullptr;
     out.node().backward_fn = [plan, ia, ib, dfa, dfb](TensorImpl& self) {
-      const bool need_a = ia->requires_grad;
-      const bool need_b = ib->requires_grad;
+      const bool need_a = ia && ia->requires_grad;
+      const bool need_b = ib && ib->requires_grad;
       if (need_a) ia->ensure_grad();
       if (need_b) ib->ensure_grad();
       const float* g = self.grad.data();
-      const float* av = ia->data.data();
-      const float* bv = ib->data.data();
       float* ga = need_a ? ia->grad.data() : nullptr;
       float* gb = need_b ? ib->grad.data() : nullptr;
-      broadcast_visit(plan, [&](std::int64_t i, std::int64_t oa, std::int64_t ob) {
-        if (need_a) ga[oa] += dfa(g[i], av[oa], bv[ob]);
-        if (need_b) gb[ob] += dfb(g[i], av[oa], bv[ob]);
-      });
+      if constexpr (kReadsOperands) {
+        const float* av = ia->data.data();
+        const float* bv = ib->data.data();
+        broadcast_visit(plan, [&](std::int64_t i, std::int64_t oa, std::int64_t ob) {
+          if (need_a) ga[oa] += dfa(g[i], av[oa], bv[ob]);
+          if (need_b) gb[ob] += dfb(g[i], av[oa], bv[ob]);
+        });
+      } else {
+        broadcast_visit(plan, [&](std::int64_t i, std::int64_t oa, std::int64_t ob) {
+          if (need_a) ga[oa] += dfa(g[i]);
+          if (need_b) gb[ob] += dfb(g[i]);
+        });
+      }
     };
   }
   return out;
@@ -75,14 +92,14 @@ Tensor unary_op(const Tensor& a, Fwd fwd, Dfdy dfdy) {
 
 Tensor add(const Tensor& a, const Tensor& b) {
   return binary_op(
-      a, b, [](float x, float y) { return x + y; },
-      [](float g, float, float) { return g; }, [](float g, float, float) { return g; });
+      a, b, [](float x, float y) { return x + y; }, [](float g) { return g; },
+      [](float g) { return g; });
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
   return binary_op(
-      a, b, [](float x, float y) { return x - y; },
-      [](float g, float, float) { return g; }, [](float g, float, float) { return -g; });
+      a, b, [](float x, float y) { return x - y; }, [](float g) { return g; },
+      [](float g) { return -g; });
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {

@@ -3,6 +3,9 @@
 // (accumulation, reuse, detach boundaries).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -80,6 +83,46 @@ TEST(Autograd, NoGradInputReceivesNoGradient) {
   loss.backward();
   EXPECT_TRUE(a.grad().defined());
   EXPECT_FALSE(b.grad().defined());
+}
+
+// add and sub read no operand value in their backward, so a constant
+// operand (a mask) is freed with its caller's last handle rather than
+// living as long as the tape; mul and div read both operands and keep
+// them. Either way the grads are bit-equal to a run where the caller
+// holds the constant through backward.
+TEST(Autograd, ConstantOperandLivesOnlyAsLongAsTheBackwardReadsIt) {
+  const std::vector<float> xv = {0.5f, 1.5f, -2.f, 1.25f, -0.75f, 3.f};
+  const std::vector<float> cv = {2.f, -1.f, 0.5f};  // broadcast over rows
+  using BinaryOp = Tensor (*)(const Tensor&, const Tensor&);
+  struct Case {
+    const char* name;
+    BinaryOp op;
+    bool keeps_constant;
+  };
+  for (const Case& c : {Case{"add", tt::add, false}, Case{"sub", tt::sub, false},
+                        Case{"mul", tt::mul, true}, Case{"div", tt::div, true}}) {
+    for (const bool constant_first : {false, true}) {
+      SCOPED_TRACE(testing::Message() << c.name << (constant_first ? "(c, x)" : "(x, c)"));
+      auto apply = [&](const Tensor& x, const Tensor& cst) {
+        return tt::sum_all(tt::square(constant_first ? c.op(cst, x) : c.op(x, cst)));
+      };
+      Tensor x_ref = Tensor::from_vector({2, 3}, xv, true);
+      const Tensor c_ref = Tensor::from_vector({3}, cv);
+      apply(x_ref, c_ref).backward();
+
+      Tensor x = Tensor::from_vector({2, 3}, xv, true);
+      std::weak_ptr<tt::TensorImpl> watch;
+      Tensor loss;
+      {
+        const Tensor cst = Tensor::from_vector({3}, cv);
+        watch = cst.impl();
+        loss = apply(x, cst);
+      }
+      EXPECT_EQ(watch.expired(), !c.keeps_constant);
+      loss.backward();
+      EXPECT_EQ(x.grad().to_vector(), x_ref.grad().to_vector());
+    }
+  }
 }
 
 // ---- finite-difference checks, one per op family ------------------------

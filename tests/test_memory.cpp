@@ -169,8 +169,9 @@ TEST(MemoryBudget, SamplerSelectTapeIsItsSavedSet) {
     sampler.select(cands, n, rng);  // warm-up: sampler and GEMM scratch
     const std::int64_t N = T * m;
     // The graph select() leaves, buffer by buffer (floats). The concat's
-    // constant inputs (TE(∆t), FE(freq), identity) are not kept: they
-    // take no grad and its backward reads none of them.
+    // constant inputs (TE(∆t), FE(freq), identity) and the decoder's
+    // padding mask term are not kept: they take no grad, and neither the
+    // concat's backward nor the masking add's reads them.
     const std::int64_t expected =
         N * de                           // edge features, w_edge's input
         + 2 * N * d                      // w_edge output and its GELU pre-activation
@@ -178,8 +179,8 @@ TEST(MemoryBudget, SamplerSelectTapeIsItsSavedSet) {
         + mixer_saved_floats(T, m, W)    // the trunk
         + 2 * T * d + 2 * T * h          // z_v, proj_v(z_v) and its reshape
         + 3 * N * h                      // proj_u(zt), + hv, LeakyReLU
-        + 7 * N                          // score, reshape, mask term, sum, softmax,
-                                         // log, flat reshape
+        + 6 * N                          // score, reshape, sum, softmax, log,
+                                         // flat reshape
         + 2 * T * n;                     // gathered log-probs and their reshape
     // The selection's plain fields: neighbor, time and edge per pick, the
     // pick mask and slot.

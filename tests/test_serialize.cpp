@@ -1,14 +1,19 @@
 // Checkpointing: round-trip fidelity, strict name/shape validation,
-// cross-model restore for the backbone TGNNs.
+// cross-model restore for the backbone TGNNs, and a save that faults
+// mid-write leaving the previous checkpoint intact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "models/graphmixer.h"
 #include "nn/mlp.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
+#include "util/failpoint.h"
 
 using namespace taser;
 using namespace taser::nn;
@@ -141,6 +146,41 @@ TEST(Serialize, RejectsGarbageFile) {
   Mlp m(2, 2, 2, rng);
   EXPECT_THROW(load_parameters(m, path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// A save that fails mid-write throws and leaves the last good checkpoint
+// as it was: the bytes go to a temp file that is renamed over the target
+// only once complete, and the failed save removes it.
+TEST(Serialize, FaultMidSaveKeepsThePreviousCheckpoint) {
+  if (!util::failpoints::compiled_in())
+    GTEST_SKIP() << "failpoint harness compiled out (-DTASER_FAILPOINTS=OFF)";
+  util::Rng rng(8);
+  Mlp a(4, 8, 2, rng);
+  Mlp b(4, 8, 2, rng);  // different init
+  const std::string dir = std::string(::testing::TempDir()) + "/mid_save";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/mlp.ckpt";
+  save_parameters(a, path);
+  {
+    util::failpoints::FailpointConfig cfg;
+    cfg.first_hit = 2;  // after the first parameter is written
+    cfg.max_fires = 1;
+    util::failpoints::ScopedFailpoint arm("nn.save.write", cfg);
+    EXPECT_THROW(save_parameters(b, path), util::failpoints::FailpointError);
+    EXPECT_EQ(util::failpoints::fires("nn.save.write"), 1u);
+  }
+
+  Mlp restored(4, 8, 2, rng);
+  load_parameters(restored, path);
+  auto pa = a.parameters(), pr = restored.parameters();
+  ASSERT_EQ(pa.size(), pr.size());
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(pa[i].to_vector(), pr[i].to_vector()) << "parameter " << i;
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().filename().string());
+  EXPECT_EQ(left, std::vector<std::string>{"mlp.ckpt"}) << "a temp file was left behind";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serialize, BackboneModelRoundTripPreservesOutputs) {

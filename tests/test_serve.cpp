@@ -637,13 +637,13 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
   serve::GraphEpochManager mgr(prefix_dataset(full, cut));
 
   EXPECT_EQ(mgr.current_epoch(), 0u);
-  EXPECT_FALSE(mgr.has_unpublished());
+  EXPECT_EQ(mgr.unpublished(), 0u);
   EXPECT_EQ(mgr.publish(), 0u);  // nothing buffered: no-op, same epoch
 
   // Buffered events stay invisible until publish.
   for (std::int64_t e = cut; e < cut + 10; ++e)
     mgr.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
-  EXPECT_TRUE(mgr.has_unpublished());
+  EXPECT_EQ(mgr.unpublished(), 10u);
   {
     auto g = mgr.acquire();
     EXPECT_EQ(g.graph().num_edges(), cut);
@@ -651,7 +651,7 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
   }
 
   EXPECT_EQ(mgr.publish(), 1u);
-  EXPECT_FALSE(mgr.has_unpublished());
+  EXPECT_EQ(mgr.unpublished(), 0u);
   EXPECT_EQ(mgr.events_published(), 10u);
   {
     auto g = mgr.acquire();
@@ -893,7 +893,7 @@ TEST(EpochManager, ShardReplayFaultRethrowsOnceAndRetryConverges) {
       EXPECT_THROW(mgr.publish(), fp::FailpointError);
       EXPECT_EQ(fp::fires("serve.epoch.shard_replay"), faulty_shards);
       EXPECT_EQ(mgr.current_epoch(), 0u);
-      EXPECT_TRUE(mgr.has_unpublished());
+      EXPECT_EQ(mgr.unpublished(), static_cast<std::uint64_t>(full.num_edges() - cut));
       EXPECT_EQ(mgr.publish(), 1u);  // retry with the point still armed, spent
     }
     {
@@ -1529,6 +1529,72 @@ TEST(ServingEngineStress, ConcurrentSubmitIngestDrain) {
 TEST(ServingEngineStress, ConcurrentSubmitIngestDrainSharded) {
   for (int num_shards : {2, 4})
     run_submit_ingest_drain_stress(/*workers=*/2, num_shards);
+}
+
+// ingest() appends on the producer's thread, so several producers append
+// concurrently: at one timestamp (ties are in time order) they serialize
+// on the front lock and the manager's mutex, every event lands in the
+// log exactly once, and the log's one-writer check never fires — while
+// queries pin epochs and the ingest thread publishes.
+TEST(ServingEngineStress, ConcurrentProducersAppendEachEventOnce) {
+  const graph::Dataset data = small_dataset(37);
+  serve::EpochConfig epoch_cfg;
+  epoch_cfg.compact_threshold = 50;
+  epoch_cfg.num_shards = 2;
+  serve::GraphEpochManager mgr(data, epoch_cfg);
+  serve::SessionConfig sc = tiny_session_config();
+  sc.policy = sampling::FinderPolicy::kUniform;
+  serve::EngineConfig ec;
+  ec.num_workers = 2;
+  ec.max_batch = 8;
+  ec.max_delay_ms = 0.2;
+  serve::ServingEngine engine(mgr, sc, ec);
+  const std::int64_t log_before = mgr.log().size();
+
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 80;
+  constexpr int kEvents = kProducers * kPerProducer;
+  constexpr int kQueries = 60;
+  const graph::Time t_event = data.ts.back() + 1;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      // The feature row names its producer, so the log shows whose rows
+      // landed.
+      const std::vector<float> feat(static_cast<std::size_t>(data.edge_feat_dim),
+                                    static_cast<float>(p));
+      for (int k = 0; k < kPerProducer; ++k) {
+        const auto idx = static_cast<std::size_t>(p * kPerProducer + k);
+        engine.ingest(data.src[idx % data.src.size()], data.dst[idx % data.dst.size()],
+                      t_event, feat);
+      }
+    });
+  }
+  std::vector<std::future<float>> futures;
+  for (int i = 0; i < kQueries; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    futures.push_back(engine.submit(
+        {data.src[idx % data.src.size()], data.dst[idx % data.dst.size()], t_event + 1}));
+  }
+  for (auto& th : producers) th.join();
+  for (auto& f : futures) EXPECT_TRUE(std::isfinite(f.get()));
+  engine.drain();
+
+  const serve::ServingStats s = engine.stats();
+  EXPECT_EQ(s.events_ingested, static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(s.event_queue_depth, 0);
+  ASSERT_EQ(mgr.log().size(), log_before + kEvents);
+  std::vector<int> rows_of(kProducers, 0);
+  for (std::int64_t e = log_before; e < log_before + kEvents; ++e) {
+    const float p = mgr.log().edge_feat(static_cast<graph::EdgeId>(e))[0];
+    ASSERT_TRUE(p == 0.f || p == 1.f || p == 2.f) << "row " << e;
+    ++rows_of[static_cast<std::size_t>(p)];
+  }
+  EXPECT_EQ(rows_of, std::vector<int>(kProducers, kPerProducer));
+  {
+    auto g = mgr.acquire();
+    EXPECT_EQ(g.graph().num_edges(), data.num_edges() + kEvents);
+  }
 }
 
 }  // namespace

@@ -271,8 +271,9 @@ TEST_F(FaultTest, TornViewRetriesOnceAndScores) {
   EXPECT_EQ(s.requests, 1u);
 }
 
-// An ingest-apply fault drops exactly that event: later events still
-// apply, the engine still drains, and the loss is counted.
+// A fault at `serve.ingest.apply` fails exactly that producer's call and
+// changes nothing: later events still append, the engine still drains,
+// and the graph holds every other event.
 TEST_F(FaultTest, IngestApplyFaultDropsOneEventAndStreamContinues) {
   const graph::Dataset full = small_dataset(23);
   const std::int64_t cut = full.num_edges() - 20;
@@ -286,12 +287,19 @@ TEST_F(FaultTest, IngestApplyFaultDropsOneEventAndStreamContinues) {
   cfg.max_fires = 1;
   fp::ScopedFailpoint arm("serve.ingest.apply", cfg);
 
-  for (std::int64_t e = cut; e < full.num_edges(); ++e)
-    engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+  std::uint64_t faults = 0;
+  for (std::int64_t e = cut; e < full.num_edges(); ++e) {
+    try {
+      engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
+    } catch (const fp::FailpointError&) {
+      ++faults;
+      EXPECT_EQ(e, cut + 2) << "only the third ingest() may fault";
+    }
+  }
   engine.drain();
 
+  EXPECT_EQ(faults, 1u);
   const serve::ServingStats s = engine.stats();
-  EXPECT_EQ(s.events_faulted, 1u);
   EXPECT_EQ(s.events_ingested, 19u);
   EXPECT_EQ(s.event_queue_depth, 0);
   auto g = mgr.acquire();
@@ -299,8 +307,8 @@ TEST_F(FaultTest, IngestApplyFaultDropsOneEventAndStreamContinues) {
 }
 
 // stats().events_ingested counts what is visible to queries. While a
-// publish is in flight after an apply fault, the faulted event must not
-// be subtracted from events an earlier publish made visible.
+// publish is in flight it holds what the last committed publish made
+// visible, and the event being published still counts as backlog.
 TEST_F(FaultTest, EventsIngestedHoldsWhileAPublishIsInFlight) {
   const graph::Dataset full = small_dataset(23);
   const std::int64_t cut = full.num_edges() - 2;
@@ -313,9 +321,6 @@ TEST_F(FaultTest, EventsIngestedHoldsWhileAPublishIsInFlight) {
   engine.drain();
   ASSERT_EQ(engine.stats().events_ingested, 1u);
 
-  fp::FailpointConfig apply;
-  apply.max_fires = 1;
-  fp::ScopedFailpoint arm_apply("serve.ingest.apply", apply);
   fp::FailpointConfig hold;
   hold.action = fp::FailpointConfig::Action::kDelay;
   hold.delay_ms = 300;
@@ -324,20 +329,20 @@ TEST_F(FaultTest, EventsIngestedHoldsWhileAPublishIsInFlight) {
 
   const std::int64_t e = cut + 1;
   engine.ingest(full.src[e], full.dst[e], full.ts[e], feat_row(full, e));
-  // The faulted apply is counted before its publish starts; the publish
-  // (catching up the lagging replica) now sleeps in its failpoint.
+  // The event's publish (catching up the lagging replica) now sleeps in
+  // its failpoint.
   for (int i = 0; i < 10000 && fp::hits("serve.epoch.publish") < 1; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_GE(fp::hits("serve.epoch.publish"), 1u);
   const serve::ServingStats held = engine.stats();
-  EXPECT_EQ(held.events_faulted, 1u);
   EXPECT_EQ(held.events_ingested, mgr.events_published());
   EXPECT_EQ(held.events_ingested, 1u);
+  EXPECT_EQ(held.event_queue_depth, 1);
 
   engine.drain();
   const serve::ServingStats s = engine.stats();
-  EXPECT_EQ(s.events_ingested, 1u);
-  EXPECT_EQ(s.events_faulted, 1u);
+  EXPECT_EQ(s.events_ingested, 2u);
+  EXPECT_EQ(s.event_queue_depth, 0);
 }
 
 // Publish faults (epoch thaw/replay, including one shard thread dying
@@ -424,8 +429,8 @@ TEST_F(FaultTest, DrainReturnsAfterShutdownAbandonsFaultingPublish) {
   const serve::ServingStats s = engine.stats();
   EXPECT_TRUE(s.publish_abandoned);
   EXPECT_GE(s.publish_faults, 1u);
-  EXPECT_EQ(s.events_ingested, 0u);  // applied, but never became visible
-  EXPECT_EQ(s.event_queue_depth, 0);
+  EXPECT_EQ(s.events_ingested, 0u);
+  EXPECT_EQ(s.event_queue_depth, 1);  // ingested, but never became visible
 }
 
 // ---- all-or-nothing checkpoint loads ---------------------------------------
@@ -523,21 +528,21 @@ TEST_F(FaultTest, RejectPolicyBoundsEventQueue) {
   serve::EngineConfig ec;
   ec.num_workers = 1;
   ec.admission = serve::EngineConfig::AdmissionPolicy::kReject;
-  ec.max_pending_events = 1;
+  ec.max_pending_events = 2;
   serve::ServingEngine engine(mgr, tiny_session_config(), ec);
 
-  // Pin the ingest thread inside an apply so the queue backs up
-  // deterministically.
+  // Hold the ingest thread inside a publish so the backlog of unpublished
+  // events grows deterministically.
   fp::FailpointConfig cfg;
   cfg.action = fp::FailpointConfig::Action::kDelay;
   cfg.delay_ms = 150;
   cfg.max_fires = 1;
-  fp::ScopedFailpoint arm("serve.ingest.apply", cfg);
+  fp::ScopedFailpoint arm("serve.epoch.publish", cfg);
 
   graph::Time t = data.ts.back();
-  engine.ingest(data.src[0], data.dst[0], ++t);  // ingest thread picks this up
+  engine.ingest(data.src[0], data.dst[0], ++t);  // its publish is held
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  engine.ingest(data.src[1], data.dst[1], ++t);  // queued (thread is sleeping)
+  engine.ingest(data.src[1], data.dst[1], ++t);  // backlog now at the bound
   std::uint64_t rejected = 0;
   const graph::Time t_rejected = t + 1;
   try {
@@ -779,7 +784,7 @@ serve::ServingStats fuzz_engine(serve::GraphEpochManager& mgr,
   const graph::Time t_query = data.ts.back() + kEvents + 10;
 
   std::vector<std::future<float>> futures;
-  std::uint64_t events_rejected = 0;
+  std::uint64_t events_rejected = 0, events_faulted = 0;
   std::thread producer([&] {
     graph::Time t = data.ts.back();
     for (int k = 0; k < kEvents; ++k) {
@@ -789,6 +794,8 @@ serve::ServingStats fuzz_engine(serve::GraphEpochManager& mgr,
                       data.dst[static_cast<std::size_t>(k) % data.dst.size()], t);
       } catch (const serve::RejectedError&) {
         ++events_rejected;
+      } catch (const fp::FailpointError&) {
+        ++events_faulted;  // an ingest fault fails the producer's call
       }
       if (k == kEvents / 2) engine.drain();  // drain with faults in flight
     }
@@ -830,7 +837,7 @@ serve::ServingStats fuzz_engine(serve::GraphEpochManager& mgr,
   EXPECT_EQ(s.queue_depth, 0);
   EXPECT_EQ(s.event_queue_depth, 0);
   EXPECT_EQ(s.events_rejected, events_rejected);
-  EXPECT_EQ(s.events_ingested + s.events_faulted + events_rejected,
+  EXPECT_EQ(s.events_ingested + events_faulted + events_rejected,
             static_cast<std::uint64_t>(kEvents));
 
   // Faults cleared → full service, and the post-fault graph still answers.
