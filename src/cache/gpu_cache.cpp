@@ -36,7 +36,6 @@ GpuFeatureCache::GpuFeatureCache(const graph::Dataset& data, gpusim::Device& dev
   capacity_ = static_cast<std::int64_t>(static_cast<double>(e) * cache_ratio);
   slot_of_.assign(static_cast<std::size_t>(e), -1);
   freq_.assign(static_cast<std::size_t>(e), 0);
-  vram_.resize(static_cast<std::size_t>(capacity_ * data_.edge_feat_dim));
 
   // Algorithm 3 line 2: initial cache content is random.
   std::vector<EdgeId> ids(static_cast<std::size_t>(e));
@@ -54,13 +53,8 @@ GpuFeatureCache::GpuFeatureCache(const graph::Dataset& data, gpusim::Device& dev
 void GpuFeatureCache::install(const std::vector<EdgeId>& edges) {
   TASER_CHECK(static_cast<std::int64_t>(edges.size()) <= capacity_);
   std::fill(slot_of_.begin(), slot_of_.end(), -1);
-  slot_edge_ = edges;
-  const std::int64_t d = data_.edge_feat_dim;
-  for (std::size_t s = 0; s < edges.size(); ++s) {
+  for (std::size_t s = 0; s < edges.size(); ++s)
     slot_of_[static_cast<std::size_t>(edges[s])] = static_cast<std::int32_t>(s);
-    std::memcpy(vram_.data() + static_cast<std::int64_t>(s) * d, data_.edge_feat(edges[s]),
-                static_cast<std::size_t>(d) * sizeof(float));
-  }
 }
 
 void GpuFeatureCache::gather_edge_feats_onto(const std::vector<EdgeId>& ids, float* out,
@@ -88,15 +82,13 @@ void GpuFeatureCache::gather_edge_feats_onto(const std::vector<EdgeId>& ids, flo
     }
     std::atomic_ref<std::uint32_t>(freq_[static_cast<std::size_t>(e)])
         .fetch_add(1, std::memory_order_relaxed);
-    const std::int32_t slot = slot_of_[static_cast<std::size_t>(e)];
-    if (slot >= 0) {
-      std::memcpy(dst, vram_.data() + static_cast<std::int64_t>(slot) * d,
-                  static_cast<std::size_t>(d) * sizeof(float));
+    // A miss is a zero-copy read over PCIe (paper: "we directly slice the
+    // feature through the unified virtual memory"); either way the bytes
+    // come from host memory and only the accounting differs.
+    std::memcpy(dst, data_.edge_feat(e), static_cast<std::size_t>(d) * sizeof(float));
+    if (is_cached(e)) {
       ++hit_rows;
     } else {
-      // Zero-copy read over PCIe (paper: "we directly slice the feature
-      // through the unified virtual memory").
-      std::memcpy(dst, data_.edge_feat(e), static_cast<std::size_t>(d) * sizeof(float));
       ++miss_rows;
     }
   }
@@ -114,8 +106,9 @@ void GpuFeatureCache::end_epoch() {
   std::int64_t overlap = 0;
   for (EdgeId e : topk)
     if (slot_of_[static_cast<std::size_t>(e)] >= 0) ++overlap;
-  if (static_cast<double>(overlap) <
-      epsilon_ * static_cast<double>(std::max<std::int64_t>(capacity_, 1))) {
+  // A zero-capacity cache never replaces: its empty set is already the
+  // top-0, and a "replacement" would charge a zero-byte H2D's latency.
+  if (static_cast<double>(overlap) < epsilon_ * static_cast<double>(capacity_)) {
     install(topk);
     books_.add(kReplacements);
     epoch.replaced = true;

@@ -29,7 +29,8 @@ struct CacheEpochStats {
 ///  - at epoch end, if the overlap between the cached set and the top-k
 ///    most accessed edges of the finished epoch falls below
 ///    `epsilon * k`, the cache content is swapped to that top-k — an
-///    O(|E|) nth_element, the paper's "lightweight" policy;
+///    O(|E|) nth_element, the paper's "lightweight" policy (a cache of
+///    capacity 0 therefore never swaps);
 ///  - hits are served at VRAM bandwidth, misses via zero-copy PCIe reads
 ///    (both as simulated-time accounting on the Device ledger; the bytes
 ///    themselves always come from host memory, which *is* the simulated
@@ -51,8 +52,8 @@ class GpuFeatureCache {
     gather_edge_feats_onto(ids, out, device_);
   }
 
-  /// Multi-builder variant: identical content lookup (same cached set,
-  /// same VRAM rows), but simulated time is accounted on `device` (a
+  /// Multi-builder variant: identical content lookup (same cached set),
+  /// but simulated time is accounted on `device` (a
   /// per-slot ledger). Safe to call concurrently from several builder
   /// threads: intra-epoch the cached set is immutable, and the Q
   /// increments and the hit/miss adds to the cache's books are atomic.
@@ -103,8 +104,6 @@ class GpuFeatureCache {
                     {}};
 
   std::vector<std::int32_t> slot_of_;   ///< edge -> VRAM slot (-1 = not cached)
-  std::vector<EdgeId> slot_edge_;       ///< slot -> edge
-  std::vector<float> vram_;             ///< [capacity x edge_dim] simulated VRAM copy
   std::vector<std::uint32_t> freq_;     ///< per-epoch access counts Q
   std::vector<CacheEpochStats> history_;
   /// The books' hits and misses at the last end_epoch().

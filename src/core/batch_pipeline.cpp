@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/counters.h"
 #include "util/check.h"
@@ -12,16 +11,14 @@
 namespace taser::core {
 
 namespace {
-/// Build-pipeline telemetry (lazy; registration/interning lock once).
-/// The phase-level spans (phase.NF / phase.AS / phase.FS) are emitted
-/// inside BatchBuilder by its phase scopes and nest under build.batch via
-/// the per-thread RAII stack.
+/// Build-pipeline spans (lazy; interning locks once). The phase-level
+/// spans (phase.NF / phase.AS / phase.FS) are emitted inside BatchBuilder
+/// by its phase scopes and nest under build.batch via the per-thread RAII
+/// stack.
 struct BuildObs {
   obs::SpanName claim = obs::intern_span_name("build.claim");
   obs::SpanName batch = obs::intern_span_name("build.batch");
   obs::SpanName wait = obs::intern_span_name("build.wait");
-  obs::Counter batches = obs::counter("taser.build.batches");
-  obs::Histogram build_ms = obs::histogram("taser.build.build_ms");
 };
 const BuildObs& build_obs() {
   static const BuildObs o;
@@ -79,8 +76,7 @@ BatchPipeline::Result BatchPipeline::build(Job job, std::uint64_t seq) {
     // issued inside build() — the sampler's.
     r.prep.phases.add(phase::kASSim,
                       pool_.model().nn_time(snap.flops(), snap.launches()).seconds);
-    build_obs().batches.add(1);
-    build_obs().build_ms.observe(build_ms);
+    pool_.count_build(build_ms);
   } catch (...) {
     r.err = std::current_exception();
   }

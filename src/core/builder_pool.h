@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/batch_builder.h"
+#include "obs/metrics.h"
 
 namespace taser::core {
 
@@ -83,6 +84,13 @@ class BuilderPool {
   /// the determinism contract rests on.
   void fold(const SideState& side);
 
+  /// Books one finished build and its host wall time under
+  /// `taser.build.{batches,build_ms}`. Safe from any builder thread.
+  void count_build(double build_ms) {
+    books_.add(0);
+    books_.observe(0, build_ms);
+  }
+
  private:
   struct Slot {
     std::unique_ptr<gpusim::Device> device;
@@ -95,6 +103,7 @@ class BuilderPool {
 
   gpusim::Device& main_device_;
   std::vector<Slot> slots_;
+  obs::Scope books_{{"taser.build.batches"}, {"taser.build.build_ms"}};
 };
 
 }  // namespace taser::core

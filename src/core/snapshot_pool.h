@@ -55,7 +55,6 @@ class SamplerSnapshotPool {
   std::uint64_t acquires() const { return acquires_; }
 
   void set_poison_on_release(bool on) { poison_on_release_ = on; }
-  bool poison_on_release() const { return poison_on_release_; }
 
  private:
   struct Slot {

@@ -47,12 +47,6 @@ SimDuration Device::account_h2d(std::uint64_t bytes) {
   return d;
 }
 
-SimDuration Device::account_d2h(std::uint64_t bytes) {
-  const SimDuration d = model_.d2h_time(bytes);
-  elapsed_ += d;
-  return d;
-}
-
 SimDuration Device::account_zero_copy(std::uint64_t bytes) {
   const SimDuration d = model_.zero_copy_time(bytes);
   elapsed_ += d;

@@ -98,7 +98,6 @@ class Device {
   /// Transfer / gather accounting. Each returns the modeled duration and
   /// adds it to the ledger.
   SimDuration account_h2d(std::uint64_t bytes);
-  SimDuration account_d2h(std::uint64_t bytes);
   SimDuration account_zero_copy(std::uint64_t bytes);
   SimDuration account_vram_gather(std::uint64_t bytes);
   /// Adds an externally-modeled duration (e.g. the interpreter-overhead

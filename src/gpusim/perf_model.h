@@ -82,7 +82,6 @@ class PerfModel {
     return {spec_.transfer_latency_us * 1e-6 +
             static_cast<double>(bytes) / (spec_.pcie_gbps * 1e9)};
   }
-  SimDuration d2h_time(std::uint64_t bytes) const { return h2d_time(bytes); }
 
   /// Fine-grained zero-copy reads over PCIe (UVM): latency-bound.
   SimDuration zero_copy_time(std::uint64_t bytes) const {

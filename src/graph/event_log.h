@@ -58,14 +58,12 @@ class EventLog {
   std::int64_t edge_feat_dim() const { return base_.edge_feat_dim; }
   /// Rows written, base included.
   std::int64_t size() const { return size_.load(std::memory_order_acquire); }
-  /// Time of the latest row (-inf for an empty log). Writer side: read it
-  /// on the writing thread or under the lock that orders appends.
-  Time last_time() const { return last_time_; }
 
   /// Appends one event row and returns its EdgeId. `edge_feat` points at
   /// edge_feat_dim() floats, or is null for a zero feature row. Rejects
-  /// (throws, changing nothing) an out-of-range node, a time before
-  /// last_time() and a row past kMaxRows.
+  /// (throws, changing nothing) an out-of-range node, a time before the
+  /// latest row's (events arrive in time order; an equal time is in
+  /// order) and a row past kMaxRows.
   EdgeId append(NodeId u, NodeId v, Time t, const float* edge_feat = nullptr);
 
   NodeId src(EdgeId e) const {
@@ -115,7 +113,7 @@ class EventLog {
   std::unique_ptr<Chunk*[]> dir_;
   std::atomic<std::int64_t> size_{0};
   std::atomic<bool> appending_{false};  ///< an append is in progress
-  Time last_time_;
+  Time last_time_;  ///< the latest row's time (-inf for an empty log), writer-side
 };
 
 }  // namespace taser::graph

@@ -20,8 +20,6 @@ class Adam {
   void step();
   void zero_grad();
 
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   std::int64_t steps_taken() const { return t_; }
 
  private:

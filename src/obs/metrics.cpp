@@ -64,27 +64,13 @@ void AtomicHistogram::observe(double v) {
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
-  extend(v, v);
-}
-
-void AtomicHistogram::add(const LocalHistogram& h) {
-  if (h.count == 0) return;
-  for (int i = 0; i < HistogramBuckets::kCount; ++i)
-    buckets_[static_cast<std::size_t>(i)].fetch_add(
-        h.buckets[static_cast<std::size_t>(i)], std::memory_order_relaxed);
-  count_.fetch_add(h.count, std::memory_order_relaxed);
-  sum_.fetch_add(h.sum, std::memory_order_relaxed);
-  extend(h.min, h.max);
-}
-
-void AtomicHistogram::extend(double lo, double hi) {
   // CAS only when an extreme actually moves — after warm-up these are two
   // relaxed loads.
   double cur = min_.load(std::memory_order_relaxed);
-  while (lo < cur && !min_.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
+  while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
   cur = max_.load(std::memory_order_relaxed);
-  while (hi > cur && !max_.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
+  while (v > cur && !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -101,65 +87,23 @@ LocalHistogram AtomicHistogram::read() const {
   return h;
 }
 
-void AtomicHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(HUGE_VAL, std::memory_order_relaxed);
-  max_.store(-HUGE_VAL, std::memory_order_relaxed);
-}
-
 #if TASER_TELEMETRY_ENABLED
 
 namespace {
 
-/// One thread's slice of every registered metric. Allocated once per
-/// shard slot on first use (startup-time, not steady state), never freed.
-/// Cells are written with relaxed RMWs: a shard slot is normally owned
-/// by one thread (uncontended RMW on a private line), but slots wrap at
-/// kMaxShards, so the RMW keeps totals exact even when two threads share
-/// a slot.
-struct Shard {
-  std::atomic<std::uint64_t> counters[kMaxCounters];
-  AtomicHistogram histograms[kMaxHistograms];
-};
-
-constexpr int kMaxShards = 64;
-
+/// Everything the registry holds, guarded by `mu` except the gauge
+/// values. A series' total is what its destroyed scopes folded in; the
+/// live scopes' values are added only when snapshot() reads them.
 struct Registry {
   std::mutex mu;
-  // Slot 0 of each kind is the reserved "unregistered handle" sink.
-  std::vector<std::string> counter_names{"taser.unregistered"};
+  std::vector<std::string> counter_names, hist_names;
+  std::vector<std::uint64_t> counter_totals;
+  std::vector<LocalHistogram> hist_totals;
+  /// Slot 0 is the reserved "unregistered handle" sink.
   std::vector<std::string> gauge_names{"taser.unregistered"};
-  std::vector<std::string> hist_names{"taser.unregistered"};
-  /// Gauges are last-write-wins process globals — not sharded (a sharded
-  /// gauge has no meaningful merge).
+  /// Gauges are last-write-wins process globals, set without the lock.
   std::atomic<double> gauges[kMaxGauges]{};
-
-  std::atomic<Shard*> shards[kMaxShards]{};
-  std::atomic<std::uint32_t> next_slot{0};
-  /// Live scopes (guarded by mu): snapshot() adds them to the series of
-  /// the same names until their destructor folds them into a shard.
   std::vector<const Scope*> scopes;
-
-  Shard& shard_for_this_thread() {
-    thread_local Shard* tl = nullptr;
-    if (tl == nullptr) {
-      const auto slot = next_slot.fetch_add(1, std::memory_order_relaxed) %
-                        static_cast<std::uint32_t>(kMaxShards);
-      Shard* s = shards[slot].load(std::memory_order_acquire);
-      if (s == nullptr) {
-        std::lock_guard<std::mutex> lock(mu);
-        s = shards[slot].load(std::memory_order_acquire);
-        if (s == nullptr) {
-          s = new Shard();
-          shards[slot].store(s, std::memory_order_release);
-        }
-      }
-      tl = s;
-    }
-    return *tl;
-  }
 
   static std::uint16_t intern(std::vector<std::string>& names,
                               std::string_view name, int cap, const char* kind) {
@@ -181,23 +125,8 @@ Registry& registry() {
 
 }  // namespace
 
-void Counter::add(std::uint64_t n) const {
-  registry().shard_for_this_thread().counters[id_].fetch_add(
-      n, std::memory_order_relaxed);
-}
-
 void Gauge::set(double v) const {
   registry().gauges[id_].store(v, std::memory_order_relaxed);
-}
-
-void Histogram::observe(double v) const {
-  registry().shard_for_this_thread().histograms[id_].observe(v);
-}
-
-Counter counter(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return Counter(Registry::intern(r.counter_names, name, kMaxCounters, "counter"));
 }
 
 Gauge gauge(std::string_view name) {
@@ -206,37 +135,23 @@ Gauge gauge(std::string_view name) {
   return Gauge(Registry::intern(r.gauge_names, name, kMaxGauges, "gauge"));
 }
 
-Histogram histogram(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return Histogram(Registry::intern(r.hist_names, name, kMaxHistograms, "histogram"));
-}
-
 MetricsSnapshot snapshot() {
   Registry& r = registry();
   MetricsSnapshot out;
-  // Held throughout: a scope folds into a shard and unlinks under this
-  // lock, so the snapshot counts it exactly once — live or folded.
+  // Held throughout: a scope folds into the totals and unlinks under
+  // this lock, so the snapshot counts it exactly once — live or folded.
   std::lock_guard<std::mutex> lock(r.mu);
-  for (std::size_t i = 1; i < r.counter_names.size(); ++i)
-    out.counters.push_back({r.counter_names[i], 0});
+  for (std::size_t i = 0; i < r.counter_names.size(); ++i)
+    out.counters.push_back({r.counter_names[i], r.counter_totals[i]});
   for (std::size_t i = 1; i < r.gauge_names.size(); ++i)
     out.gauges.push_back({r.gauge_names[i], r.gauges[i].load(std::memory_order_relaxed)});
-  for (std::size_t i = 1; i < r.hist_names.size(); ++i)
-    out.histograms.push_back({r.hist_names[i], {}});
-  for (int slot = 0; slot < kMaxShards; ++slot) {
-    const Shard* s = r.shards[slot].load(std::memory_order_acquire);
-    if (s == nullptr) continue;
-    for (std::size_t i = 1; i <= out.counters.size(); ++i)
-      out.counters[i - 1].value += s->counters[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 1; i <= out.histograms.size(); ++i)
-      out.histograms[i - 1].hist.merge(s->histograms[i].read());
-  }
+  for (std::size_t i = 0; i < r.hist_names.size(); ++i)
+    out.histograms.push_back({r.hist_names[i], r.hist_totals[i]});
   for (const Scope* scope : r.scopes) {
     for (std::size_t i = 0; i < scope->counter_ids_.size(); ++i)
-      out.counters[scope->counter_ids_[i] - 1u].value += scope->count(i);
+      out.counters[scope->counter_ids_[i]].value += scope->count(i);
     for (std::size_t i = 0; i < scope->histogram_ids_.size(); ++i)
-      out.histograms[scope->histogram_ids_[i] - 1u].hist.merge(scope->histogram(i));
+      out.histograms[scope->histogram_ids_[i]].hist.merge(scope->histogram(i));
   }
   return out;
 }
@@ -245,12 +160,8 @@ void reset_for_test() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& g : r.gauges) g.store(0.0, std::memory_order_relaxed);
-  for (int slot = 0; slot < kMaxShards; ++slot) {
-    Shard* s = r.shards[slot].load(std::memory_order_acquire);
-    if (s == nullptr) continue;
-    for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : s->histograms) h.reset();
-  }
+  std::fill(r.counter_totals.begin(), r.counter_totals.end(), 0);
+  std::fill(r.hist_totals.begin(), r.hist_totals.end(), LocalHistogram{});
 }
 
 Scope::Scope(std::initializer_list<std::string_view> counters,
@@ -264,25 +175,24 @@ Scope::Scope(std::initializer_list<std::string_view> counters,
   for (std::string_view name : histograms)
     histogram_ids_.push_back(
         Registry::intern(r.hist_names, name, kMaxHistograms, "histogram"));
+  r.counter_totals.resize(r.counter_names.size());
+  r.hist_totals.resize(r.hist_names.size());
   r.scopes.push_back(this);
 }
 
 Scope::~Scope() {
   Registry& r = registry();
-  Shard& shard = r.shard_for_this_thread();  // may lock r.mu: take it first
   std::lock_guard<std::mutex> lock(r.mu);
   for (std::size_t i = 0; i < counter_ids_.size(); ++i)
-    shard.counters[counter_ids_[i]].fetch_add(count(i), std::memory_order_relaxed);
+    r.counter_totals[counter_ids_[i]] += count(i);
   for (std::size_t i = 0; i < histogram_ids_.size(); ++i)
-    shard.histograms[histogram_ids_[i]].add(histogram(i));
+    r.hist_totals[histogram_ids_[i]].merge(histogram(i));
   r.scopes.erase(std::find(r.scopes.begin(), r.scopes.end(), this));
 }
 
 #else  // !TASER_TELEMETRY_ENABLED
 
-Counter counter(std::string_view) { return Counter(); }
 Gauge gauge(std::string_view) { return Gauge(); }
-Histogram histogram(std::string_view) { return Histogram(); }
 MetricsSnapshot snapshot() { return {}; }
 void reset_for_test() {}
 Scope::Scope(std::initializer_list<std::string_view> counters,

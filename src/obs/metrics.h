@@ -11,11 +11,11 @@
 
 // Compile-time switch for the whole telemetry layer (metrics registry +
 // trace spans): -DTASER_TELEMETRY=OFF (the CMake option) defines
-// TASER_TELEMETRY_ENABLED=0 and every handle update compiles to nothing —
-// zero code, zero data, no atomic op. Default ON. Mirrors the
-// TASER_FAILPOINTS pattern (util/failpoint.h). Exporters and snapshot
-// functions still exist when OFF; they return empty results. Scope
-// storage stays: its owners' stats read it.
+// TASER_TELEMETRY_ENABLED=0, a gauge set compiles to nothing and no scope
+// links into the registry. Default ON. Mirrors the TASER_FAILPOINTS
+// pattern (util/failpoint.h). Exporters and snapshot functions still
+// exist when OFF; they return empty results. Scope storage stays: its
+// owners' stats read it.
 #ifndef TASER_TELEMETRY_ENABLED
 #define TASER_TELEMETRY_ENABLED 1
 #endif
@@ -86,25 +86,19 @@ struct LocalHistogram {
 };
 
 /// The same histogram updated with relaxed atomics from any thread: the
-/// storage behind the registry's per-thread shards and behind Scope. An
-/// update is three relaxed RMWs (bucket, count, sum) plus a CAS when an
-/// extreme moves. Fed by one writer at a time (e.g. under its owner's
-/// lock) it reads back bit-identical to a LocalHistogram fed the same
-/// values; concurrent writers may reorder the sum's additions. Not gated
-/// by TASER_TELEMETRY_ENABLED.
+/// storage behind Scope. An update is three relaxed RMWs (bucket, count,
+/// sum) plus a CAS when an extreme moves. Fed by one writer at a time
+/// (e.g. under its owner's lock) it reads back bit-identical to a
+/// LocalHistogram fed the same values; concurrent writers may reorder the
+/// sum's additions. Not gated by TASER_TELEMETRY_ENABLED.
 class AtomicHistogram {
  public:
   void observe(double v);
-  /// Adds every observation `h` holds (buckets, count, sum, extremes).
-  void add(const LocalHistogram& h);
   /// Relaxed read: exact once the writers have quiesced or are excluded
   /// by the caller's lock, a monotone view while they run.
   LocalHistogram read() const;
-  void reset();
 
  private:
-  void extend(double lo, double hi);
-
   std::array<std::atomic<std::uint64_t>, HistogramBuckets::kCount> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -113,29 +107,29 @@ class AtomicHistogram {
 };
 
 // ---------------------------------------------------------------------------
-// Handles. Registered once at setup time (registration takes a mutex and
-// may allocate — never do it on a hot path); updates are relaxed atomics
-// on a thread-sharded cache line (a counter add is one RMW, a histogram
-// observe an AtomicHistogram update). Handles are trivially
-// copyable value types; a default-constructed handle is valid and
-// updates a reserved "unregistered" slot (so static-init order can never
-// crash a hot path).
+// The registry: series names, gauges, the live scopes, and the totals
+// that destroyed scopes folded into their series. Counts and latencies
+// live only in scopes (below); a gauge, a last-write-wins process global
+// with no per-object view, is the one kind written through a handle.
+//
+// Capacity-bounded (kMaxCounters / kMaxGauges / kMaxHistograms below;
+// exceeding a bound is a hard failure at registration time, never at
+// update time). Registering the same name twice returns the same series —
+// owners and tests re-construct freely.
+//
+// Prometheus semantics: registry values are process-lifetime cumulative.
+// A per-object view (e.g. one ServingEngine's stats) reads its own scope —
+// see src/obs/README.md.
 // ---------------------------------------------------------------------------
-class Counter {
- public:
-  Counter() = default;
-#if TASER_TELEMETRY_ENABLED
-  void add(std::uint64_t n = 1) const;
-#else
-  void add(std::uint64_t = 1) const {}
-#endif
+inline constexpr int kMaxCounters = 256;
+inline constexpr int kMaxGauges = 64;
+inline constexpr int kMaxHistograms = 64;
 
- private:
-  friend Counter counter(std::string_view);
-  explicit Counter(std::uint16_t id) : id_(id) {}
-  std::uint16_t id_ = 0;
-};
-
+/// A gauge handle: registered once at setup time (registration takes a
+/// mutex and may allocate — never do it on a hot path); a set is one
+/// relaxed store. Trivially copyable; a default-constructed handle is
+/// valid and sets a reserved "unregistered" slot (so static-init order
+/// can never crash a hot path).
 class Gauge {
  public:
   Gauge() = default;
@@ -151,48 +145,11 @@ class Gauge {
   std::uint16_t id_ = 0;
 };
 
-class Histogram {
- public:
-  Histogram() = default;
-#if TASER_TELEMETRY_ENABLED
-  void observe(double v) const;
-#else
-  void observe(double) const {}
-#endif
-
- private:
-  friend Histogram histogram(std::string_view);
-  explicit Histogram(std::uint16_t id) : id_(id) {}
-  std::uint16_t id_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Registration + read side.
-//
-// Process-wide registry, capacity-bounded (kMaxCounters / kMaxGauges /
-// kMaxHistograms below; exceeding a bound is a hard failure at
-// registration time, never at update time). Registering the same name
-// twice returns the same handle — engines/tests re-construct freely.
-// Updates land in per-thread shards (round-robin slot per thread, merged
-// with relaxed loads on read), so the merged totals are exact once the
-// writing threads have quiesced (joined or merely idle) and
-// monotonically fresh while they run.
-//
-// Prometheus semantics: registry values are process-lifetime cumulative.
-// A per-object view (e.g. one ServingEngine's stats) keeps its numbers in
-// a Scope — see below and src/obs/README.md.
-// ---------------------------------------------------------------------------
-inline constexpr int kMaxCounters = 256;
-inline constexpr int kMaxGauges = 64;
-inline constexpr int kMaxHistograms = 64;
-
 /// Register-or-lookup. Names are flat, dot-separated, lowercase
-/// (`taser.serve.requests`); see src/obs/README.md for the scheme and
+/// (`taser.train.mean_loss`); see src/obs/README.md for the scheme and
 /// cardinality rules (no unbounded label values — worker/shard indices
-/// only). When compiled out these return no-op handles.
-Counter counter(std::string_view name);
+/// only). When compiled out this returns a no-op handle.
 Gauge gauge(std::string_view name);
-Histogram histogram(std::string_view name);
 
 struct CounterSnapshot {
   std::string name;
@@ -212,27 +169,28 @@ struct MetricsSnapshot {
   std::vector<HistogramSnapshot> histograms;
 };
 
-/// Merged view over every thread shard and every live Scope. Exact when
-/// writers are quiescent; a consistent-enough monotone view while they
-/// run. Empty when compiled out.
+/// Every series: the folded totals plus every live Scope's values. Exact
+/// when writers are quiescent; a consistent-enough monotone view while
+/// they run. Empty when compiled out.
 MetricsSnapshot snapshot();
 
-/// Zeroes every registered metric across all shards (names and handles
-/// stay valid). Live scopes keep their values: their owners read them.
-/// Test isolation only — production code never resets.
+/// Zeroes the folded totals and the gauges (names and handles stay
+/// valid). Live scopes keep their values: their owners read them. Test
+/// isolation only — production code never resets.
 void reset_for_test();
 
-/// An owned block of named counters and histograms: one set of books
-/// that feeds both its owner's per-object view (e.g.
-/// ServingEngine::stats()) and the exporters. Slots are fixed at
-/// construction and addressed by index, in the order the names are
-/// given; updates are relaxed atomics from any thread, reads are the
-/// owner's own values only. While the scope lives, snapshot() adds its
-/// values to the registry series of the same names; its destructor
-/// folds them into those series, so exported values stay
-/// process-cumulative. The storage stays compiled in under
-/// TASER_TELEMETRY=OFF (owners' stats are functional); only the
-/// registry link compiles out.
+/// An owned block of named counters and histograms: the only storage for
+/// counts and latencies, and one set of books that feeds both its
+/// owner's per-object view (e.g. ServingEngine::stats()) and the
+/// exporters. Slots are fixed at construction and addressed by index, in
+/// the order the names are given; updates are relaxed atomics from any
+/// thread (a counter add is one RMW, a histogram observe an
+/// AtomicHistogram update), reads are the owner's own values only. While
+/// the scope lives, snapshot() adds its values to the registry series of
+/// the same names; its destructor folds them into those series' totals,
+/// so exported values stay process-cumulative. The storage stays
+/// compiled in under TASER_TELEMETRY=OFF (owners' stats are functional);
+/// only the registry link compiles out.
 class Scope {
  public:
   Scope(std::initializer_list<std::string_view> counters,

@@ -84,11 +84,6 @@ class NeighborFinder {
 
   virtual std::string name() const = 0;
 
-  /// True when the finder requires batches in chronological order (the
-  /// TGL pointer-array restriction the paper's §III-C motivates the GPU
-  /// finder with).
-  virtual bool chronological_only() const { return false; }
-
   // ---- multi-builder prefetch support ---------------------------------
   // The P-worker prefetch ring (core::BuilderPool) replicates the finder
   // once per ring slot so concurrent builds never share finder state. A

@@ -33,7 +33,6 @@ class TglNeighborFinder : public NeighborFinder {
                    SampledNeighbors& out) override;
 
   std::string name() const override { return "tgl-cpu"; }
-  bool chronological_only() const override { return true; }
 
   /// Resets pointers to the beginning of time (start of epoch).
   void reset();
@@ -53,8 +52,6 @@ class TglNeighborFinder : public NeighborFinder {
   void begin_build(std::uint64_t seq, int num_hops) override {
     batch_counter_ = seq * static_cast<std::uint64_t>(num_hops);
   }
-
-  Time snapshot_time() const { return snapshot_time_; }
 
  private:
   const graph::TCSR& graph_;

@@ -148,6 +148,26 @@ TEST(GpuCache, NoReplacementWhenOverlapAboveThreshold) {
   EXPECT_FALSE(cache.history()[0].replaced);
 }
 
+TEST(GpuCache, ZeroCapacityNeverReplaces) {
+  // 1% of 40 edges floors to 0 rows: the empty set is already the top-0,
+  // so no epoch may swap it or charge the H2D copy of a swap.
+  auto data = make_data(40, 4);
+  gpusim::Device dev;
+  GpuFeatureCache cache(data, dev, 0.01);
+  ASSERT_EQ(cache.capacity(), 0);
+  std::vector<graph::EdgeId> ids = {0, 7, 7, 39};
+  std::vector<float> out(ids.size() * 4);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    cache.gather_edge_feats(ids, out.data());
+    const double before = dev.elapsed().seconds;
+    cache.end_epoch();
+    EXPECT_EQ(dev.elapsed().seconds, before) << "epoch " << epoch;
+    EXPECT_FALSE(cache.history()[static_cast<std::size_t>(epoch)].replaced);
+    EXPECT_EQ(cache.history()[static_cast<std::size_t>(epoch)].misses, ids.size());
+  }
+  EXPECT_EQ(cache.replacements(), 0);
+}
+
 TEST(GpuCache, ParallelGatherMatchesSerialExactly) {
   // The gather is OpenMP-parallel with per-thread hit/miss counters
   // merged after the loop and atomic access-count increments; rows, all

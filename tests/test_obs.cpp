@@ -1,8 +1,9 @@
-// Telemetry layer (src/obs/): registry exactness under concurrent
+// Telemetry layer (src/obs/): registry exactness under concurrent scope
 // writers, register-or-lookup idempotence, histogram bucket geometry and
 // quantile resolution, the bucketwise merge of skewed shards against the
 // exact percentile, the obs::Scope contract (owner-only reads, snapshot
-// sums, fold on destruction, bit-identity with LocalHistogram),
+// sums of live and folded scopes, fold on destruction, bit-identity with
+// LocalHistogram),
 // trace-ring overflow/nesting/async emission, the exporters (Prometheus
 // text, JSON snapshot round-trip, Chrome trace_event), and the
 // determinism contract: runtime tracing on/off must not change a single
@@ -67,36 +68,52 @@ const obs::LocalHistogram* find_hist(const obs::MetricsSnapshot& snap,
 
 TEST_F(ObsTest, CounterExactUnderConcurrentWriters) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const obs::Counter c = obs::counter("test.obs.concurrent");
+  obs::Scope scope({"test.obs.concurrent"}, {});
   const int kThreads = 8;
   const std::uint64_t kPerThread = 50000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add(1);
+      for (std::uint64_t i = 0; i < kPerThread; ++i) scope.add(0);
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter_value(obs::snapshot(), "test.obs.concurrent"),
             kThreads * kPerThread);
 }
 
-TEST_F(ObsTest, RegisterOrLookupSharesTheSlot) {
+TEST_F(ObsTest, RegisterOrLookupSharesTheSeries) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const obs::Counter a = obs::counter("test.obs.same_name");
-  const obs::Counter b = obs::counter("test.obs.same_name");
-  a.add(3);
-  b.add(4);
-  EXPECT_EQ(counter_value(obs::snapshot(), "test.obs.same_name"), 7u);
+  obs::Scope a({"test.obs.same_name"}, {});
+  obs::Scope b({"test.obs.same_name"}, {});
+  a.add(0, 3);
+  b.add(0, 4);
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  EXPECT_EQ(counter_value(snap, "test.obs.same_name"), 7u);
+  EXPECT_EQ(std::count_if(snap.counters.begin(), snap.counters.end(),
+                          [](const auto& c) { return c.name == "test.obs.same_name"; }),
+            1);
 }
 
-TEST_F(ObsTest, HistogramSnapshotMergesShardsExactly) {
+TEST_F(ObsTest, HistogramSnapshotMergesScopesExactly) {
+  // One scope per thread, as the worker shards own theirs: two fold into
+  // the series as their threads end, two are still live at the snapshot.
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const obs::Histogram h = obs::histogram("test.obs.hist");
   const int kThreads = 4;
+  obs::Scope live0({}, {"test.obs.hist"});
+  obs::Scope live1({}, {"test.obs.hist"});
+  obs::Scope* live[2] = {&live0, &live1};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
-      for (int i = 1; i <= 1000; ++i) h.observe(static_cast<double>(t * 1000 + i));
+      auto observe_all = [t](obs::Scope& scope) {
+        for (int i = 1; i <= 1000; ++i) scope.observe(0, static_cast<double>(t * 1000 + i));
+      };
+      if (t < 2) {
+        observe_all(*live[t]);
+      } else {
+        obs::Scope own({}, {"test.obs.hist"});
+        observe_all(own);
+      }
     });
   for (auto& t : threads) t.join();
   const obs::MetricsSnapshot snap = obs::snapshot();  // outlives `merged`
@@ -105,7 +122,7 @@ TEST_F(ObsTest, HistogramSnapshotMergesShardsExactly) {
   EXPECT_EQ(merged->count, 4000u);
   EXPECT_DOUBLE_EQ(merged->min, 1.0);
   EXPECT_DOUBLE_EQ(merged->max, 4000.0);
-  // sum accumulates per shard in double then merges; values are integers
+  // sum accumulates per scope in double then merges; values are integers
   // well under 2^53 so the total is exact.
   EXPECT_DOUBLE_EQ(merged->sum, 4000.0 * 4001.0 / 2.0);
 }
@@ -224,8 +241,11 @@ TEST(LocalHistogram, MergedSkewedShardsMatchExactPercentile) {
 TEST(ObsScope, OwnerSeesOnlyItsOwnValues) {
   obs::Scope a({"test.scope.own"}, {"test.scope.own_ms"});
   obs::Scope b({"test.scope.own"}, {"test.scope.own_ms"});
-  obs::counter("test.scope.own").add(100);  // a plain handle on the same series
-  obs::histogram("test.scope.own_ms").observe(100.0);
+  {
+    obs::Scope other({"test.scope.own"}, {"test.scope.own_ms"});  // folds into the series
+    other.add(0, 100);
+    other.observe(0, 100.0);
+  }
   a.add(0, 3);
   b.add(0);
   a.observe(0, 2.0);
@@ -259,12 +279,15 @@ TEST(ObsScope, SingleWriterHistogramMatchesLocalHistogram) {
   EXPECT_EQ(got.max, local.max);
 }
 
-TEST_F(ObsTest, LiveScopesAndHandlesSumInSnapshot) {
+TEST_F(ObsTest, LiveAndFoldedScopesSumInSnapshot) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   obs::Scope a({"test.scope.sum"}, {"test.scope.sum_ms"});
   obs::Scope b({"test.scope.sum"}, {"test.scope.sum_ms"});
-  obs::counter("test.scope.sum").add(5);
-  obs::histogram("test.scope.sum_ms").observe(1.0);
+  {
+    obs::Scope folded({"test.scope.sum"}, {"test.scope.sum_ms"});
+    folded.add(0, 5);
+    folded.observe(0, 1.0);
+  }
   // Scope updates are relaxed atomics from any thread.
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t)
@@ -411,11 +434,11 @@ TEST_F(ObsTest, CrossThreadEmissionKeepsParentage) {
 
 TEST_F(ObsTest, PrometheusTextFormat) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  obs::counter("test.obs.prom_counter").add(5);
+  obs::Scope scope({"test.obs.prom_counter"}, {"test.obs.prom_hist"});
+  scope.add(0, 5);
   obs::gauge("test.obs.prom_gauge").set(2.5);
-  obs::Histogram h = obs::histogram("test.obs.prom_hist");
-  h.observe(1.0);
-  h.observe(100.0);
+  scope.observe(0, 1.0);
+  scope.observe(0, 100.0);
   const std::string text = obs::prometheus_text();
   // Dots map to underscores; counters/gauges as plain samples.
   EXPECT_NE(text.find("test_obs_prom_counter 5"), std::string::npos) << text;
@@ -429,8 +452,9 @@ TEST_F(ObsTest, PrometheusTextFormat) {
 
 TEST_F(ObsTest, JsonSnapshotRoundTrips) {
   if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  obs::counter("test.obs.json_counter").add(9);
-  obs::histogram("test.obs.json_hist").observe(3.5);
+  obs::Scope scope({"test.obs.json_counter"}, {"test.obs.json_hist"});
+  scope.add(0, 9);
+  scope.observe(0, 3.5);
   const std::string doc = obs::json_snapshot();
   EXPECT_TRUE(obs::json_valid(doc)) << doc;
   EXPECT_TRUE(obs::json_has_key(doc, "schema_version"));

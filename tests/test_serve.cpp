@@ -518,7 +518,8 @@ TEST(EventLog, RowsReadBackBitEqualAcrossChunkBoundaries) {
   const std::int64_t end = base + 2 * graph::EventLog::kChunkRows + 100;  // 2 boundaries
   for (std::int64_t e = base + 1; e < end; ++e) ASSERT_EQ(append(e), e);
   ASSERT_EQ(log.size(), end);
-  EXPECT_EQ(log.last_time(), data.ts.back() + static_cast<double>((end - 1) / 3));
+  EXPECT_EQ(log.ts(static_cast<graph::EdgeId>(log.size() - 1)),
+            data.ts.back() + static_cast<double>((end - 1) / 3));
 
   EXPECT_EQ(log.edge_feat(0), base_row);
   EXPECT_EQ(log.edge_feat(static_cast<graph::EdgeId>(base)), first_row);
@@ -554,7 +555,7 @@ TEST(EventLog, AppendRejectsBadRowsBeforeAnyStateChanges) {
   EXPECT_THROW(log.append(0, 1, t - 1), std::runtime_error);
   EXPECT_THROW(log.append(0, 1, std::nan("")), std::runtime_error);
   EXPECT_EQ(log.size(), data.num_edges());
-  EXPECT_EQ(log.last_time(), t);
+  EXPECT_EQ(log.ts(static_cast<graph::EdgeId>(log.size() - 1)), t);
   EXPECT_EQ(log.append(0, 1, t), data.num_edges());  // an equal time is in order
 #ifdef TASER_DEBUG_CHECKS
   // Per-row reads are bounds-checked in debug and sanitizer builds.

@@ -150,7 +150,8 @@ TEST(Training, EpochStatsPhasesPopulated) {
 TEST(Training, BooksAreTheEpochStats) {
   // One set of training books: every EpochStats phase field has its own
   // series in the trainer's scope (wall and modeled time never share
-  // one), and the exported registry series grow by exactly those values.
+  // one), and the exported registry series grow by exactly those values;
+  // the build series grow by one batch per iteration.
   auto data = small_data();
   auto cfg = small_config(BackboneKind::kGraphMixer);
   cfg.ada_neighbor = true;
@@ -204,6 +205,9 @@ TEST(Training, BooksAreTheEpochStats) {
   EXPECT_EQ(counter_delta("taser.train.epochs"), static_cast<std::uint64_t>(kEpochs));
   EXPECT_EQ(counter_delta("taser.train.iterations"), iterations);
   EXPECT_EQ(counter_delta("taser.train.stale_builds"), stale_builds);
+  // The builder pool's books: one build per training iteration.
+  EXPECT_EQ(counter_delta("taser.build.batches"), iterations);
+  EXPECT_EQ(histogram_delta("taser.build.build_ms").count, iterations);
   const char* names[8] = {"nf.wall", "nf.sim", "as.wall", "as.sim",
                           "fs.wall", "fs.sim", "pp.wall", "pp.sim"};
   for (int h = 0; h < 8; ++h) {
