@@ -2,7 +2,8 @@
 // fan-out for the three neighbor-finder generations, across the five
 // datasets and neighbor budgets 5..25. CPU finders report measured wall
 // time plus the modeled H2D transfer of the sampled indices; the GPU
-// finder reports modeled device time (see DESIGN.md §1).
+// finder reports modeled device time (a roofline model of the simulated
+// kernels, not a measured time).
 //
 // Paper claims: TASER GPU finder ≫ TGL CPU finder ≫ original finder,
 // with 37–56x GPU-vs-TGL at 25 neighbors (46x average).

@@ -6,7 +6,7 @@
 //
 // CPU-side phases are measured wall time; device-side work (finder
 // kernels, PCIe transfers, VRAM gathers) is modeled time from the
-// SIMT simulator — columns report the sum (see DESIGN.md §1).
+// SIMT simulator's roofline model — columns report the sum.
 //
 // Paper claims: baseline is dominated by NF+FS; GPU NF removes NF; the
 // cache removes most of FS; TGAT gains far more than GraphMixer.

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
 
   // 3. Train and watch the loss fall and the cache warm up. The NF/AS/
   //    FS/PP columns are modeled device-pipeline seconds (this host has
-  //    no GPU — see DESIGN.md §1); "wall(s)" is the real local cost.
+  //    no GPU: a roofline model prices the simulated kernels and
+  //    transfers); "wall(s)" beside them is the measured host cost.
   util::Table table({"epoch", "loss", "val MRR", "NF(s)", "AS(s)", "FS(s)", "PP(s)",
                      "wall(s)", "cache hit%"});
   for (int e = 0; e < epochs; ++e) {

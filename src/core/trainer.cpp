@@ -49,7 +49,7 @@ void TrainerConfig::validate() const {
 }
 
 Trainer::Trainer(const graph::Dataset& data, TrainerConfig config)
-    : data_(data), config_(config), device_(config.device_spec), tcsr_(data),
+    : data_(data), config_(config), tcsr_(data),
       rng_(config.seed) {
   TASER_CHECK(data_.num_train() > 0);
   config_.validate();

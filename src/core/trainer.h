@@ -111,7 +111,6 @@ struct TrainerConfig {
   /// Encoder ablation switches (bench_ablation_extras).
   bool encoder_use_freq = true;
   bool encoder_use_identity = true;
-  gpusim::DeviceSpec device_spec = gpusim::rtx6000ada();
 };
 
 /// Per-epoch runtime breakdown + loss, in the shape of Table III rows.

@@ -7,8 +7,9 @@ namespace taser::gpusim {
 /// Parameters of the simulated accelerator. Defaults are taken from the
 /// paper's testbed (NVIDIA RTX 6000 Ada, 48GB GDDR6, PCIe 4.0 x16); the
 /// performance model (perf_model.h) converts counted kernel work into
-/// simulated time using these constants. Everything here is a *model* —
-/// see DESIGN.md §1 for what that implies about reported numbers.
+/// simulated time using these constants. Everything here is a *model*:
+/// modeled device time comes from a roofline over these constants and is
+/// reported beside measured host wall time, never in place of it.
 struct DeviceSpec {
   std::string name = "rtx6000ada-sim";
   int num_sms = 142;

@@ -72,7 +72,7 @@ class ShardedDynamicTCSR {
 
   /// Mutation counter summed over shards; strictly monotone across
   /// publishes (every applied event lands in >= 1 shard). Readers fence
-  /// on it (DynamicNeighborFinder::begin_batch / expect_version).
+  /// on it (DynamicNeighborFinder::arm / begin_batch).
   std::uint64_t version() const;
   bool writer_active() const;
 

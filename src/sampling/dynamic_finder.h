@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <stdexcept>
 
 #include "graph/sharded_tcsr.h"
@@ -18,46 +19,51 @@ class TornViewError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Seed of the Rng a target keyed `key` draws its picks from:
+/// `Rng(draw_seed(key))` replays exactly the draws DynamicNeighborFinder
+/// makes for that target, so one target's picks can be checked against
+/// any other finder seeded the same way.
+inline std::uint64_t draw_seed(std::uint64_t key) {
+  return util::mix_stream_key(key, 0xd4a17b015u);
+}
+
 /// NeighborFinder over a streaming ShardedDynamicTCSR: the thin
 /// serving-side adapter that samples from the merged base+delta view. All
-/// three static policies are supported with the same per-query semantics
+/// three static policies are supported with the same per-target semantics
 /// as OrigNeighborFinder (most-recent = newest-first prefix, uniform =
 /// partial Fisher–Yates without replacement, inverse-timespan = weighted
-/// without replacement). By default stochastic draws come from one
-/// per-instance Rng stream in target order — so two finders with the same
-/// seed issued the same query sequence over query-identical graphs
-/// produce bitwise-identical samples. That is the property test_serve's
-/// incremental-vs-static equivalence suite pins: sampling depends only on
-/// the merged logical neighbor lists, never on how they are physically
-/// split between base and delta.
+/// without replacement); sampling depends only on the merged logical
+/// neighbor lists, never on how they are split between base and delta.
 ///
-/// Keyed streams (serving): `set_stream_keys` arms the next batch with
-/// one stream key per root target; every target then draws from a private
-/// Rng seeded by its key, and hop-h targets inherit keys from their
-/// hop-(h-1) parent slot (`mix_stream_key(parent_key, slot)`). A query's
-/// samples become a pure function of (its key, its (node, time) frontier,
-/// the merged graph view) — independent of which micro-batch, batch
-/// position, or worker the query was coalesced into. The chaining relies
-/// on the builder's non-adaptive frontier layout (hop-h frontier == the
-/// hop-(h-1) output slots, one entry per slot, padding included); a
-/// frontier of any other shape is a hard TASER_CHECK.
+/// Armed per build: `arm` hands the finder the pinned epoch's replica,
+/// the version captured when that epoch was published, and one stream key
+/// per root target. The next begin_batch consumes the arming, so one
+/// arming covers exactly one build (all hops), and a build that was not
+/// armed throws. One finder thus serves whichever replica each request
+/// pinned.
+///
+/// Keyed streams: every target draws from a private Rng seeded by
+/// `draw_seed` of its key; roots carry the armed keys and hop-h targets
+/// inherit keys from their hop-(h-1) parent slot
+/// (`mix_stream_key(parent_key, slot)`). A query's samples are a pure
+/// function of (its key, its (node, time) frontier, the merged graph
+/// view) — independent of which micro-batch, batch position, or worker
+/// the query was coalesced into. The chaining relies on the builder's
+/// non-adaptive frontier layout (hop-h frontier == the hop-(h-1) output
+/// slots, one entry per slot, padding included); a frontier of any other
+/// shape is a hard TASER_CHECK.
 ///
 /// Snapshot-read half of the DynamicTCSR contract, asserted here over the
 /// whole container (its version is summed over shards): begin_batch()
-/// captures the graph version (and checks no writer is mid-mutation);
-/// every sample_into() re-checks the version, so an ingest/compact
-/// landing between begin_batch and sampling is a hard TASER_CHECK
-/// failure, not a torn read. Call begin_batch after every graph mutation
-/// (BatchBuilder does so at the top of each build).
-/// `expect_version` extends the fence across the epoch hand-off: a reader
-/// holding a published epoch passes the publish-time version, and the
-/// next begin_batch hard-fails unless the replica still matches it — a
-/// write that slipped in between epoch acquisition and sampling fails the
-/// reader deterministically instead of racing.
+/// checks that no writer is mid-mutation and that the replica's version
+/// still equals the armed one — otherwise the epoch hand-off was torn
+/// and it throws TornViewError. Every sample_into() re-checks the
+/// version, so an ingest/compact landing between begin_batch and
+/// sampling is a hard TASER_CHECK failure, not a torn read.
 ///
 /// Serial per-target loop with capacity-reusing member scratch: serving
-/// micro-batches are small, and both stream modes keep the sample
-/// sequence independent of thread count by construction.
+/// micro-batches are small, and keyed streams keep the sample sequence
+/// independent of thread count by construction.
 ///
 /// Every root routes to the shard owning its adjacency list
 /// (`shard_for`); because an owned node's merged list is byte-identical
@@ -65,9 +71,11 @@ class TornViewError : public std::runtime_error {
 /// — is independent of the shard count (test_serve's S ∈ {1,2,4} anchor).
 class DynamicNeighborFinder : public NeighborFinder {
  public:
-  explicit DynamicNeighborFinder(const graph::ShardedDynamicTCSR& graph,
-                                 std::uint64_t seed = 1)
-      : graph_(graph), rng_(seed) {}
+  /// Arms the next build with the replica to sample (it must stay pinned
+  /// until the build ends), its publish-time version and one stream key
+  /// per root target.
+  void arm(const graph::ShardedDynamicTCSR& graph, std::uint64_t version,
+           std::span<const std::uint64_t> root_keys);
 
   void begin_batch(Time batch_time) override;
 
@@ -76,28 +84,16 @@ class DynamicNeighborFinder : public NeighborFinder {
 
   std::string name() const override { return "dynamic-cpu"; }
 
-  /// Epoch fence: the next begin_batch asserts graph.version() == v (then
-  /// clears the expectation). Readers pass the version captured when
-  /// their epoch was published.
-  void expect_version(std::uint64_t v);
-
-  /// Arms the next batch (one build, all hops) with per-root stream keys;
-  /// keys.size() must equal the root frontier size of that build. Without
-  /// a fresh call the finder falls back to its single unkeyed stream.
-  void set_stream_keys(const std::vector<std::uint64_t>& root_keys);
-
  private:
-  static constexpr std::uint64_t kNoBatch = ~std::uint64_t{0};
-
-  const graph::ShardedDynamicTCSR& graph_;
-  util::Rng rng_;
-  std::uint64_t version_at_batch_ = kNoBatch;
-  std::uint64_t expected_version_ = 0;
-  bool has_expected_version_ = false;
-  // Keyed-stream state: root keys armed for the next batch, the current
-  // hop's per-target keys, and the previous hop's shape for chaining.
-  bool keys_pending_ = false;
-  bool keyed_ = false;
+  // The arming begin_batch consumes: replica, fence version, root keys.
+  const graph::ShardedDynamicTCSR* armed_ = nullptr;
+  std::uint64_t armed_version_ = 0;
+  // The current build's replica (null outside a fenced build) and the
+  // version it was fenced at.
+  const graph::ShardedDynamicTCSR* graph_ = nullptr;
+  std::uint64_t version_at_batch_ = 0;
+  // Keyed-stream state: the current hop's per-target keys and the
+  // previous hop's shape for chaining.
   int hop_ = 0;
   std::int64_t prev_targets_ = 0, prev_budget_ = 0;
   std::vector<std::uint64_t> root_keys_, cur_keys_, parent_keys_;

@@ -42,12 +42,9 @@ inline void load_servable(models::TgnnModel& model, models::EdgePredictor& predi
 }
 
 /// Staged variant for multi-replica installs (the ServingEngine): parse +
-/// validate the file once, then install the staged copy into each worker
-/// replica — file faults can no longer strike mid-fleet.
-inline nn::ParameterBundle read_servable(const std::string& path) {
-  return nn::read_parameters(path);
-}
-
+/// validate the file once (nn::read_parameters), then install the staged
+/// copy into each worker replica — file faults can no longer strike
+/// mid-fleet.
 inline void install_servable(models::TgnnModel& model,
                              models::EdgePredictor& predictor,
                              const nn::ParameterBundle& staged) {

@@ -166,7 +166,7 @@ void GraphEpochManager::release(int side) {
 }
 
 void GraphEpochManager::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
-                               std::vector<float> edge_feat) {
+                               std::span<const float> edge_feat) {
   // Full client-boundary validation here — these checks, then the log's
   // append (node range, time order, EdgeId range), all before any state
   // changes and on the producer's thread: an ingested event must never

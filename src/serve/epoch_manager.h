@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/event_log.h"
@@ -123,10 +124,12 @@ class GraphEpochManager {
     const graph::ShardedDynamicTCSR& graph() const { return *graph_; }
     /// Monotone epoch number (0 = the base snapshot before any publish).
     std::uint64_t epoch() const { return epoch_; }
-    /// Which replica this epoch lives on (session pipeline selector).
+    /// Which replica this epoch lives on: graph() is the manager's
+    /// side(side()).
     int side() const { return side_; }
     /// Replica version (summed over shards) captured when this epoch was
-    /// published — the read-side fence value to hand DynamicNeighborFinder.
+    /// published — the read-side fence value DynamicNeighborFinder::arm
+    /// takes with graph().
     std::uint64_t graph_version() const { return version_; }
 
    private:
@@ -154,7 +157,7 @@ class GraphEpochManager {
   /// nothing. The event becomes visible to readers only at the next
   /// publish().
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
-              std::vector<float> edge_feat = {});
+              std::span<const float> edge_feat = {});
 
   /// Catches the write side up with every ingested event and publishes it
   /// as the new current epoch. Blocks until the write side has retired
@@ -186,9 +189,9 @@ class GraphEpochManager {
   std::int64_t num_nodes() const { return log_.num_nodes(); }
   std::int64_t edge_feat_dim() const { return log_.edge_feat_dim(); }
 
-  /// Direct replica access for session pipeline binding and tests. The
-  /// replica addresses are stable for the manager's lifetime; treat the
-  /// graphs as read-only.
+  /// Direct replica access for tests; readers reach a replica through
+  /// the ReadGuard that pins it. The replica addresses are stable for the
+  /// manager's lifetime; treat the graphs as read-only.
   const graph::ShardedDynamicTCSR& side(int i) const { return *sides_[i]; }
   /// The one event log both replicas bind (stable address). Its base
   /// never changes; a reader touches streamed rows only below the

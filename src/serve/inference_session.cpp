@@ -14,32 +14,31 @@ namespace {
 // sampling streams (util::mix_stream_key).
 constexpr std::uint64_t kSrcRootSalt = 0x5a11c0de5u;
 constexpr std::uint64_t kDstRootSalt = 0xd5a17ea15u;
-}  // namespace
 
-InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
-                                     gpusim::Device& device,
-                                     const SessionConfig& config, double time_scale)
-    : finder(graph, config.seed ^ 0xd1f1ULL) {
-  // Edge rows come from the log both replicas bind — EdgeIds are dense
-  // and global regardless of shard count, so feature lookups are
-  // untouched by sharding. The builder reads only dims from the base.
-  features = std::make_unique<cache::PlainFeatureSource>(graph.log(), device);
+/// Non-adaptive: the finder samples n directly. The log's base never
+/// changes, so neither does the ∆t normalisation derived from it,
+/// whenever the session is built.
+core::BuilderConfig builder_config(const SessionConfig& config, const graph::Dataset& base) {
   core::BuilderConfig bc;
   bc.n = config.n_neighbors;
-  bc.m = config.n_neighbors;  // non-adaptive: the finder samples n directly
+  bc.m = config.n_neighbors;
   bc.policy = config.policy;
-  bc.time_scale = time_scale;
-  builder = std::make_unique<core::BatchBuilder>(graph.log().base(), finder, *features,
-                                                 device, /*sampler=*/nullptr, bc);
+  bc.time_scale = config.time_scale > 0 ? config.time_scale : base.mean_inter_event_gap();
+  return bc;
 }
+}  // namespace
 
+// Edge rows come from the manager's one log, which both replicas bind —
+// EdgeIds are dense and global regardless of shard count, so feature
+// lookups are untouched by sharding. The builder reads only dims from the
+// base.
 InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig config)
     : graphs_(graphs),
       config_(config),
-      device_(config.device_spec),
+      features_(graphs.log(), device_),
+      builder_(graphs.log().base(), finder_, features_, device_, /*sampler=*/nullptr,
+               builder_config(config, graphs.log().base())),
       rng_(config.seed) {
-  // The log's base never changes, so neither do the dims and the ∆t
-  // normalisation derived from it, whenever the session is built.
   const graph::Dataset& data = graphs.log().base();
   util::Rng init_rng(config_.seed ^ 0xabcdef12345ULL);
   models::ModelConfig mc;
@@ -56,14 +55,6 @@ InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig conf
   predictor_ = std::make_unique<models::EdgePredictor>(config_.hidden_dim, init_rng);
   model_->set_training(false);
   predictor_->set_training(false);
-
-  // Both replica pipelines share one ∆t normalisation, derived once from
-  // the base log — replicas must answer identically, so their builders
-  // must be configured identically.
-  const double time_scale =
-      config_.time_scale > 0 ? config_.time_scale : data.mean_inter_event_gap();
-  for (int s = 0; s < 2; ++s)
-    pipes_[s] = std::make_unique<Pipeline>(graphs.side(s), device_, config_, time_scale);
 }
 
 void InferenceSession::load_checkpoint(const std::string& path) {
@@ -72,12 +63,6 @@ void InferenceSession::load_checkpoint(const std::string& path) {
 
 void InferenceSession::install_checkpoint(const nn::ParameterBundle& staged) {
   install_servable(*model_, *predictor_, staged);
-}
-
-std::uint64_t InferenceSession::workspace_alloc_events() const {
-  std::uint64_t total = 0;
-  for (const auto& p : pipes_) total += p->builder->workspace_alloc_events();
-  return total;
 }
 
 void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
@@ -101,8 +86,6 @@ void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
   // Pin the current epoch for the whole request: builder + forward see
   // one immutable view, fenced by the publish-time version.
   GraphEpochManager::ReadGuard epoch = graphs_.acquire();
-  Pipeline& pipe = *pipes_[epoch.side()];
-  pipe.finder.expect_version(epoch.graph_version());
   last_epoch_ = epoch.epoch();
 
   // The whole request is a no-grad region; the tape-node delta check at
@@ -121,9 +104,9 @@ void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
     root_keys_[static_cast<std::size_t>(i)] = util::mix_stream_key(key, kSrcRootSalt);
     root_keys_[static_cast<std::size_t>(B + i)] = util::mix_stream_key(key, kDstRootSalt);
   }
-  pipe.finder.set_stream_keys(root_keys_);
+  finder_.arm(epoch.graph(), epoch.graph_version(), root_keys_);
 
-  auto built = pipe.builder->build(roots_, model_->num_hops(), phases_, rng_);
+  auto built = builder_.build(roots_, model_->num_hops(), phases_, rng_);
   util::ScopedPhase pp(phases_, core::phase::kPP);
   tensor::Tensor h = model_->compute_embeddings(built.inputs);
 

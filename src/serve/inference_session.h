@@ -49,7 +49,6 @@ struct SessionConfig {
   sampling::FinderPolicy policy = sampling::FinderPolicy::kMostRecent;
   double time_scale = 0;  ///< 0 = the log base's mean_inter_event_gap()
   std::uint64_t seed = 11;
-  gpusim::DeviceSpec device_spec = gpusim::rtx6000ada();
 };
 
 /// No-grad inference over a streaming graph: loads a train→serve
@@ -60,12 +59,13 @@ struct SessionConfig {
 /// batch shapes stabilise, asserted via workspace_alloc_events()), and
 /// runs backbone + predictor forward under NoGradGuard.
 ///
-/// The session keeps one sampling pipeline per replica of the manager,
-/// and every score_links pins the current epoch for its duration, hands
-/// the publish-time version to the finder as the read-side fence, and
-/// scores against that immutable view. N sessions on N threads serve
-/// concurrently against the same manager while the ingest thread builds
-/// the next epoch.
+/// The session keeps one sampling pipeline (finder, feature source,
+/// builder) for both replicas of the manager: every score_links pins the
+/// current epoch for its duration, arms the finder with that epoch's
+/// replica, its publish-time version (the read-side fence) and the
+/// request's root keys, and scores against that immutable view. N
+/// sessions on N threads serve concurrently against the same manager
+/// while the ingest thread builds the next epoch.
 ///
 /// No-grad contract (hard assert, not a convention): every score_links
 /// call checks that the tensor runtime allocated *zero* tape nodes while
@@ -77,7 +77,7 @@ struct SessionConfig {
 /// at most one score_links at a time. That is the *only* sequencing
 /// requirement: graph mutations are the epoch manager's problem, and
 /// concurrent sessions never share mutable state (each owns its model
-/// replica, builders, workspaces, device and Rng).
+/// replica, builder, workspace, device and Rng).
 class InferenceSession {
  public:
   /// score_links pins the manager's current epoch per call.
@@ -86,7 +86,7 @@ class InferenceSession {
   /// Restores model + predictor parameters from a save_servable bundle.
   /// All-or-nothing: any failure leaves the replica on its old parameters.
   void load_checkpoint(const std::string& path);
-  /// Installs an already-staged bundle (serve::read_servable) — the
+  /// Installs an already-staged bundle (nn::read_parameters) — the
   /// ServingEngine's per-replica half of its all-or-nothing load.
   void install_checkpoint(const nn::ParameterBundle& staged);
 
@@ -103,10 +103,10 @@ class InferenceSession {
   void score_links(const std::vector<LinkQuery>& queries,
                    const std::uint64_t* stream_keys, std::vector<float>& out);
 
-  /// Builder-arena allocation events, summed over the session's pipelines
-  /// (flat in steady state once every replica's shapes have warmed — the
-  /// serving zero-allocation invariant benches and tests assert).
-  std::uint64_t workspace_alloc_events() const;
+  /// Builder-arena allocation events (flat in steady state once batch
+  /// shapes have warmed, whichever replica serves — the serving
+  /// zero-allocation invariant benches and tests assert).
+  std::uint64_t workspace_alloc_events() const { return builder_.workspace_alloc_events(); }
   /// Micro-batches scored so far.
   std::uint64_t forwards() const { return forwards_; }
   /// Epoch id of the most recent scored batch (0 before any).
@@ -119,21 +119,12 @@ class InferenceSession {
   const util::PhaseAccumulator& phases() const { return phases_; }
 
  private:
-  /// One per-replica sampling pipeline: finder + feature source + builder
-  /// (with its own BuilderWorkspace arena), all bound to one replica; the
-  /// finder routes each root to its owning shard.
-  struct Pipeline {
-    Pipeline(const graph::ShardedDynamicTCSR& graph, gpusim::Device& device,
-             const SessionConfig& config, double time_scale);
-    sampling::DynamicNeighborFinder finder;
-    std::unique_ptr<cache::FeatureSource> features;
-    std::unique_ptr<core::BatchBuilder> builder;
-  };
-
   GraphEpochManager& graphs_;
   SessionConfig config_;
   gpusim::Device device_;
-  std::unique_ptr<Pipeline> pipes_[2];  ///< one per replica (ReadGuard::side)
+  sampling::DynamicNeighborFinder finder_;
+  cache::PlainFeatureSource features_;
+  core::BatchBuilder builder_;
   std::unique_ptr<models::TgnnModel> model_;
   std::unique_ptr<models::EdgePredictor> predictor_;
   util::Rng rng_;

@@ -124,7 +124,7 @@ void ServingEngine::load_checkpoint(const std::string& path) {
   // then install from memory — and installs themselves validate the full
   // name/shape mapping before copying a float, so even a config mismatch
   // leaves all replicas on their previous parameters.
-  const nn::ParameterBundle staged = read_servable(path);
+  const nn::ParameterBundle staged = nn::read_parameters(path);
   TASER_FAILPOINT("serve.checkpoint.load");
   for (auto& shard : shards_) shard->session->install_checkpoint(staged);
 }
@@ -232,7 +232,7 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
 }
 
 void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
-                           std::vector<float> edge_feat) {
+                           std::span<const float> edge_feat) {
   {
     std::unique_lock<std::mutex> lock(front_mu_);
     if (stop_) throw EngineStoppedError("ingest after ServingEngine shutdown");
@@ -261,7 +261,7 @@ void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
     // last publish covers every accepted event. The manager validates
     // the event before any state changes, so a malformed or faulted one
     // throws to this caller and changes nothing.
-    graphs_.ingest(u, v, t, std::move(edge_feat));
+    graphs_.ingest(u, v, t, edge_feat);
   }
   ingest_ready_.notify_one();
 }

@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -196,7 +197,7 @@ class ServingEngine {
   /// frees space, kReject throws RejectedError. Throws EngineStoppedError
   /// after shutdown begins.
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
-              std::vector<float> edge_feat = {});
+              std::span<const float> edge_feat = {});
 
   /// Blocks until everything submitted so far has been processed: all
   /// queries resolved (value or exception), all ingested events

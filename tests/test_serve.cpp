@@ -97,6 +97,14 @@ std::vector<float> feat_row(const graph::Dataset& d, std::int64_t e) {
   return std::vector<float>(f, f + d.edge_feat_dim);
 }
 
+/// Stream keys first, first + 1, ... — the engine keys its i-th submitted
+/// request by seq i.
+std::vector<std::uint64_t> seq_keys(std::size_t n, std::uint64_t first = 0) {
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = first + i;
+  return keys;
+}
+
 /// Compares two containers' merged views (any shard counts) list by
 /// list, and the log rows each one sees, row by row.
 void expect_query_identical(const graph::ShardedDynamicTCSR& a,
@@ -192,13 +200,15 @@ TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
   for (std::int64_t e = 0; e < full.num_edges(); e += 23)
     targets.push(full.src[e], full.ts[e]);
   targets.push(full.dst[3], full.ts.back() + 1);
+  const auto keys = seq_keys(targets.size(), 99);
 
   for (auto policy : {sampling::FinderPolicy::kMostRecent,
                       sampling::FinderPolicy::kUniform,
                       sampling::FinderPolicy::kInverseTimespan}) {
-    sampling::DynamicNeighborFinder fa(statically_built, 99);
-    sampling::DynamicNeighborFinder fb(grown, 99);
+    sampling::DynamicNeighborFinder fa, fb;
     sampling::SampledNeighbors sa, sb;
+    fa.arm(statically_built, statically_built.version(), keys);
+    fb.arm(grown, grown.version(), keys);
     fa.begin_batch(full.ts.back() + 1);
     fb.begin_batch(full.ts.back() + 1);
     fa.sample_into(targets, 7, policy, sa);
@@ -212,33 +222,57 @@ TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
 
 // DynamicNeighborFinder deliberately mirrors OrigNeighborFinder's pick
 // semantics (newest-first prefix / partial Fisher–Yates / weighted
-// without replacement, one Rng stream in target order). The two
-// implementations live apart because the orig finder *models* the
-// interpreted baseline (fresh allocations per query are part of what it
-// measures); this test is the drift alarm that keeps them in sync.
+// without replacement). The two implementations live apart because the
+// orig finder *models* the interpreted baseline (fresh allocations per
+// query are part of what it measures); this test is the drift alarm that
+// keeps them in sync. The dynamic finder draws each root's picks from
+// that root's keyed stream, so each root is compared with an orig finder
+// seeded with the root's draw seed. The roots cover every pick branch:
+// no eligible neighbor, at most the budget, and more than the budget.
 TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
   const graph::Dataset full = small_dataset(21);
   graph::TCSR tcsr(full);
   const graph::EventLog log(full);
   graph::ShardedDynamicTCSR dyn(log);
+  constexpr std::int64_t kBudget = 6;
 
   graph::TargetBatch targets;
   for (std::int64_t e = 0; e < full.num_edges(); e += 31)
     targets.push(full.src[e], full.ts[e]);
+  int none = 0, within = 0, above = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const std::int64_t eligible = dyn.pivot_count(targets.nodes[i], targets.times[i]);
+    none += eligible == 0;
+    within += eligible > 0 && eligible <= kBudget;
+    above += eligible > kBudget;
+  }
+  ASSERT_GT(none, 0);
+  ASSERT_GT(within, 0);
+  ASSERT_GT(above, 0);
+  const auto keys = seq_keys(targets.size(), 123);
 
   for (auto policy : {sampling::FinderPolicy::kMostRecent,
                       sampling::FinderPolicy::kUniform,
                       sampling::FinderPolicy::kInverseTimespan}) {
-    sampling::OrigNeighborFinder fo(tcsr, 123);
-    sampling::DynamicNeighborFinder fd(dyn, 123);
-    sampling::SampledNeighbors so, sd;
+    sampling::DynamicNeighborFinder fd;
+    sampling::SampledNeighbors sd;
+    fd.arm(dyn, dyn.version(), keys);
     fd.begin_batch(full.ts.back());
-    fo.sample_into(targets, 6, policy, so);
-    fd.sample_into(targets, 6, policy, sd);
-    EXPECT_EQ(so.nbr, sd.nbr) << to_string(policy);
-    EXPECT_EQ(so.ts, sd.ts) << to_string(policy);
-    EXPECT_EQ(so.eid, sd.eid) << to_string(policy);
-    EXPECT_EQ(so.count, sd.count) << to_string(policy);
+    fd.sample_into(targets, kBudget, policy, sd);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      graph::TargetBatch root;
+      root.push(targets.nodes[i], targets.times[i]);
+      sampling::OrigNeighborFinder fo(tcsr, sampling::draw_seed(keys[i]));
+      const sampling::SampledNeighbors so = fo.sample(root, kBudget, policy);
+      const auto row = [&](const auto& v) {
+        const auto first = v.begin() + static_cast<std::ptrdiff_t>(i) * kBudget;
+        return std::vector(first, first + kBudget);
+      };
+      EXPECT_EQ(so.nbr, row(sd.nbr)) << to_string(policy) << " root " << i;
+      EXPECT_EQ(so.ts, row(sd.ts)) << to_string(policy) << " root " << i;
+      EXPECT_EQ(so.eid, row(sd.eid)) << to_string(policy) << " root " << i;
+      EXPECT_EQ(so.count[0], sd.count[i]) << to_string(policy) << " root " << i;
+    }
   }
 }
 
@@ -246,15 +280,17 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   const graph::Dataset full = small_dataset(9);
   graph::EventLog log(prefix_dataset(full, full.num_edges() / 2));
   graph::ShardedDynamicTCSR g(log);
-  sampling::DynamicNeighborFinder finder(g, 1);
+  sampling::DynamicNeighborFinder finder;
   graph::TargetBatch targets;
   targets.push(full.src[0], full.ts.back());
+  const auto keys = seq_keys(targets.size());
   sampling::SampledNeighbors out;
 
   // Sampling without a version snapshot is an error.
   EXPECT_THROW(finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out),
                std::runtime_error);
 
+  finder.arm(g, g.version(), keys);
   finder.begin_batch(full.ts.back());
   finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out);
 
@@ -264,7 +300,8 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   EXPECT_GT(g.version(), v0);
   EXPECT_THROW(finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out),
                std::runtime_error);
-  // ...and re-snapshotting after the write recovers.
+  // ...and re-arming at the new version after the write recovers.
+  finder.arm(g, g.version(), keys);
   finder.begin_batch(full.ts.back() + 1);
   finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out);
 
@@ -293,19 +330,72 @@ TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
   const graph::Dataset data = small_dataset(25);
   graph::EventLog log(data);
   graph::ShardedDynamicTCSR g(log);
-  sampling::DynamicNeighborFinder finder(g, 1);
+  sampling::DynamicNeighborFinder finder;
+  const auto keys = seq_keys(1);
 
-  // Matching expectation passes and is one-shot.
-  finder.expect_version(g.version());
-  finder.begin_batch(data.ts.back());
-  finder.begin_batch(data.ts.back());  // expectation consumed, no re-check
+  // A matching version passes.
+  finder.arm(g, g.version(), keys);
+  EXPECT_NO_THROW(finder.begin_batch(data.ts.back()));
 
   // A write landing between epoch acquisition (version capture) and
-  // sampling hard-fails the next begin_batch.
+  // sampling fails the next begin_batch typed, and consumes the arming:
+  // a retry must re-arm from a fresh acquisition.
   const std::uint64_t stale = g.version();
   ingest(log, g, data.src[0], data.dst[0], data.ts.back() + 1);
-  finder.expect_version(stale);
-  EXPECT_THROW(finder.begin_batch(data.ts.back() + 1), std::runtime_error);
+  finder.arm(g, stale, keys);
+  EXPECT_THROW(finder.begin_batch(data.ts.back() + 1), sampling::TornViewError);
+  graph::TargetBatch targets;
+  targets.push(data.src[0], data.ts.back() + 1);
+  sampling::SampledNeighbors out;
+  EXPECT_THROW(finder.sample_into(targets, 4, sampling::FinderPolicy::kMostRecent, out),
+               std::runtime_error);
+  finder.arm(g, g.version(), keys);
+  EXPECT_NO_THROW(finder.begin_batch(data.ts.back() + 1));
+}
+
+// The finder is armed per build: a build on a finder that was not armed
+// throws (a hard error, not a retryable torn view), and one arming
+// covers every hop of exactly one build.
+TEST(DynamicGraph, OneArmingCoversExactlyOneBuild) {
+  const graph::Dataset data = small_dataset(27);
+  const graph::EventLog log(data);
+  const graph::ShardedDynamicTCSR g(log);
+  sampling::DynamicNeighborFinder finder;
+  gpusim::Device device;
+  cache::PlainFeatureSource features(log, device);
+  core::BuilderConfig bc;
+  bc.n = 4;
+  bc.m = 4;
+  bc.policy = sampling::FinderPolicy::kUniform;
+  core::BatchBuilder builder(log.base(), finder, features, device, nullptr, bc);
+
+  graph::TargetBatch roots;
+  for (std::int64_t e = 0; e < data.num_edges(); e += 97)
+    roots.push(data.src[e], data.ts.back() + 1);
+  const auto keys = seq_keys(roots.size());
+  util::Rng rng(3);
+  util::PhaseAccumulator phases;
+  const auto expect_unarmed_throws = [&] {
+    try {
+      builder.build(roots, 2, phases, rng);
+      ADD_FAILURE() << "a build on an unarmed finder ran";
+    } catch (const sampling::TornViewError&) {
+      ADD_FAILURE() << "an unarmed build reported a torn view";
+    } catch (const std::runtime_error&) {
+    }
+  };
+  const auto hop1_delta_t = [](const core::BatchBuilder::Built& b) {
+    const tensor::Tensor& d = b.inputs.hops.at(1).delta_t;
+    return std::vector<float>(d.data(), d.data() + d.numel());
+  };
+
+  expect_unarmed_throws();
+  finder.arm(g, g.version(), keys);
+  const auto first = builder.build(roots, 2, phases, rng);  // both hops
+  expect_unarmed_throws();
+  finder.arm(g, g.version(), keys);
+  const auto again = builder.build(roots, 2, phases, rng);
+  EXPECT_EQ(hop1_delta_t(again), hop1_delta_t(first));  // same keys, same picks
 }
 
 // Merged-view accessors take caller-supplied NodeIds straight from the
@@ -987,14 +1077,6 @@ std::vector<serve::LinkQuery> tiny_queries(const graph::Dataset& data, std::size
   return qs;
 }
 
-/// Stream keys first, first + 1, ... — the engine keys its i-th submitted
-/// request by seq i.
-std::vector<std::uint64_t> seq_keys(std::size_t n, std::uint64_t first = 0) {
-  std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) keys[i] = first + i;
-  return keys;
-}
-
 TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   const graph::Dataset data = small_dataset(11);
   const std::string ckpt = temp_path("servable.ckpt");
@@ -1021,11 +1103,11 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
 
   // Training-path reference: identical machinery (merged-view finder,
   // workspace builder, same time_scale), grad mode ON, training=true. The
-  // most-recent policy draws nothing, so the finder's unkeyed stream
-  // samples what the session's keyed streams did.
+  // most-recent policy draws nothing, so any root keys sample what the
+  // session's did.
   const graph::EventLog log2(data);
   graph::ShardedDynamicTCSR g2(log2);
-  sampling::DynamicNeighborFinder finder(g2, 1);
+  sampling::DynamicNeighborFinder finder;
   gpusim::Device device;
   cache::PlainFeatureSource features(log2, device);
   core::BuilderConfig bc;
@@ -1038,6 +1120,7 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   graph::TargetBatch roots;
   for (const auto& q : queries) roots.push(q.src, q.t);
   for (const auto& q : queries) roots.push(q.dst, q.t);
+  finder.arm(g2, g2.version(), seq_keys(roots.size()));
   util::Rng rng(42);
   util::PhaseAccumulator phases;
   const std::uint64_t tape0 = tensor::OpCounters::thread_tape_nodes();
@@ -1101,6 +1184,33 @@ TEST(NoGradInference, RepeatedRequestsKeepTapeAndWorkspaceFlat) {
   EXPECT_EQ(mgr.pins(0) + mgr.pins(1), 0);
   session.score_links(queries, keys.data(), out);
   EXPECT_EQ(out, first);
+}
+
+// One builder arena serves both replicas: shapes warmed on one epoch stay
+// warm after a publish moves the current epoch to the other replica.
+TEST(NoGradInference, WorkspaceStaysFlatWhenTheEpochChangesReplica) {
+  const graph::Dataset data = small_dataset(15);
+  serve::GraphEpochManager mgr(data);
+  serve::InferenceSession session(mgr, tiny_session_config());
+
+  const auto queries = tiny_queries(data, 8);
+  const auto keys = seq_keys(queries.size());
+  std::vector<float> out;
+  session.score_links(queries, keys.data(), out);  // warm-up on epoch 0
+  session.score_links(queries, keys.data(), out);
+  const int side0 = mgr.acquire().side();
+  const std::uint64_t ws0 = session.workspace_alloc_events();
+
+  // One event, visible to the queries, published: epoch 1 lives on the
+  // other replica.
+  mgr.ingest(queries[0].src, queries[0].dst, data.ts.back() + 0.5, feat_row(data, 0));
+  ASSERT_EQ(mgr.publish(), 1u);
+  ASSERT_NE(mgr.acquire().side(), side0);
+
+  for (int k = 0; k < 3; ++k) session.score_links(queries, keys.data(), out);
+  EXPECT_EQ(session.last_epoch(), 1u);
+  EXPECT_EQ(session.workspace_alloc_events(), ws0)
+      << "the other replica's epoch must reuse the warm builder arena";
 }
 
 // ---- keyed per-request sampling streams ------------------------------------
